@@ -145,7 +145,6 @@ def _cmd_decide(config: RunConfig) -> int:
 def _cmd_expand(config: RunConfig) -> int:
     support = _load_support(config)
     inst = VandermondeInstance(support, CoefficientRing(config.characteristic))
-    det = vandermonde_determinant(inst, max_n=config.max_n)
     expansion = row_expansion(inst, max_n=config.max_n)
     _emit(
         config,
@@ -155,7 +154,7 @@ def _cmd_expand(config: RunConfig) -> int:
             "characteristic": config.characteristic,
             "support": support.to_json(),
             "variables": list(inst.poly_ring().variables),
-            "determinant": det.to_terms_json(),
+            "determinant": expansion.determinant.to_terms_json(),
             "signs": list(expansion.signs),
             "minors": [m.to_terms_json() for m in expansion.minors],
         },

@@ -184,15 +184,14 @@ def verify_certificate(inst: VandermondeInstance, cert: IrreducibilityCertificat
         _finish(cert, checks, "support mismatch")
     add("support", True, "gamma_bar + p^r-scaled reduced support reconstructs the instance")
 
-    det = vandermonde_determinant(inst)
     verdict = cert.verdict
 
     if verdict == VERDICT_SMALL_N:
-        _check_small_n(inst, det, add)
+        _check_small_n(inst, vandermonde_determinant(inst), add)
     elif verdict == VERDICT_MONOMIAL_FACTOR:
-        _check_monomial_factor(inst, cert, det, add)
+        _check_monomial_factor(inst, cert, vandermonde_determinant(inst), add)
     elif verdict == VERDICT_POWER:
-        _check_power(inst, cert, det, add)
+        _check_power(inst, cert, vandermonde_determinant(inst), add)
     elif verdict == VERDICT_COLLINEAR:
         _check_collinear(inst, cert, seed, add)
     elif verdict == VERDICT_IRREDUCIBLE:
@@ -312,7 +311,6 @@ def _check_collinear(inst, cert, seed, add):
 
 
 def _check_irreducible(inst, cert, seed, add):
-    from gvand.oracle import polygon_indecomposability
     from gvand.tropical import TROPICAL_IRREDUCIBLE, decide_tropical_irreducibility
 
     tcert = decide_tropical_irreducibility(inst.support, seed=seed)
@@ -330,13 +328,3 @@ def _check_irreducible(inst, cert, seed, add):
             f"tropical decision {tcert.verdict} with facet-multiplicity gcd "
             f"{tcert.multiplicity_gcd} (char-blind scale d = {d})",
         )
-    if inst.n == 2:
-        poly_report = polygon_indecomposability(normalize(inst.support)[0])
-        if poly_report.status == "indecomposable":
-            add("polygon", True, "Newton polygon is lattice-indecomposable")
-        else:
-            add(
-                "polygon",
-                True,
-                f"polygon test {poly_report.status} (one-directional, recorded only)",
-            )

@@ -4,10 +4,12 @@ An instance pairs a support (N exponent vectors in NN^n) with a
 coefficient ring.  The matrix is N x N over the grid variables X_i_j:
 row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
 X_i^(gamma_l).  Determinants expand by memoized cofactors along the
-topmost remaining row, sharing minors across column subsets; the same
-memo serves all first-row minors of one matrix.
+topmost remaining row, sharing minors across column subsets.  One memo
+over the full matrix yields the determinant and every first-row minor:
+minor l is the entry for the column subset without l.
 """
 
+import math
 from dataclasses import dataclass
 
 from gvand import kernels
@@ -103,6 +105,18 @@ class _SubsetMinors:
         return result
 
 
+def _first_row_cofactors(matrix):
+    """Determinant and first-row minors of a square matrix, from one memo.
+
+    det(full) fills the memo, so each minor at full ^ (1 << l) is a hit.
+    The memo is dropped on return.
+    """
+    memo = _SubsetMinors(matrix)
+    full = (1 << len(matrix)) - 1
+    det = memo.det(full)
+    return det, tuple(memo.det(full ^ (1 << l)) for l in range(len(matrix)))
+
+
 def determinant(matrix, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     """Exact determinant of a square matrix of polynomials."""
     n = len(matrix)
@@ -110,25 +124,7 @@ def determinant(matrix, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
         raise SizeCapError(f"matrix size {n} exceeds the cap {max_n}")
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    return _SubsetMinors(matrix).det((1 << n) - 1)
-
-
-def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    if inst.N > max_n:
-        raise SizeCapError(f"N = {inst.N} exceeds the cap {max_n}")
-    return determinant(build_matrix(inst), max_n=max_n)
-
-
-def minor_delta(inst: VandermondeInstance, ell: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    """First-row minor Delta_ell: drop row 1 and column ell (1-based)."""
-    if not 1 <= ell <= inst.N:
-        raise ValueError(f"column index {ell} out of range 1..{inst.N}")
-    if inst.N > max_n:
-        raise SizeCapError(f"N = {inst.N} exceeds the cap {max_n}")
-    matrix = build_matrix(inst)
-    minors = _SubsetMinors(matrix[1:])
-    full = (1 << inst.N) - 1
-    return minors.det(full ^ (1 << (ell - 1)))
+    return _first_row_cofactors(matrix)[0]
 
 
 @dataclass(frozen=True)
@@ -136,30 +132,44 @@ class RowExpansion:
     """First-row cofactor data: V = sum_l (-1)^(1+l) X_1^(gamma_l) Delta_l.
 
     ``signs`` holds (1 + l) mod 2 per column (0 means +1), so the sign
-    factor is (-1)^signs[l-1].
+    factor is (-1)^signs[l-1]; ``determinant`` is V itself.
     """
 
     signs: tuple
     minors: tuple
+    determinant: SparsePoly
 
 
 def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowExpansion:
-    """All first-row minors with their cofactor signs, reassembly-checked."""
+    """The determinant and all first-row minors with their cofactor signs.
+
+    Rows use disjoint variables and the gamma are distinct, so the
+    determinant has exactly N! terms, one per permutation, each with
+    coefficient +-1; anything else raises InvariantViolationError.
+    """
     if inst.N > max_n:
         raise SizeCapError(f"N = {inst.N} exceeds the cap {max_n}")
-    matrix = build_matrix(inst)
-    shared = _SubsetMinors(matrix[1:])
-    full = (1 << inst.N) - 1
-    minors = tuple(shared.det(full ^ (1 << l)) for l in range(inst.N))
+    det, minors = _first_row_cofactors(build_matrix(inst))
+    units = {inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)}
+    terms = det._terms
+    expected = math.factorial(inst.N)
+    if len(terms) != expected or not units.issuperset(terms.values()):
+        raise InvariantViolationError(
+            f"determinant has {len(terms)} terms, expected N! = {expected} with coefficients +-1"
+        )
     signs = tuple((1 + l) % 2 for l in range(1, inst.N + 1))
-    ring = matrix[0][0].ring
-    total = ring.zero()
-    for l in range(inst.N):
-        piece = matrix[0][l] * minors[l]
-        total = total - piece if signs[l] else total + piece
-    if total != _SubsetMinors(matrix).det(full):
-        raise InvariantViolationError("row expansion failed to reassemble the determinant")
-    return RowExpansion(signs=signs, minors=minors)
+    return RowExpansion(signs=signs, minors=minors, determinant=det)
+
+
+def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
+    return row_expansion(inst, max_n=max_n).determinant
+
+
+def minor_delta(inst: VandermondeInstance, ell: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
+    """First-row minor Delta_ell: drop row 1 and column ell (1-based)."""
+    if not 1 <= ell <= inst.N:
+        raise ValueError(f"column index {ell} out of range 1..{inst.N}")
+    return row_expansion(inst, max_n=max_n).minors[ell - 1]
 
 
 def content_monomial(inst: VandermondeInstance) -> SparsePoly:

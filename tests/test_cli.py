@@ -1,7 +1,14 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gvand
+from gvand import kernels, vandermonde
 from gvand.cli import main
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
@@ -38,8 +45,6 @@ def test_decide_json(support_file, capsys):
 
 
 def test_decide_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TRIANGLE)))
     code, out, _ = _run(capsys, ["decide"])
     assert code == 0
@@ -56,6 +61,61 @@ def test_expand_square_support(support_file, capsys):
     assert payload["variables"][:2] == ["X_1_1", "X_1_2"]
     coeffs = sorted(term["coeff"] for term in payload["determinant"])
     assert coeffs == ["-1", "-1", "-1", "1", "1", "1"]
+
+
+def test_expand_single_vector(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1, "exponents": [[3]]}'))
+    code, out, err = _run(capsys, ["expand"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["determinant"] == [{"coeff": "1", "monomial": {"X_1_1": 3}}]
+    assert payload["minors"] == [[{"coeff": "1", "monomial": {}}]]
+    assert payload["signs"] == [0]
+
+
+def test_expand_builds_one_cofactor_memo(support_file, capsys, monkeypatch):
+    built = []
+    original = vandermonde._SubsetMinors.__init__
+
+    def counting(self, rows):
+        built.append(len(rows))
+        original(self, rows)
+
+    monkeypatch.setattr(vandermonde._SubsetMinors, "__init__", counting)
+    code, _, _ = _run(capsys, ["expand", "--input", support_file(SQUARE)])
+    assert code == 0
+    assert built == [3]
+
+
+def test_expand_term_count_invariant_fires(support_file, capsys, monkeypatch):
+    original = kernels.add_terms
+
+    def lossy(a, b, modulus):
+        out = original(a, b, modulus)
+        if len(out) > 1:
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(kernels, "add_terms", lossy)
+    code, out, err = _run(capsys, ["expand", "--input", support_file(SQUARE)])
+    assert code == 1 and out == ""
+    assert err.startswith("falsified: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_imports_only_stdlib():
+    src = str(Path(gvand.__file__).resolve().parents[1])
+    probe = "import sys; old = set(sys.modules); import gvand.cli; print(*set(sys.modules) - old)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout.split()
+    assert "gvand.cli" in loaded
+    foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names | {"gvand"}]
+    assert foreign == []
 
 
 def test_tropical_scaled_triangle(support_file, capsys):

@@ -137,7 +137,7 @@ def test_verify_irreducible():
     assert report["ok"] is True
     assert report["verdict"] == VERDICT_IRREDUCIBLE
     names = [c["name"] for c in report["checks"]]
-    assert "tropical" in names and "polygon" in names
+    assert "tropical" in names and "polygon" not in names
 
 
 def test_verify_irreducible_nontrivial_d():
@@ -168,6 +168,17 @@ def test_verify_collinear():
     assert report["ok"] is True
     split = next(c for c in report["checks"] if c["name"] == "line_split")
     assert split["holds"] is True
+
+
+def test_verify_irreducible_and_collinear_do_not_expand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the determinant was expanded")
+
+    monkeypatch.setattr("gvand.irreducibility.vandermonde_determinant", refuse)
+    _, report = _verify([(0, 0), (1, 0), (0, 1)], 2, 0)
+    assert report["verdict"] == VERDICT_IRREDUCIBLE
+    _, report = _verify([(0,), (1,), (2,), (3,)], 1, 0, seed=5)
+    assert report["verdict"] == VERDICT_COLLINEAR
 
 
 def test_verify_collinear_falls_back_to_a_luckier_prime():

@@ -1,90 +1,34 @@
-"""The compiled and pure-Python term kernels must agree bit for bit."""
+"""Semantics of the term-map kernels."""
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from gvand import _termops_py as pure
 from gvand import kernels
-
-try:
-    from gvand import _termops as compiled
-except ImportError:
-    compiled = None
-
-
-def _random_terms(rng, n_vars, size, coeff_max=50):
-    out = {}
-    for _ in range(size):
-        exp = tuple(rng.randint(0, 6) for _ in range(n_vars))
-        out[exp] = rng.randint(-coeff_max, coeff_max) or 1
-    return out
-
-
-def test_selected_backend_reports_name():
-    assert kernels.BACKEND in ("python", "c")
-
-
-def test_env_override_forces_pure_python():
-    result = subprocess.run(
-        [sys.executable, "-c", "from gvand import kernels; print(kernels.BACKEND)"],
-        capture_output=True,
-        env=dict(os.environ, GVAND_PURE_PYTHON="1"),
-    )
-    assert result.stdout.strip() == b"python"
 
 
 def test_pure_add_cancellation():
     a = {(1, 0): 3, (0, 1): 2}
     b = {(1, 0): -3, (2, 2): 5}
-    assert pure.add_terms(a, b, 0) == {(0, 1): 2, (2, 2): 5}
+    assert kernels.add_terms(a, b, 0) == {(0, 1): 2, (2, 2): 5}
 
 
 def test_pure_add_modular():
     a = {(1,): 2}
     b = {(1,): 3}
-    assert pure.add_terms(a, b, 5) == {}
-    assert pure.add_terms(a, b, 7) == {(1,): 5}
+    assert kernels.add_terms(a, b, 5) == {}
+    assert kernels.add_terms(a, b, 7) == {(1,): 5}
 
 
 def test_pure_mul_small():
     a = {(1, 0): 1, (0, 1): 1}
-    out = pure.mul_terms(a, a, 0)
+    out = kernels.mul_terms(a, a, 0)
     assert out == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 def test_pure_addmul_accumulates_in_place():
     acc = {(0, 0): 1}
-    result = pure.addmul_terms(acc, 2, (1, 0), {(0, 1): 3}, 0)
+    result = kernels.addmul_terms(acc, 2, (1, 0), {(0, 1): 3}, 0)
     assert result is acc
     assert acc == {(0, 0): 1, (1, 1): 6}
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
-def test_backends_agree_on_random_maps():
-    rng = random.Random(4091)
-    for _ in range(200):
-        n_vars = rng.randint(1, 4)
-        a = _random_terms(rng, n_vars, rng.randint(0, 12))
-        b = _random_terms(rng, n_vars, rng.randint(0, 12))
-        modulus = rng.choice([0, 0, 2, 3, 5, 97])
-        assert compiled.add_terms(a, b, modulus) == pure.add_terms(a, b, modulus)
-        assert compiled.mul_terms(a, b, modulus) == pure.mul_terms(a, b, modulus)
-        scale = rng.randint(-9, 9) or 1
-        shift = tuple(rng.randint(0, 3) for _ in range(n_vars))
-        acc_c = dict(_random_terms(rng, n_vars, 4))
-        acc_p = dict(acc_c)
-        compiled.addmul_terms(acc_c, scale, shift, b, modulus)
-        pure.addmul_terms(acc_p, scale, shift, b, modulus)
-        assert acc_c == acc_p
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
-def test_backends_handle_big_integers():
+def test_pure_mul_big_integers():
     big = 10**40
-    a = {(1,): big}
-    b = {(1,): big}
-    assert compiled.mul_terms(a, b, 0) == pure.mul_terms(a, b, 0) == {(2,): big * big}
+    assert kernels.mul_terms({(1,): big}, {(1,): big}, 0) == {(2,): big * big}
