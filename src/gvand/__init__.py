@@ -42,8 +42,6 @@ from gvand.tropical import (
 from gvand.vandermonde import (
     VandermondeInstance,
     build_matrix,
-    determinant,
-    minor_delta,
     row_expansion,
     vandermonde_determinant,
 )

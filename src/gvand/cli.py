@@ -22,9 +22,10 @@ from gvand.errors import (
     InputError,
     InvariantViolationError,
 )
-from gvand.exponents import Support, affine_dimension, componentwise_min, d_gamma
+from gvand.exponents import Support
 from gvand.irreducibility import (
     VERDICT_IRREDUCIBLE,
+    VERDICT_POWER,
     FieldSpec,
     decide,
     verify_certificate,
@@ -32,7 +33,6 @@ from gvand.irreducibility import (
 from gvand.oracle import (
     LEIBNIZ_MAX_N,
     LINE_CASE_PRIMES,
-    POLYGON_INDECOMPOSABLE,
     classical_divisibility_check,
     jacobian_independence_evidence,
     leibniz_determinant,
@@ -198,13 +198,9 @@ def _cmd_verify(config: RunConfig) -> int:
 
     oracles = {}
     tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
-    d = d_gamma(support) if support.N >= 2 else None
-    if support.N >= 3:
-        char0 = decide(support, FieldSpec(0))
-        expected = char0.verdict == VERDICT_IRREDUCIBLE and d == 1
-        agree = (tropical_cert.verdict == TROPICAL_IRREDUCIBLE) == expected
-    else:
-        agree = tropical_cert.verdict != TROPICAL_IRREDUCIBLE
+    # irreducible in char 0 <=> N >= 3, content and span <=> irreducible or power here
+    expected = cert.verdict in (VERDICT_IRREDUCIBLE, VERDICT_POWER) and cert.d_gamma == 1
+    agree = (tropical_cert.verdict == TROPICAL_IRREDUCIBLE) == expected
     oracles["tropical_agreement"] = {
         "ok": agree,
         "tropical_verdict": tropical_cert.verdict,
@@ -220,15 +216,6 @@ def _cmd_verify(config: RunConfig) -> int:
             "quotient_terms": report["quotient_terms"],
         }
         failed = failed or not ok
-
-    if support.n == 2 and affine_dimension(support) == 2:
-        poly_report = polygon_indecomposability(support)
-        consistent = True
-        if poly_report.status == POLYGON_INDECOMPOSABLE and not any(componentwise_min(support)):
-            char0 = decide(support, FieldSpec(0))
-            consistent = char0.verdict == VERDICT_IRREDUCIBLE
-        oracles["polygon"] = {"ok": consistent, "status": poly_report.status}
-        failed = failed or not consistent
 
     if 2 <= support.N <= 6:
         jreport = jacobian_independence_evidence(support, trials=config.trials, seed=config.seed)

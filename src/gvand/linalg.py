@@ -12,22 +12,6 @@ def identity(k: int):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += c * bk[j]
-    return out
-
-
 def vec_mat(v, m):
     """Row vector times matrix."""
     cols = len(m[0])
@@ -60,29 +44,6 @@ def integer_rank(rows) -> int:
     return rank
 
 
-def integer_det(rows) -> int:
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(r) == n for r in a), "determinant needs a square matrix"
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
-
-
 def fraction_rank(rows) -> int:
     a = [[Fraction(x) for x in r] for r in rows]
     if not a or not a[0]:
@@ -106,24 +67,6 @@ def fraction_rank(rows) -> int:
         if row == nrows:
             break
     return rank
-
-
-def solve_linear(a, b):
-    """Solution of the square system a . x = b over Fraction, or None."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def solve_affine(points, values):

@@ -466,6 +466,9 @@ def jacobian_independence_evidence(
 POLYGON_DECOMPOSABLE = "decomposable"
 POLYGON_INDECOMPOSABLE = "indecomposable"
 POLYGON_UNKNOWN = "unknown"
+# The search's time and memory grow with the hull's lattice perimeter;
+# decomposability is NP-complete in general (Gao & Lauder 2001).
+POLYGON_MAX_PERIMETER = 128
 
 
 @dataclass(frozen=True)
@@ -514,7 +517,8 @@ def polygon_indecomposability(support: Support) -> PolygonReport:
     Minkowski summand exists.  Indecomposable together with zero
     monomial content is a sufficient (never necessary) certificate of
     absolute irreducibility in every characteristic.  Supports with
-    n != 2 are out of this test's scope and report unknown.
+    n != 2 are out of this test's scope and report unknown; hulls whose
+    lattice perimeter exceeds POLYGON_MAX_PERIMETER raise SizeCapError.
     """
     if support.n != 2:
         return PolygonReport(status=POLYGON_UNKNOWN, hull=(), edges=())
@@ -529,6 +533,10 @@ def polygon_indecomposability(support: Support) -> PolygonReport:
         edges.append(((diff[0] // g, diff[1] // g), g))
 
     total = sum(g for _, g in edges)
+    if total > POLYGON_MAX_PERIMETER:
+        raise SizeCapError(
+            f"hull lattice perimeter {total} exceeds the polygon cap {POLYGON_MAX_PERIMETER}"
+        )
     reachable = {(0, 0): {0}}  # partial sum -> set of segment counts used
     for prim, g in edges:
         nxt = {}

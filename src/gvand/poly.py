@@ -171,9 +171,6 @@ class SparsePoly:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         return max(sum(e) for e in self._terms)
 
-    def coefficient(self, exponents) -> int:
-        return self._terms.get(tuple(exponents), 0)
-
     def variables_used(self):
         """Names of variables with a positive exponent somewhere."""
         used = set()
@@ -284,18 +281,6 @@ class SparsePoly:
             kernels.addmul_terms(rem, ring.coeff_ring.normalize(-q), diff, den._terms, char)
         return SparsePoly(ring, quot, _canonical=True)
 
-    def monomial_content(self):
-        """Componentwise-minimal exponent vector over all terms."""
-        if not self._terms:
-            raise ZeroPolynomialError("the zero polynomial has no monomial content")
-        exps = iter(self._terms)
-        mins = list(next(exps))
-        for exp in exps:
-            for k, e in enumerate(exp):
-                if e < mins[k]:
-                    mins[k] = e
-        return tuple(mins)
-
     def frobenius_root(self, e: int = 1) -> "SparsePoly":
         """The p^e-th root under the Frobenius, over a prime field.
 
@@ -404,17 +389,6 @@ class SparsePoly:
             mono = {names[k]: e for k, e in enumerate(exp) if e}
             out.append({"coeff": str(c), "monomial": mono})
         return out
-
-    @classmethod
-    def from_terms_json(cls, ring: PolyRing, data) -> "SparsePoly":
-        pairs = []
-        for entry in data:
-            coeff = int(entry["coeff"])
-            exps = [0] * ring.nvars
-            for name, e in entry["monomial"].items():
-                exps[ring.var_index(name)] = int(e)
-            pairs.append((tuple(exps), coeff))
-        return ring.from_terms(pairs)
 
     def __repr__(self):
         if not self._terms:

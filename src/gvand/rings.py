@@ -8,20 +8,32 @@ canonical.  Characteristic 0 means the integers throughout.
 from dataclasses import dataclass
 
 MAX_CHARACTERISTIC = 2**61
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(p: int) -> bool:
+    """Strong-pseudoprime test to the first twelve prime bases.
+
+    Exact below 3.18e23 (Sorenson & Webster 2015), which covers every
+    characteristic up to MAX_CHARACTERISTIC.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -33,7 +33,7 @@ from gvand.exponents import (
     d_gamma,
     reduce_to_span_coordinates,
 )
-from gvand.linalg import integer_rank, solve_affine, solve_linear
+from gvand.linalg import integer_rank, solve_affine
 from gvand.reporting import ConditionCheck, frac_str
 
 LIFT_DENOMINATOR = 2**32
@@ -160,13 +160,6 @@ class TropicalCertificate:
 #### lifting and subdivision ####
 
 
-def _require_reduced(support: Support):
-    if affine_dimension(support) != support.n:
-        raise DegenerateSupportError(
-            "lifting needs a span-reduced support (affine dimension = ambient dimension)"
-        )
-
-
 def _paraboloid_values(support: Support, eps) -> tuple:
     last = support.vectors[-1]
     values = []
@@ -194,7 +187,6 @@ def _witness(support: Support, seed: int, max_retries: int):
     vertex coverage is what makes the facet-multiplicity gcd equal the
     support's scale gcd.
     """
-    _require_reduced(support)
     rng = random.Random(seed)
     for attempt in range(1, max_retries + 1):
         eps = [
@@ -222,7 +214,10 @@ def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivisio
     that spans an affine plane lying weakly below all lifted points
     contributes the cell given by the plane's equality set.
     """
-    _require_reduced(support)
+    if affine_dimension(support) != support.n:
+        raise DegenerateSupportError(
+            "lifting needs a span-reduced support (affine dimension = ambient dimension)"
+        )
     m = support.n
     if m < 1:
         raise DegenerateSupportError("subdivision needs ambient dimension >= 1")
@@ -277,22 +272,6 @@ def verify_subdivision(support: Support, lifting: Lifting, sub: RegularSubdivisi
             if integer_rank(diffs) != m:
                 failures.append(f"cell {idx}: simplex vertices are affinely dependent")
     return {"ok": not failures, "failures": failures}
-
-
-def cell_containing(sub: RegularSubdivision, support: Support, point):
-    """Index of a simplicial cell whose convex hull contains the point."""
-    if not sub.simplicial:
-        raise NotSimplicialError("containment search needs a simplicial subdivision")
-    m = sub.ambient_dim
-    target = [Fraction(x) for x in point] + [Fraction(1)]
-    for idx, cell in enumerate(sub.cells):
-        cols = [support.vectors[v] for v in cell.vertices]
-        a = [[Fraction(cols[k][j]) for k in range(m + 1)] for j in range(m)]
-        a.append([Fraction(1)] * (m + 1))
-        lam = solve_linear(a, target)
-        if lam is not None and all(x >= 0 for x in lam):
-            return idx
-    return None
 
 
 #### dual combinatorics ####

@@ -72,7 +72,7 @@ class _SubsetMinors:
 
     def __init__(self, rows):
         self.rows = rows
-        self.ring = rows[0][0].ring if rows else None
+        self.ring = rows[0][0].ring
         self.memo = {}
 
     def det(self, mask: int) -> SparsePoly:
@@ -105,28 +105,6 @@ class _SubsetMinors:
         return result
 
 
-def _first_row_cofactors(matrix):
-    """Determinant and first-row minors of a square matrix, from one memo.
-
-    det(full) fills the memo, so each minor at full ^ (1 << l) is a hit.
-    The memo is dropped on return.
-    """
-    memo = _SubsetMinors(matrix)
-    full = (1 << len(matrix)) - 1
-    det = memo.det(full)
-    return det, tuple(memo.det(full ^ (1 << l)) for l in range(len(matrix)))
-
-
-def determinant(matrix, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    """Exact determinant of a square matrix of polynomials."""
-    n = len(matrix)
-    if n > max_n:
-        raise SizeCapError(f"matrix size {n} exceeds the cap {max_n}")
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    return _first_row_cofactors(matrix)[0]
-
-
 @dataclass(frozen=True)
 class RowExpansion:
     """First-row cofactor data: V = sum_l (-1)^(1+l) X_1^(gamma_l) Delta_l.
@@ -149,7 +127,11 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
     """
     if inst.N > max_n:
         raise SizeCapError(f"N = {inst.N} exceeds the cap {max_n}")
-    det, minors = _first_row_cofactors(build_matrix(inst))
+    # det(full) fills the memo, so each minor at full ^ (1 << l) is a hit
+    memo = _SubsetMinors(build_matrix(inst))
+    full = (1 << inst.N) - 1
+    det = memo.det(full)
+    minors = tuple(memo.det(full ^ (1 << l)) for l in range(inst.N))
     units = {inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)}
     terms = det._terms
     expected = math.factorial(inst.N)
@@ -163,13 +145,6 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
 
 def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     return row_expansion(inst, max_n=max_n).determinant
-
-
-def minor_delta(inst: VandermondeInstance, ell: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    """First-row minor Delta_ell: drop row 1 and column ell (1-based)."""
-    if not 1 <= ell <= inst.N:
-        raise ValueError(f"column index {ell} out of range 1..{inst.N}")
-    return row_expansion(inst, max_n=max_n).minors[ell - 1]
 
 
 def content_monomial(inst: VandermondeInstance) -> SparsePoly:

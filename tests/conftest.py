@@ -12,6 +12,46 @@ settings.load_profile("deterministic")
 from gvand.exponents import Support, affine_dimension, normalize
 
 
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            c = ai[k]
+            if c == 0:
+                continue
+            bk = b[k]
+            for j in range(cols):
+                oi[j] += c * bk[j]
+    return out
+
+
+def integer_det(rows) -> int:
+    """Fraction-free Bareiss determinant: the reference for the SNF tests."""
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    assert all(len(r) == n for r in a), "determinant needs a square matrix"
+    sign = 1
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for i in range(col + 1, n):
+            for j in range(col + 1, n):
+                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) // prev
+            a[i][col] = 0
+        prev = a[col][col]
+    return sign * a[n - 1][n - 1]
+
+
 def random_support(rng: random.Random, n: int, N: int, exp_max: int) -> Support:
     assert N <= (exp_max + 1) ** n, "not enough distinct vectors in the exponent box"
     vecs = set()

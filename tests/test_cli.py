@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import gvand
-from gvand import kernels, vandermonde
+from gvand import cli, kernels, vandermonde
 from gvand.cli import main
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
 TRIANGLE = {"n": 2, "exponents": [[0, 0], [1, 0], [0, 1]]}
 STAIRCASE = {"n": 1, "exponents": [[0], [1], [2]]}
 LINE = {"n": 2, "exponents": [[0, 0], [1, 1], [2, 2]]}
+SRC = str(Path(gvand.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -104,14 +105,13 @@ def test_expand_term_count_invariant_fires(support_file, capsys, monkeypatch):
 
 
 def test_cli_imports_only_stdlib():
-    src = str(Path(gvand.__file__).resolve().parents[1])
     probe = "import sys; old = set(sys.modules); import gvand.cli; print(*set(sys.modules) - old)"
     loaded = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
     ).stdout.split()
     assert "gvand.cli" in loaded
     foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names | {"gvand"}]
@@ -138,8 +138,32 @@ def test_verify_happy_path(support_file, capsys):
     assert payload["ok"] is True
     assert payload["verification"]["ok"] is True
     assert payload["oracles"]["tropical_agreement"]["ok"] is True
-    assert payload["oracles"]["polygon"]["status"] == "indecomposable"
+    assert "polygon" not in payload["oracles"]
     assert payload["oracles"]["jacobian_evidence"]["conclusive"] is True
+
+
+def test_verify_decides_once(support_file, capsys, monkeypatch):
+    calls = []
+    original = cli.decide
+
+    def counting(support, field):
+        calls.append(field.characteristic)
+        return original(support, field)
+
+    monkeypatch.setattr(cli, "decide", counting)
+    code, _, _ = _run(capsys, ["verify", "--input", support_file(TRIANGLE), "--char", "3"])
+    assert code == 0
+    assert calls == [3]
+
+
+def test_verify_runs_no_polygon_search(support_file, capsys, monkeypatch):
+    def unreachable(support):
+        raise AssertionError("verify must not run the polygon search")
+
+    monkeypatch.setattr(cli, "polygon_indecomposability", unreachable)
+    code, out, _ = _run(capsys, ["verify", "--input", support_file(TRIANGLE)])
+    assert code == 0
+    assert "polygon" not in json.loads(out)["oracles"]
 
 
 def test_verify_single_coordinate_runs_classical(support_file, capsys):
@@ -201,6 +225,14 @@ def test_oracle_polygon(support_file, capsys):
     assert json.loads(out)["report"]["status"] == "indecomposable"
 
 
+def test_oracle_polygon_perimeter_cap(support_file, capsys):
+    wide = {"n": 2, "exponents": [[0, 0], [200, 0], [0, 200], [1, 1]]}
+    code, out, err = _run(capsys, ["oracle", "--check", "polygon", "--input", support_file(wide)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "perimeter" in err
+
+
 #### exit code 2: malformed input and caps ####
 
 
@@ -228,6 +260,20 @@ def test_schema_errors_name_the_field(support_file, capsys):
     )
     assert code == 2
     assert "support.exponents[0][1]" in err
+
+
+def test_largest_admitted_prime_characteristic(support_file):
+    # 2^61 - 1 is prime and below the characteristic cap
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "decide", "--input", support_file(TRIANGLE),
+         "--char", str(2**61 - 1)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["certificate"]["verdict"] == "irreducible"
 
 
 def test_composite_characteristic_rejected(support_file, capsys):

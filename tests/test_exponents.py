@@ -15,9 +15,7 @@ from gvand.exponents import (
     reduce_to_span_coordinates,
     smith_normal_form,
 )
-from gvand.linalg import integer_det, mat_mul
-
-from conftest import random_support
+from conftest import integer_det, mat_mul, random_support
 
 
 def test_support_validation():

@@ -142,13 +142,6 @@ def test_exact_divide_over_field_clears_denominators():
     assert (x + 1).exact_divide(ring.constant(2)) == (x + 1) * 3
 
 
-def test_monomial_content():
-    p = SparsePoly(RXY, {(2, 1): 4, (3, 2): -6})
-    assert p.monomial_content() == (2, 1)
-    with pytest.raises(ZeroPolynomialError):
-        RXY.zero().monomial_content()
-
-
 def test_frobenius_root_round_trip():
     p = SparsePoly(RXY_F2, {(2, 0): 1, (0, 2): 1, (2, 2): 1})
     root = p.frobenius_root(1)
@@ -234,7 +227,6 @@ def test_json_round_trip_and_term_order():
         {"coeff": "5", "monomial": {"x": 1, "y": 1}},
         {"coeff": "-1", "monomial": {"y": 2}},
     ]
-    assert SparsePoly.from_terms_json(RXY, blob) == p
     json.dumps(blob)  # serializable as-is
 
 

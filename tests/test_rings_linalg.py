@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gvand.linalg import (
-    fraction_rank,
-    identity,
-    integer_det,
-    integer_rank,
-    mat_mul,
-    solve_affine,
-    solve_linear,
-    vec_mat,
-)
+from conftest import integer_det, mat_mul
+from gvand.linalg import fraction_rank, identity, integer_rank, solve_affine, vec_mat
 from gvand.rings import GF, ZZ, CoefficientRing, is_prime
 
 
@@ -32,6 +24,22 @@ def test_ring_validation():
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_sieve_below_1e5():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, 10**5, d)))
+    assert [p for p in range(10**5) if is_prime(p)] == [p for p in range(10**5) if sieve[p]]
+
+
+def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    # strong pseudoprimes: 3215031751 to bases 2..7, 3825123056546413051 to bases 2..23
+    for composite in (561, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+        assert not is_prime(composite)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
 
 
 def test_normalize_and_invert():
@@ -93,10 +101,6 @@ def test_mat_mul_identity():
 
 
 def test_solve_linear_and_affine():
-    sol = solve_linear([[2, 0], [1, 1]], [4, 3])
-    assert sol == [Fraction(2), Fraction(1)]
-    assert solve_linear([[1, 1], [2, 2]], [1, 2]) is None
-
     normal, offset = solve_affine([(0, 0), (1, 0), (0, 1)], [1, 3, 5])
     assert normal == (Fraction(2), Fraction(4))
     assert offset == Fraction(1)

@@ -12,7 +12,6 @@ from gvand.tropical import (
     TROPICAL_REDUCIBLE,
     Lifting,
     balancing_check,
-    cell_containing,
     combinatorics,
     decide_tropical_irreducibility,
     delaunay_lifting,
@@ -38,8 +37,6 @@ def test_flat_square_is_one_merged_cell():
     assert not sub.simplicial
     with pytest.raises(NotSimplicialError):
         combinatorics(sub, UNIT_SQUARE)
-    with pytest.raises(NotSimplicialError):
-        cell_containing(sub, UNIT_SQUARE, (0, 0))
 
 
 def test_tilted_square_splits_into_two_triangles():
@@ -127,16 +124,6 @@ def test_ridge_facet_indices_are_consistent():
         assert pairs == set(combos(ridge.vertices, 2))
     for a, b in tc.adjacency:
         assert 0 <= a < b < len(tc.facets)
-
-
-def test_cell_containing_locates_points():
-    lifting = _flat_lifting([0, 0, 0, 1])
-    sub = regular_subdivision(UNIT_SQUARE, lifting)
-    assert cell_containing(sub, UNIT_SQUARE, (0, 0)) == 0
-    assert cell_containing(sub, UNIT_SQUARE, (1, 1)) == 1
-    # the shared edge belongs to the first cell that matches
-    assert cell_containing(sub, UNIT_SQUARE, (Fraction(1, 2), Fraction(1, 2))) == 0
-    assert cell_containing(sub, UNIT_SQUARE, (5, 5)) is None
 
 
 def test_decision_unit_triangle_irreducible():

@@ -9,8 +9,6 @@ from gvand.vandermonde import (
     VandermondeInstance,
     build_matrix,
     content_monomial,
-    determinant,
-    minor_delta,
     row_expansion,
     row_support,
     vandermonde_determinant,
@@ -61,15 +59,11 @@ def test_square_support_six_terms():
 
 def test_minor_delta_frozen():
     inst = VandermondeInstance(SQUARE)
-    d3 = minor_delta(inst, 3)
+    d3 = row_expansion(inst).minors[2]
     ring = inst.poly_ring()
     # Delta_3 drops the (2,2) column: X_2^(2,0) X_3^(0,2) - X_2^(0,2) X_3^(2,0)
     expected = ring.monomial((0, 0, 2, 0, 0, 2)) - ring.monomial((0, 0, 0, 2, 2, 0))
     assert d3 == expected
-    with pytest.raises(ValueError):
-        minor_delta(inst, 0)
-    with pytest.raises(ValueError):
-        minor_delta(inst, 4)
 
 
 def test_row_expansion_reassembles():
@@ -84,13 +78,6 @@ def test_row_expansion_reassembles():
         piece = matrix[0][l] * minor
         total = total - piece if sign else total + piece
     assert total == leibniz_determinant(matrix) == exp.determinant
-
-
-def test_repeated_support_rows_do_not_occur_but_repeated_matrix_rows_vanish():
-    inst = VandermondeInstance(SQUARE)
-    m = build_matrix(inst)
-    m[2] = m[0]
-    assert determinant(m).is_zero()
 
 
 def test_single_variable_classical_shape():
@@ -140,8 +127,6 @@ def test_size_cap_enforced():
     inst = _inst(vectors, 1)
     with pytest.raises(SizeCapError):
         vandermonde_determinant(inst)
-    with pytest.raises(SizeCapError):
-        minor_delta(inst, 1)
     with pytest.raises(SizeCapError):
         row_expansion(inst)
     # a lowered cap bites early, a raised one lets the instance through
