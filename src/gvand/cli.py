@@ -179,6 +179,8 @@ def _cmd_tropical(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     support = _load_support(config)
+    # first, so that the classical oracle's caps refuse before any other work
+    classical = classical_divisibility_check(support) if support.n == 1 else None
     field = FieldSpec(config.characteristic)
     cert = decide(support, field)
     inst = VandermondeInstance(support, field.ring)
@@ -208,23 +210,13 @@ def _cmd_verify(config: RunConfig) -> int:
     }
     failed = failed or not agree
 
-    if support.n == 1:
-        report = classical_divisibility_check(support)
-        ok = report["divides"] and report["remultiplies"]
+    if classical is not None:
+        ok = classical["divides"] and classical["remultiplies"]
         oracles["classical_divisibility"] = {
             "ok": ok,
-            "quotient_terms": report["quotient_terms"],
+            "quotient_terms": classical["quotient_terms"],
         }
         failed = failed or not ok
-
-    if 2 <= support.N <= 6:
-        jreport = jacobian_independence_evidence(support, trials=config.trials, seed=config.seed)
-        oracles["jacobian_evidence"] = {
-            "ok": True,
-            "conclusive": jreport.conclusive,
-            "achieved_rank": jreport.achieved_rank,
-            "target_rank": jreport.target_rank,
-        }
 
     payload["oracles"] = oracles
     payload["ok"] = not failed

@@ -42,6 +42,12 @@ LINE_CASE_MAX_DEGREE = 24
 TRIAL_DIVISOR_MAX_DEGREE = 6
 SAMPLE_NUMERATOR_BOUND = 100
 SAMPLE_DENOMINATOR_BOUND = 16
+# The classical division and re-multiplication each form up to N! * bound
+# term products, where bound = prod_{i<j} (g_j - g_i) / (j - i) over the
+# sorted exponents is the Schur quotient's coefficient sum and so caps its
+# term count.  At the caps a check takes a few seconds.
+CLASSICAL_MAX_N = 7
+CLASSICAL_MAX_WORK = math.factorial(7) * 128
 
 
 #### permutation-sum determinant ####
@@ -109,10 +115,20 @@ def classical_divisibility_check(support: Support) -> dict:
 
     Builds prod_{i<j} (X_i_1 - X_j_1), divides the generalized
     determinant by it exactly, and re-multiplies the quotient to check
-    bit-exact reassembly.  A failure here falsifies the build.
+    bit-exact reassembly.  A failure here falsifies the build.  Supports
+    past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK raise SizeCapError.
     """
     if support.n != 1:
         raise ValueError("classical divisibility needs a single-coordinate support")
+    if support.N > CLASSICAL_MAX_N:
+        raise SizeCapError(f"N = {support.N} exceeds the classical cap {CLASSICAL_MAX_N}")
+    g = sorted(v[0] for v in support.vectors)
+    pairs = list(combinations(range(support.N), 2))
+    bound = math.prod(g[j] - g[i] for i, j in pairs) // math.prod(j - i for i, j in pairs)
+    if math.factorial(support.N) * bound > CLASSICAL_MAX_WORK:
+        raise SizeCapError(
+            f"classical quotient bound {bound} times N! exceeds the cap {CLASSICAL_MAX_WORK}"
+        )
     inst = VandermondeInstance(support, ZZ)
     ring = inst.poly_ring()
     det = vandermonde_determinant(inst)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from gvand import kernels
 from gvand.errors import InvariantViolationError, SizeCapError
-from gvand.exponents import Support, componentwise_min
+from gvand.exponents import Support
 from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
@@ -146,19 +146,3 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
 def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     return row_expansion(inst, max_n=max_n).determinant
 
-
-def content_monomial(inst: VandermondeInstance) -> SparsePoly:
-    """The monomial prod_rows X_i^(componentwise min); divides the determinant."""
-    mins = componentwise_min(inst.support)
-    ring = inst.poly_ring()
-    exps = []
-    for _ in range(inst.N):
-        exps.extend(mins)
-    return ring.monomial(exps)
-
-
-def row_support(p: SparsePoly, inst: VandermondeInstance, row: int = 1) -> set:
-    """Exponent vectors of one row's variables across the terms of p."""
-    n = inst.n
-    base = (row - 1) * n
-    return {exp[base : base + n] for exp in p.term_map()}

@@ -52,6 +52,12 @@ def integer_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def row_support(p, inst, row: int = 1) -> set:
+    """Exponent vectors of one row's variables across the terms of p."""
+    base = (row - 1) * inst.n
+    return {exp[base : base + inst.n] for exp in p.term_map()}
+
+
 def random_support(rng: random.Random, n: int, N: int, exp_max: int) -> Support:
     assert N <= (exp_max + 1) ** n, "not enough distinct vectors in the exponent box"
     vecs = set()

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_support
+from conftest import random_support, row_support
 from gvand.exponents import (
     Support,
     affine_dimension,
@@ -57,7 +57,6 @@ from gvand.vandermonde import (
     VandermondeInstance,
     build_matrix,
     row_expansion,
-    row_support,
     vandermonde_determinant,
 )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gvand
-from gvand import cli, kernels, vandermonde
+from gvand import cli, kernels, oracle, vandermonde
 from gvand.cli import main
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
@@ -139,7 +139,7 @@ def test_verify_happy_path(support_file, capsys):
     assert payload["verification"]["ok"] is True
     assert payload["oracles"]["tropical_agreement"]["ok"] is True
     assert "polygon" not in payload["oracles"]
-    assert payload["oracles"]["jacobian_evidence"]["conclusive"] is True
+    assert "jacobian_evidence" not in payload["oracles"]
 
 
 def test_verify_decides_once(support_file, capsys, monkeypatch):
@@ -166,6 +166,39 @@ def test_verify_runs_no_polygon_search(support_file, capsys, monkeypatch):
     assert "polygon" not in json.loads(out)["oracles"]
 
 
+@pytest.mark.parametrize(
+    "support, char",
+    [(TRIANGLE, 0), (SQUARE, 2), ({"n": 2, "exponents": [[1, 1], [3, 1], [1, 3]]}, 0)],
+)
+def test_verify_runs_no_jacobian_oracle_or_division(
+    support_file, capsys, monkeypatch, support, char
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify must not run this")
+
+    monkeypatch.setattr(cli, "jacobian_independence_evidence", unreachable)
+    monkeypatch.setattr(oracle, "jacobian_independence_evidence", unreachable)
+    monkeypatch.setattr(gvand.SparsePoly, "exact_divide", unreachable)
+    code, out, err = _run(capsys, ["verify", "--input", support_file(support), "--char", str(char)])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert "jacobian_evidence" not in payload["oracles"]
+
+
+def test_verify_wide_exponents_finish(support_file):
+    wide = {"n": 2, "exponents": [[0, 0], [10**5, 0], [0, 10**5], [1, 1]]}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(wide)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] is True
+
+
 def test_verify_single_coordinate_runs_classical(support_file, capsys):
     code, out, _ = _run(capsys, ["verify", "--input", support_file(STAIRCASE)])
     assert code == 0
@@ -188,6 +221,22 @@ def test_oracle_classical(support_file, capsys):
     payload = json.loads(out)
     assert payload["report"]["ok"] is True
     assert payload["report"]["quotient_terms"] == 1
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        [[k] for k in range(8)],  # N = 8 exceeds the N cap
+        [[0], [1], [5], [9], [10]],  # quotient bound 18000 at N = 5
+    ],
+)
+def test_oracle_classical_caps(support_file, capsys, exponents):
+    path = support_file({"n": 1, "exponents": exponents})
+    for argv in (["oracle", "--check", "classical"], ["verify"]):
+        code, out, err = _run(capsys, argv + ["--input", path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "classical" in err
 
 
 def test_oracle_line(support_file, capsys):

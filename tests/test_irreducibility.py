@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -159,8 +160,9 @@ def test_verify_power():
     cert, report = _verify([(0, 0), (2, 0), (0, 2)], 2, 2)
     assert report["ok"] is True
     names = [c["name"] for c in report["checks"]]
-    for expected in ("frobenius_root", "root_is_reduced_det", "root_row_support", "root_repowers"):
+    for expected in ("frobenius_root", "root_is_reduced_det", "root_repowers", "reduced_verdict"):
         assert expected in names
+    assert "root_row_support" not in names
 
 
 def test_verify_collinear():
@@ -232,3 +234,49 @@ def test_verify_rejects_doctored_verdict():
     with pytest.raises(CertificateMismatchError) as exc:
         verify_certificate(inst, doctored)
     assert exc.value.report["verdict"] == VERDICT_POWER
+
+
+VERDICTS = (
+    VERDICT_SMALL_N,
+    VERDICT_MONOMIAL_FACTOR,
+    VERDICT_COLLINEAR,
+    VERDICT_POWER,
+    VERDICT_IRREDUCIBLE,
+)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        ((3, 1),),  # small_n, N = 1
+        ((0, 3), (4, 1)),  # small_n with content
+        ((0,), (2,)),  # small_n with d = 2
+        ((1, 1), (3, 1), (1, 3)),  # monomial_factor with d = 2
+        ((1, 1), (2, 2), (3, 3)),  # monomial_factor on a line
+        ((0,), (1,), (2,), (3,)),  # collinear_split
+        ((0,), (2,), (4,)),  # collinear_split with d = 2
+        ((0, 0), (1, 2), (2, 4)),  # collinear_split in two variables
+        ((0, 0), (2, 0), (0, 2), (2, 2)),  # power_of_irreducible over GF(2)
+        ((0, 0), (3, 0), (0, 3)),  # power_of_irreducible over GF(3)
+        ((0, 0), (1, 0), (0, 1)),  # irreducible everywhere
+    ],
+)
+def test_verify_refuses_every_swapped_verdict(vectors):
+    # each verdict's check must fail on a support of another class
+    support = Support(len(vectors[0]), vectors)
+    passed = []
+    for char in (0, 2, 3):
+        field = FieldSpec(char)
+        genuine = decide(support, field)
+        inst = VandermondeInstance(support, field.ring)
+        assert verify_certificate(inst, genuine, seed=1)["ok"] is True
+        for verdict in VERDICTS:
+            if verdict == genuine.verdict:
+                continue
+            try:
+                verify_certificate(inst, dataclasses.replace(genuine, verdict=verdict), seed=1)
+            except CertificateMismatchError as exc:
+                assert exc.report["ok"] is False
+            else:
+                passed.append((char, genuine.verdict, verdict))
+    assert passed == []

@@ -1,20 +1,24 @@
 import pytest
 
+from conftest import row_support
 from gvand.errors import SizeCapError
-from gvand.exponents import Support
+from gvand.exponents import Support, componentwise_min
 from gvand.oracle import leibniz_determinant
 from gvand.poly import grid_var
 from gvand.rings import GF, ZZ
 from gvand.vandermonde import (
     VandermondeInstance,
     build_matrix,
-    content_monomial,
     row_expansion,
-    row_support,
     vandermonde_determinant,
 )
 
 SQUARE = Support(2, ((2, 0), (0, 2), (2, 2)))
+
+
+def content_monomial(inst):
+    """The monomial prod_rows X_i^(componentwise min)."""
+    return inst.poly_ring().monomial(componentwise_min(inst.support) * inst.N)
 
 
 def _inst(vectors, n, char=0):
