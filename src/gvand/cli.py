@@ -191,15 +191,16 @@ def _cmd_verify(config: RunConfig) -> int:
         "support": support.to_json(),
         "certificate": cert.to_json(),
     }
+    # one tropical decision serves the certificate check and the agreement oracle
+    tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
     failed = False
     try:
-        payload["verification"] = verify_certificate(inst, cert, seed=config.seed)
+        payload["verification"] = verify_certificate(inst, cert, seed=config.seed, tropical=tropical_cert)
     except CertificateMismatchError as exc:
         payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
         failed = True
 
     oracles = {}
-    tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
     # irreducible in char 0 <=> N >= 3, content and span <=> irreducible or power here
     expected = cert.verdict in (VERDICT_IRREDUCIBLE, VERDICT_POWER) and cert.d_gamma == 1
     agree = (tropical_cert.verdict == TROPICAL_IRREDUCIBLE) == expected

@@ -1,4 +1,8 @@
-"""Term-map kernels: the hot path of every determinant expansion.
+"""Term-map kernels: sums, products and division steps of SparsePoly.
+
+The determinant does not run through them: its cofactor memo multiplies
+by monomial entries through exponent-suffix concatenation (see
+gvand.vandermonde).
 
 A term map is a dict from exponent vector (tuple of non-negative ints)
 to a nonzero coefficient; over GF(p) coefficients are residues in

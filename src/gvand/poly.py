@@ -9,6 +9,7 @@ tuple, never alphabetical.
 """
 
 from fractions import Fraction
+from itertools import compress
 
 from gvand import kernels
 from gvand.errors import (
@@ -152,9 +153,21 @@ class SparsePoly:
     def n_terms(self) -> int:
         return len(self._terms)
 
+    def _ordered_exponents(self) -> list:
+        """Exponent vectors in graded-lex order, leading first.
+
+        Two C-level sorts: by vector, then stably by total degree (sort
+        stays stable under reverse=True), so ties in degree keep the
+        descending vector order.
+        """
+        exps = sorted(self._terms, reverse=True)
+        exps.sort(key=sum, reverse=True)
+        return exps
+
     def terms(self):
         """Terms as (exponent vector, coeff), leading term first."""
-        return sorted(self._terms.items(), key=lambda t: graded_lex_key(t[0]), reverse=True)
+        terms = self._terms
+        return [(e, terms[e]) for e in self._ordered_exponents()]
 
     def term_map(self) -> dict:
         """Copy of the raw exponent -> coefficient dict."""
@@ -171,14 +184,14 @@ class SparsePoly:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         return max(sum(e) for e in self._terms)
 
+    def _used_positions(self) -> list:
+        """Positions of the variables with a positive exponent somewhere."""
+        return [k for k, column in enumerate(zip(*self._terms)) if any(column)]
+
     def variables_used(self):
         """Names of variables with a positive exponent somewhere."""
-        used = set()
-        for exp in self._terms:
-            for k, e in enumerate(exp):
-                if e:
-                    used.add(self.ring.variables[k])
-        return used
+        names = self.ring.variables
+        return {names[k] for k in self._used_positions()}
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -300,6 +313,22 @@ class SparsePoly:
             out[tuple(x // q for x in exp)] = c
         return SparsePoly(self.ring, out, _canonical=True)
 
+    def frobenius_power(self, e: int = 1) -> "SparsePoly":
+        """The p^e-th power over a prime field, in O(terms).
+
+        The Frobenius is additive and c^q = c on GF(p), so raising to
+        q = p^e multiplies every exponent by q and keeps the coefficients;
+        the inverse of frobenius_root.
+        """
+        p = self.ring.characteristic
+        if p == 0:
+            raise RingMismatchError("frobenius_power needs a prime-field ring")
+        if e < 1:
+            raise ValueError("power order must be >= 1")
+        q = p**e
+        out = {tuple(x * q for x in exp): c for exp, c in self._terms.items()}
+        return SparsePoly(self.ring, out, _canonical=True)
+
     #### substitution and evaluation ####
 
     def substitute_monomial_map(self, matrix, target_ring: PolyRing = None) -> "SparsePoly":
@@ -349,27 +378,28 @@ class SparsePoly:
         values are reduced mod p (Fractions via modular inverse of the
         denominator).
         """
-        needed = self.variables_used()
-        missing = needed - set(assignment)
+        names = self.ring.variables
+        used = self._used_positions()
+        missing = {names[k] for k in used} - set(assignment)
         if missing:
             raise MissingAssignmentError(f"no value for {sorted(missing)}")
         char = self.ring.characteristic
         point = {}
-        for name in needed:
-            val = assignment[name]
+        for k in used:
+            val = assignment[names[k]]
             if char:
                 if isinstance(val, Fraction):
                     val = val.numerator * self.ring.coeff_ring.invert(val.denominator)
-                point[name] = val % char
+                point[k] = val % char
             else:
-                point[name] = val
+                point[k] = val
         total = 0
-        names = self.ring.variables
         for exp, c in self._terms.items():
             term = c
-            for k, e in enumerate(exp):
+            for k in used:
+                e = exp[k]
                 if e:
-                    term *= point[names[k]] ** e
+                    term *= point[k] ** e
             total += term
         if char:
             total %= char
@@ -384,11 +414,11 @@ class SparsePoly:
         with zero exponents omitted and monomial keys in variable order.
         """
         names = self.ring.variables
-        out = []
-        for exp, c in self.terms():
-            mono = {names[k]: e for k, e in enumerate(exp) if e}
-            out.append({"coeff": str(c), "monomial": mono})
-        return out
+        terms = self._terms
+        return [
+            {"coeff": str(terms[exp]), "monomial": dict(compress(zip(names, exp), exp))}
+            for exp in self._ordered_exponents()
+        ]
 
     def __repr__(self):
         if not self._terms:

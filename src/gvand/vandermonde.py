@@ -6,19 +6,24 @@ row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
 X_i^(gamma_l).  Determinants expand by memoized cofactors along the
 topmost remaining row, sharing minors across column subsets.  One memo
 over the full matrix yields the determinant and every first-row minor:
-minor l is the entry for the column subset without l.
+minor l is the entry for the column subset without l.  The memo works
+on raw term maps keyed by exponent suffixes (only the rows a subset
+covers), so multiplying by an entry is a tuple concatenation; only the
+determinant and the minors become SparsePoly values.  build_matrix
+serves the permutation-sum oracle, which takes its own route.
 """
 
 import math
 from dataclasses import dataclass
 
-from gvand import kernels
 from gvand.errors import InvariantViolationError, SizeCapError
 from gvand.exponents import Support
 from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
 DEFAULT_MAX_N = 12
+# N! terms held as tuples: N = 9 peaks near 1 GB, N = 10 would need ~10 GB
+EXPAND_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -62,47 +67,47 @@ def build_matrix(inst: VandermondeInstance):
 
 
 class _SubsetMinors:
-    """Memoized cofactor expansion over column subsets of fixed rows.
+    """Memoized cofactor expansion over column subsets of the last rows.
 
     det(mask) is the determinant of the submatrix on the columns in
-    ``mask`` and the last popcount(mask) rows; expansion runs along the
-    topmost of those rows.  Minors are shared across overlapping
-    subsets, which is what makes repeated first-row minors cheap.
+    ``mask`` and the last popcount(mask) rows, expanded along the topmost
+    of those rows and shared across overlapping subsets.  It is a raw
+    term map whose keys hold only the exponents of the rows it covers: a
+    suffix of the full grid vector.  Every entry is the monomial
+    X_i^(gamma_l), so the product with the top row's entry is the tuple
+    concatenation gamma_l + e, and no vector is ever added slot by slot.
     """
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.ring = rows[0][0].ring
-        self.memo = {}
+    def __init__(self, support: Support, coeff_ring: CoefficientRing):
+        self.gammas = support.vectors
+        self.modulus = coeff_ring.characteristic
+        self.memo = {0: {(): coeff_ring.normalize(1)}}
 
-    def det(self, mask: int) -> SparsePoly:
-        size = bin(mask).count("1")
-        if size == 0:
-            return self.ring.one()
+    def det(self, mask: int) -> dict:
         cached = self.memo.get(mask)
         if cached is not None:
             return cached
-        row = self.rows[len(self.rows) - size]
-        char = self.ring.characteristic
+        modulus = self.modulus
         acc = {}
-        pos = 0
+        get = acc.get
+        sign = 1
         rest = mask
         while rest:
             col = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            entry = row[col]
-            if not entry.is_zero():
-                sub = self.det(mask ^ (1 << col))
-                if not sub.is_zero():
-                    prod = kernels.mul_terms(entry._terms, sub._terms, char)
-                    if pos % 2:
-                        neg = self.ring.coeff_ring.normalize(-1)
-                        prod = {e: self.ring.coeff_ring.normalize(neg * c) for e, c in prod.items()}
-                    acc = kernels.add_terms(acc, prod, char)
-            pos += 1
-        result = SparsePoly(self.ring, acc, _canonical=True)
-        self.memo[mask] = result
-        return result
+            gamma = self.gammas[col]
+            for e, c in self.det(mask ^ (1 << col)).items():
+                key = gamma + e
+                val = get(key, 0) + sign * c
+                if modulus:
+                    val %= modulus
+                if val:
+                    acc[key] = val
+                elif key in acc:
+                    del acc[key]
+            sign = -sign
+        self.memo[mask] = acc
+        return acc
 
 
 @dataclass(frozen=True)
@@ -118,29 +123,45 @@ class RowExpansion:
     determinant: SparsePoly
 
 
+def require_expandable(N: int):
+    """Raise SizeCapError when N! terms would not fit in memory."""
+    if N > EXPAND_MAX_N:
+        raise SizeCapError(
+            f"N = {N} exceeds the expansion cap {EXPAND_MAX_N}: {N}! terms do not fit in memory"
+        )
+
+
 def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
     Rows use disjoint variables and the gamma are distinct, so the
     determinant has exactly N! terms, one per permutation, each with
     coefficient +-1; anything else raises InvariantViolationError.
+    N above EXPAND_MAX_N raises SizeCapError whatever ``max_n`` says.
     """
-    if inst.N > max_n:
-        raise SizeCapError(f"N = {inst.N} exceeds the cap {max_n}")
+    N = inst.N
+    if N > max_n:
+        raise SizeCapError(f"N = {N} exceeds the cap {max_n}")
+    require_expandable(N)
     # det(full) fills the memo, so each minor at full ^ (1 << l) is a hit
-    memo = _SubsetMinors(build_matrix(inst))
-    full = (1 << inst.N) - 1
-    det = memo.det(full)
-    minors = tuple(memo.det(full ^ (1 << l)) for l in range(inst.N))
+    memo = _SubsetMinors(inst.support, inst.coeff_ring)
+    full = (1 << N) - 1
+    terms = memo.det(full)
     units = {inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)}
-    terms = det._terms
-    expected = math.factorial(inst.N)
+    expected = math.factorial(N)
     if len(terms) != expected or not units.issuperset(terms.values()):
         raise InvariantViolationError(
             f"determinant has {len(terms)} terms, expected N! = {expected} with coefficients +-1"
         )
-    signs = tuple((1 + l) % 2 for l in range(1, inst.N + 1))
-    return RowExpansion(signs=signs, minors=minors, determinant=det)
+    ring = inst.poly_ring()
+    # minor l covers rows 2..N; row 1's exponents are zero
+    row1 = (0,) * inst.n
+    minors = tuple(
+        SparsePoly(ring, {row1 + e: c for e, c in memo.det(full ^ (1 << l)).items()}, _canonical=True)
+        for l in range(N)
+    )
+    signs = tuple((1 + l) % 2 for l in range(1, N + 1))
+    return RowExpansion(signs=signs, minors=minors, determinant=SparsePoly(ring, terms, _canonical=True))
 
 
 def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:

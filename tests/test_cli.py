@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gvand
-from gvand import cli, kernels, oracle, vandermonde
+from gvand import cli, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
@@ -78,9 +78,9 @@ def test_expand_builds_one_cofactor_memo(support_file, capsys, monkeypatch):
     built = []
     original = vandermonde._SubsetMinors.__init__
 
-    def counting(self, rows):
-        built.append(len(rows))
-        original(self, rows)
+    def counting(self, support, coeff_ring):
+        built.append(support.N)
+        original(self, support, coeff_ring)
 
     monkeypatch.setattr(vandermonde._SubsetMinors, "__init__", counting)
     code, _, _ = _run(capsys, ["expand", "--input", support_file(SQUARE)])
@@ -89,19 +89,53 @@ def test_expand_builds_one_cofactor_memo(support_file, capsys, monkeypatch):
 
 
 def test_expand_term_count_invariant_fires(support_file, capsys, monkeypatch):
-    original = kernels.add_terms
+    original = vandermonde._SubsetMinors.det
 
-    def lossy(a, b, modulus):
-        out = original(a, b, modulus)
-        if len(out) > 1:
+    def lossy(self, mask):
+        out = original(self, mask)
+        if mask == (1 << len(self.gammas)) - 1:
+            out = dict(out)
             del out[next(iter(out))]
         return out
 
-    monkeypatch.setattr(kernels, "add_terms", lossy)
+    monkeypatch.setattr(vandermonde._SubsetMinors, "det", lossy)
     code, out, err = _run(capsys, ["expand", "--input", support_file(SQUARE)])
     assert code == 1 and out == ""
     assert err.startswith("falsified: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("expand must not call the term-map kernels")
+
+    for name in ("mul_terms", "add_terms", "addmul_terms"):
+        monkeypatch.setattr(kernels, name, unreachable)
+    for char in ("0", "2", "3"):
+        code, out, err = _run(capsys, ["expand", "--input", support_file(SQUARE), "--char", char])
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["determinant"]) == 6
+
+
+@pytest.mark.parametrize(
+    "command, exponents",
+    [
+        ("expand", [[k] for k in range(10)]),
+        ("verify", [[k, 2 * k] for k in range(10)]),  # collinear: the line oracle expands
+    ],
+)
+def test_expansion_cap_beyond_memory(support_file, command, exponents):
+    big = {"n": len(exponents[0]), "exponents": exponents}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", command, "--input", support_file(big)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "expansion cap" in done.stderr
 
 
 def test_cli_imports_only_stdlib():
@@ -197,6 +231,39 @@ def test_verify_wide_exponents_finish(support_file):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["ok"] is True
+
+
+def test_verify_power_at_n6_finishes(support_file):
+    # 3 x {(0,0), (1,0), (0,1), (1,1), (2,0), (0,2)}: a power of an irreducible over GF(3)
+    scaled = {"n": 2, "exponents": [[0, 0], [3, 0], [0, 3], [3, 3], [6, 0], [0, 6]]}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(scaled), "--char", "3"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["certificate"]["verdict"] == "power_of_irreducible"
+    checks = {c["name"]: c["holds"] for c in payload["verification"]["checks"]}
+    assert checks["root_repowers"] is True
+
+
+def test_verify_runs_tropical_once(support_file, capsys, monkeypatch):
+    calls = []
+    original = tropical.decide_tropical_irreducibility
+
+    def counting(support, seed=0, **kwargs):
+        calls.append(seed)
+        return original(support, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "decide_tropical_irreducibility", counting)
+    monkeypatch.setattr(tropical, "decide_tropical_irreducibility", counting)
+    code, out, _ = _run(capsys, ["verify", "--input", support_file(TRIANGLE), "--seed", "5"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == "irreducible"
+    assert calls == [5]
 
 
 def test_verify_single_coordinate_runs_classical(support_file, capsys):

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gvand.errors import (
@@ -12,7 +12,7 @@ from gvand.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from gvand.poly import PolyRing, SparsePoly, grid_ring, grid_var
+from gvand.poly import PolyRing, SparsePoly, graded_lex_key, grid_ring, grid_var
 from gvand.rings import GF, ZZ
 
 RXY = PolyRing(ZZ, ("x", "y"))
@@ -93,6 +93,24 @@ def test_term_order_is_graded_lex():
     assert [exp for exp, _ in p.terms()] == [(3, 0), (2, 0), (1, 1), (0, 2)]
 
 
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-3, 3).filter(bool),
+        min_size=2,
+        max_size=30,
+    )
+)
+def test_term_order_matches_graded_lex_key(terms):
+    degrees = [sum(e) for e in terms]
+    # non-homogeneous, with at least one tie in total degree
+    assume(len(set(degrees)) > 1 and len(set(degrees)) < len(degrees))
+    p = SparsePoly(PolyRing(ZZ, ("x", "y", "z")), terms)
+    expected = sorted(terms.items(), key=lambda t: graded_lex_key(t[0]), reverse=True)
+    assert p.terms() == expected
+    assert [t["coeff"] for t in p.to_terms_json()] == [str(c) for _, c in expected]
+
+
 def test_power():
     x, y = RXY.variable("x"), RXY.variable("y")
     cube = (x + y) ** 3
@@ -158,6 +176,19 @@ def test_frobenius_root_requires_divisible_exponents():
         SparsePoly(RXY_F2, {(2, 0): 1}).frobenius_root(0)
 
 
+@given(small_polys(ring=RXY_F2), st.integers(1, 2))
+def test_frobenius_power_is_generic_power_and_inverts_root(a, e):
+    assert a.frobenius_power(e) == a ** (2**e)
+    assert a.frobenius_power(e).frobenius_root(e) == a
+
+
+def test_frobenius_power_needs_a_prime_field():
+    with pytest.raises(RingMismatchError):
+        SparsePoly(RXY, {(1, 0): 1}).frobenius_power(1)
+    with pytest.raises(ValueError):
+        SparsePoly(RXY_F2, {(1, 0): 1}).frobenius_power(0)
+
+
 def test_frobenius_root_higher_order():
     p = SparsePoly(RXY_F2, {(4, 0): 1, (0, 4): 1})
     assert p.frobenius_root(2).term_map() == {(1, 0): 1, (0, 1): 1}
@@ -209,6 +240,14 @@ def test_evaluate_integer_and_fraction_points():
 def test_evaluate_ignores_unused_variables():
     p = SparsePoly(RXY, {(2, 0): 1})
     assert p.evaluate({"x": 3}) == 9
+
+
+def test_variables_used_reads_columns():
+    p = SparsePoly(PolyRing(ZZ, ("x", "y", "z")), {(2, 0, 0): 1, (0, 0, 1): -1})
+    assert p.variables_used() == {"x", "z"}
+    assert PolyRing(ZZ, ("x", "y", "z")).zero().variables_used() == set()
+    assert RXY.constant(4).variables_used() == set()
+    assert p.evaluate({"x": 3, "z": 2}) == 7
 
 
 def test_evaluate_modular():

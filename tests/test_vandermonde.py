@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import row_support
 from gvand.errors import SizeCapError
@@ -84,6 +86,30 @@ def test_row_expansion_reassembles():
     assert total == leibniz_determinant(matrix) == exp.determinant
 
 
+@st.composite
+def instances(draw):
+    N = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    vectors = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 6)] * n), min_size=N, max_size=N, unique=True
+        )
+    )
+    return _inst(vectors, n, draw(st.sampled_from((0, 2, 3))))
+
+
+@given(instances())
+def test_row_expansion_matches_leibniz_and_reassembles(inst):
+    exp = row_expansion(inst)
+    matrix = build_matrix(inst)
+    assert exp.determinant == leibniz_determinant(matrix)
+    total = inst.poly_ring().zero()
+    for l, (sign, minor) in enumerate(zip(exp.signs, exp.minors)):
+        piece = matrix[0][l] * minor
+        total = total - piece if sign else total + piece
+    assert total == exp.determinant
+
+
 def test_single_variable_classical_shape():
     inst = _inst([(0,), (1,)], 1)
     det = vandermonde_determinant(inst)
@@ -133,6 +159,9 @@ def test_size_cap_enforced():
         vandermonde_determinant(inst)
     with pytest.raises(SizeCapError):
         row_expansion(inst)
+    # N = 10 is refused before any expansion, whatever the caller's cap
+    with pytest.raises(SizeCapError, match="expansion cap"):
+        row_expansion(_inst(vectors[:10], 1), max_n=12)
     # a lowered cap bites early, a raised one lets the instance through
     small = _inst([(0,), (1,), (2,)], 1)
     with pytest.raises(SizeCapError):
