@@ -5,28 +5,24 @@ characteristic p exactly when three support conditions hold: the affine
 span of the exponent set has dimension >= 2, the componentwise minimum
 is zero (no monomial content), and p does not divide the scale gcd d.
 Each failure mode names its witness: a monomial content factor, a
-collinear support that splits after specialization, or a p-th power
+collinear support whose determinant a binomial divides, or a p-th power
 structure coming from the Frobenius.  Certificates are constructively
 re-checkable against the expanded determinant.
 """
 
 from dataclasses import dataclass
 
-from gvand.errors import (
-    CertificateMismatchError,
-    NoRootError,
-    SizeCapError,
-    SpecializationUnluckyError,
-)
+from gvand.errors import CertificateMismatchError, NoRootError
 from gvand.exponents import (
     Support,
     affine_dimension,
     componentwise_min,
     d_gamma,
     normalize,
+    reduce_to_span_coordinates,
 )
 from gvand.reporting import ConditionCheck
-from gvand.rings import GF, CoefficientRing
+from gvand.rings import CoefficientRing
 from gvand.vandermonde import VandermondeInstance, require_expandable, vandermonde_determinant
 
 VERDICT_IRREDUCIBLE = "irreducible"
@@ -196,7 +192,7 @@ def verify_certificate(
     elif verdict == VERDICT_POWER:
         _check_power(inst, cert, vandermonde_determinant(inst), add)
     elif verdict == VERDICT_COLLINEAR:
-        _check_collinear(inst, cert, seed, add)
+        _check_collinear(inst, add)
     elif verdict == VERDICT_IRREDUCIBLE:
         _check_irreducible(inst, cert, seed, add, tropical)
     else:
@@ -279,36 +275,36 @@ def _check_power(inst, cert, det, add):
     )
 
 
-def _check_collinear(inst, cert, seed, add):
-    from gvand.oracle import LINE_CASE_PRIMES, line_case_factor
-
-    # the line oracle expands the determinant; its cap declines, it does not falsify
+def _check_collinear(inst, add):
+    # the witness expands the determinant; its cap declines, it does not falsify
     require_expandable(inst.N)
-    dim, gamma_min = affine_dimension(inst.support), componentwise_min(inst.support)
+    support = inst.support
+    dim, gamma_min = affine_dimension(support), componentwise_min(support)
     if dim != 1 or any(gamma_min):
         detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
         add("line_split", False, detail)
         return
-    # The split is characteristic-blind, so any demo prime exhibits it.
-    # Prefer the certificate's own characteristic; small fields can be
-    # unlucky (every torus point may kill the reference minor), in which
-    # case the remaining primes are tried before giving up.
-    first = cert.characteristic if cert.characteristic in LINE_CASE_PRIMES else 5
-    last_error = None
-    for p in [first] + [q for q in (5, 3, 2) if q != first]:
-        demo = VandermondeInstance(inst.support, GF(p))
-        try:
-            report = line_case_factor(demo, seed=seed)
-        except (SpecializationUnluckyError, SizeCapError) as exc:
-            last_error = exc
-            continue
-        add(
-            "line_split",
-            report.n_factors >= 2,
-            f"specialized univariate splits into {report.n_factors} factors over GF({p})",
-        )
+    # gamma_l = gamma_lo + positions[l] * w with w primitive.  On
+    # X_1^w = X_2^w rows 1 and 2 are proportional, so the binomial
+    # f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) divides the determinant;
+    # det = f * q with f and q non-units is a split over every field.
+    reduced, _ = reduce_to_span_coordinates(support)
+    positions = [v[0] for v in reduced.vectors]
+    lo, hi = positions.index(0), positions.index(max(positions))
+    w = tuple(
+        (a - b) // positions[hi] for a, b in zip(support.vectors[hi], support.vectors[lo])
+    )
+    w_plus = tuple(max(x, 0) for x in w)
+    w_minus = tuple(max(-x, 0) for x in w)
+    rest = (0,) * (inst.n * (inst.N - 2))
+    ring = inst.poly_ring()
+    f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
+    q = vandermonde_determinant(inst).exact_divide(f)
+    binomial = f"binomial X_1^w - X_2^w with w = {list(w)}"
+    if q is None:
+        add("line_split", False, f"{binomial} does not divide the determinant")
         return
-    add("line_split", False, f"specialized factorization failed: {last_error}")
+    add("line_split", q.total_degree() > 0, f"{binomial} divides the determinant, quotient of {q.n_terms} terms")
 
 
 def _check_irreducible(inst, cert, seed, add, tcert):

@@ -1,4 +1,4 @@
-"""Term-map kernels: sums, products and division steps of SparsePoly.
+"""Term-map kernels: sums and products of SparsePoly.
 
 The determinant does not run through them: its cofactor memo multiplies
 by monomial entries through exponent-suffix concatenation (see

@@ -335,9 +335,10 @@ def line_case_factor(
             point = {v: rng.randrange(2) for v in spec_vars}
         else:
             point = {v: rng.randrange(1, p) for v in spec_vars}
-        coeffs = [minor.evaluate(point) for minor in expansion.minors]
-        if coeffs[-1] == 0:
+        reference = expansion.minors[-1].evaluate(point)
+        if reference == 0:
             continue
+        coeffs = [minor.evaluate(point) for minor in expansion.minors[:-1]] + [reference]
         specialized = grid.zero()
         for l in range(inst.N):
             c = coeffs[l] if expansion.signs[l] == 0 else -coeffs[l]

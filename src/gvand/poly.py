@@ -8,8 +8,10 @@ weighing more.  Variable order is positional in the ring's variable
 tuple, never alphabetical.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import compress
+from operator import add, sub
 
 from gvand import kernels
 from gvand.errors import (
@@ -270,28 +272,58 @@ class SparsePoly:
         return SparsePoly(self.ring, out, _canonical=True)
 
     def exact_divide(self, den: "SparsePoly"):
-        """Quotient self / den when den divides exactly, else None."""
+        """Quotient self / den when den divides exactly, else None.
+
+        Divides by trailing terms: the graded-lex order is multiplicative,
+        so the smallest remainder term over den's smallest term is the
+        next quotient term.  A min-heap of (degree, exponent) entries that
+        share the remainder's key tuples yields that term; entries whose
+        key has since cancelled are skipped.  Quotient terms come in
+        ascending order, so one whose degree exceeds
+        deg(self) - deg(den) proves that den does not divide.
+        """
         self._check_ring(den)
         if den.is_zero():
             raise ZeroDivisionError("exact_divide by the zero polynomial")
         if self.is_zero():
             return self.ring.zero()
         ring = self.ring
+        coeff_ring = ring.coeff_ring
         char = ring.characteristic
-        den_exp, den_coeff = den.leading_term()
+        den_terms = den._terms
+        den_exp = min(den_terms, key=graded_lex_key)
+        den_coeff = den_terms[den_exp]
+        den_low = sum(den_exp)
+        max_degree = self.total_degree() - den.total_degree()
         rem = dict(self._terms)
+        heap = [(sum(e), e) for e in rem]
+        heapq.heapify(heap)
         quot = {}
         while rem:
-            r_exp = max(rem, key=graded_lex_key)
-            r_coeff = rem[r_exp]
-            diff = tuple(a - b for a, b in zip(r_exp, den_exp))
-            if any(d < 0 for d in diff):
+            degree, r_exp = heapq.heappop(heap)
+            r_coeff = rem.get(r_exp)
+            if r_coeff is None:
+                continue
+            diff = tuple(map(sub, r_exp, den_exp))
+            if degree - den_low > max_degree or any(d < 0 for d in diff):
                 return None
-            q = ring.coeff_ring.divide_exact(r_coeff, den_coeff)
+            q = coeff_ring.divide_exact(r_coeff, den_coeff)
             if q is None:
                 return None
             quot[diff] = q
-            kernels.addmul_terms(rem, ring.coeff_ring.normalize(-q), diff, den._terms, char)
+            neg_q = -q
+            for exp, c in den_terms.items():
+                key = tuple(map(add, diff, exp))
+                old = rem.get(key)
+                val = (0 if old is None else old) + neg_q * c
+                if char:
+                    val %= char
+                if val:
+                    rem[key] = val
+                    if old is None:
+                        heapq.heappush(heap, (sum(key), key))
+                elif old is not None:
+                    del rem[key]
         return SparsePoly(ring, quot, _canonical=True)
 
     def frobenius_root(self, e: int = 1) -> "SparsePoly":

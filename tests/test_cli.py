@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gvand
-from gvand import cli, kernels, oracle, tropical, vandermonde
+from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
@@ -264,6 +264,46 @@ def test_verify_runs_tropical_once(support_file, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["certificate"]["verdict"] == "irreducible"
     assert calls == [5]
+
+
+@pytest.mark.parametrize(
+    "exponents, char",
+    [
+        ([[k, 2 * k] for k in range(8)], 3),  # N - 1 = 7 rows outnumber the 2 nonzero residues of GF(3)
+        ([[0, 0], [1, 1], [25, 25]], 0),  # past the line oracle's degree cap of 24
+    ],
+)
+def test_verify_collinear_finishes(support_file, exponents, char):
+    line = {"n": 2, "exponents": exponents}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(line), "--char", str(char)],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["certificate"]["verdict"] == "collinear_split"
+    assert payload["ok"] is True
+
+
+def test_verify_collinear_refuses_a_dropped_term(support_file, capsys, monkeypatch):
+    original = irreducibility.vandermonde_determinant
+
+    def lossy(inst):
+        terms = original(inst).term_map()
+        del terms[max(terms)]
+        return gvand.SparsePoly(inst.poly_ring(), terms)
+
+    monkeypatch.setattr(irreducibility, "vandermonde_determinant", lossy)
+    code, out, err = _run(capsys, ["verify", "--input", support_file(LINE)])
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    checks = {c["name"]: c for c in payload["verification"]["checks"]}
+    assert checks["line_split"]["holds"] is False
+    assert "does not divide" in checks["line_split"]["detail"]
 
 
 def test_verify_single_coordinate_runs_classical(support_file, capsys):

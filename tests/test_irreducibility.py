@@ -179,17 +179,41 @@ def test_verify_irreducible_and_collinear_do_not_expand(monkeypatch):
     monkeypatch.setattr("gvand.irreducibility.vandermonde_determinant", refuse)
     _, report = _verify([(0, 0), (1, 0), (0, 1)], 2, 0)
     assert report["verdict"] == VERDICT_IRREDUCIBLE
+    monkeypatch.undo()
+    # the collinear witness is one exact division, not the line oracle's specialization
+    monkeypatch.setattr("gvand.oracle.line_case_factor", refuse)
     _, report = _verify([(0,), (1,), (2,), (3,)], 1, 0, seed=5)
     assert report["verdict"] == VERDICT_COLLINEAR
+    assert report["ok"] is True
 
 
 def test_verify_collinear_falls_back_to_a_luckier_prime():
-    # over GF(3) this support's reference minor dies on the whole torus;
-    # the verifier must still exhibit the split via another demo prime
+    # over GF(3) this support's reference minor dies on the whole torus,
+    # which sank specialized factoring; the binomial witness needs no point
     cert, report = _verify([(0,), (2,), (5,)], 1, 3, seed=1)
     assert report["ok"] is True
     split = next(c for c in report["checks"] if c["name"] == "line_split")
-    assert "GF(5)" in split["detail"] or "GF(2)" in split["detail"]
+    assert split["detail"].startswith("binomial X_1^w - X_2^w with w = [1] divides")
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        ((0,), (1,), (4,), (5,)),
+        tuple((k,) for k in range(6)),
+        tuple((k, k) for k in range(6)),
+        tuple((k, k, k) for k in range(6)),
+        tuple((k, 2 * k) for k in range(6)),
+        ((3, 0), (2, 1), (1, 2), (0, 3)),  # w = (1, -1) has mixed signs
+    ],
+)
+def test_verify_collinear_in_every_characteristic(vectors):
+    for char in (0, 2, 3):
+        cert, report = _verify(vectors, len(vectors[0]), char)
+        assert cert.verdict == VERDICT_COLLINEAR
+        assert report["ok"] is True
+        split = next(c for c in report["checks"] if c["name"] == "line_split")
+        assert "divides the determinant" in split["detail"]
 
 
 def test_verify_small_n():

@@ -17,6 +17,7 @@ from gvand.rings import GF, ZZ
 
 RXY = PolyRing(ZZ, ("x", "y"))
 RXY_F2 = PolyRing(GF(2), ("x", "y"))
+RXY_F3 = PolyRing(GF(3), ("x", "y"))
 RXY_F5 = PolyRing(GF(5), ("x", "y"))
 
 
@@ -145,10 +146,33 @@ def test_exact_divide_round_trip(a, b):
     assert prod.exact_divide(b) == a
 
 
+def _non_homogeneous(p):
+    return len({sum(e) for e in p.term_map()}) > 1
+
+
+@given(st.data())
+def test_exact_divide_inverts_multiplication_over_every_ring(data):
+    ring = data.draw(st.sampled_from((RXY, RXY_F2, RXY_F3)))
+    a = data.draw(small_polys(ring).filter(_non_homogeneous))
+    b = data.draw(small_polys(ring).filter(_non_homogeneous))
+    assert (a * b).exact_divide(b) == a
+    # a nonzero c of lower degree than b is no multiple of b, so neither is a*b + c
+    c = data.draw(small_polys(ring))
+    if not c.is_zero() and c.total_degree() < b.total_degree():
+        assert (a * b + c).exact_divide(b) is None
+
+
 def test_exact_divide_rejects_non_multiple():
     x, y = RXY.variable("x"), RXY.variable("y")
     assert (x + 1).exact_divide(y) is None
     assert (x * x + 1).exact_divide(x + 1) is None
+    for ring in (RXY, RXY_F2, RXY_F3):
+        # 1/(1 - x) = 1 + x + x^2 + ... never terminates without the degree bound
+        assert ring.one().exact_divide(1 - ring.variable("x")) is None
+    x3 = RXY_F3.variable("x")
+    assert (x3 * x3 + 1).exact_divide(x3 + 1) is None
+    x2 = RXY_F2.variable("x")
+    assert (x2 * x2 + 1).exact_divide(x2 + 1) == x2 + 1
     assert SparsePoly(RXY, {(1, 0): 3}).exact_divide(RXY.constant(2)) is None
     with pytest.raises(ZeroDivisionError):
         x.exact_divide(RXY.zero())
