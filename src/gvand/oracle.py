@@ -42,10 +42,10 @@ LINE_CASE_MAX_DEGREE = 24
 TRIAL_DIVISOR_MAX_DEGREE = 6
 SAMPLE_NUMERATOR_BOUND = 100
 SAMPLE_DENOMINATOR_BOUND = 16
-# The classical division and re-multiplication each form up to N! * bound
-# term products, where bound = prod_{i<j} (g_j - g_i) / (j - i) over the
-# sorted exponents is the Schur quotient's coefficient sum and so caps its
-# term count.  At the caps a check takes a few seconds.
+# The classical division forms up to N! * bound term products, where
+# bound = prod_{i<j} (g_j - g_i) / (j - i) over the sorted exponents is
+# the Schur quotient's coefficient sum and so caps its term count.  At
+# the caps a check takes about a second.
 CLASSICAL_MAX_N = 7
 CLASSICAL_MAX_WORK = math.factorial(7) * 128
 
@@ -113,10 +113,11 @@ def leibniz_determinant(matrix, max_n: int = LEIBNIZ_MAX_N) -> SparsePoly:
 def classical_divisibility_check(support: Support) -> dict:
     """For n = 1 supports the classical alternant divides the determinant.
 
-    Builds prod_{i<j} (X_i_1 - X_j_1), divides the generalized
-    determinant by it exactly, and re-multiplies the quotient to check
-    bit-exact reassembly.  A failure here falsifies the build.  Supports
-    past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK raise SizeCapError.
+    Builds prod_{i<j} (X_i_1 - X_j_1) and divides the generalized
+    determinant by it exactly; a division with no remainder is the
+    proof that det = quotient * alternant.  A failure here falsifies
+    the build.  Supports past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK
+    raise SizeCapError.
     """
     if support.n != 1:
         raise ValueError("classical divisibility needs a single-coordinate support")
@@ -137,10 +138,8 @@ def classical_divisibility_check(support: Support) -> dict:
         alternant = alternant * (ring.variable(grid_var(i, 1)) - ring.variable(grid_var(j, 1)))
     quotient = det.exact_divide(alternant)
     divides = quotient is not None
-    remultiplies = divides and quotient * alternant == det
     return {
         "divides": divides,
-        "remultiplies": remultiplies,
         "quotient_terms": quotient.n_terms if divides else None,
         "quotient": quotient,
         "alternant_terms": alternant.n_terms,

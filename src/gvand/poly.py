@@ -9,9 +9,10 @@ tuple, never alphabetical.
 """
 
 import heapq
+import json
 from fractions import Fraction
 from itertools import compress
-from operator import add, sub
+from operator import add, getitem, sub
 
 from gvand import kernels
 from gvand.errors import (
@@ -26,6 +27,20 @@ from gvand.rings import ZZ, CoefficientRing
 
 def graded_lex_key(exp):
     return (sum(exp), exp)
+
+
+class _Fragments(dict):
+    """Memo of the text prefix + str(key) + suffix, built on first lookup."""
+
+    __slots__ = ("prefix", "suffix")
+
+    def __init__(self, prefix: str, suffix: str = ""):
+        self.prefix = prefix
+        self.suffix = suffix
+
+    def __missing__(self, key):
+        text = self[key] = f"{self.prefix}{key}{self.suffix}"
+        return text
 
 
 class PolyRing:
@@ -451,6 +466,23 @@ class SparsePoly:
             {"coeff": str(terms[exp]), "monomial": dict(compress(zip(names, exp), exp))}
             for exp in self._ordered_exponents()
         ]
+
+    def to_terms_json_text(self) -> str:
+        """json.dumps(self.to_terms_json()), built without the dicts.
+
+        One fragment table per variable maps an exponent to '"name": e'
+        and one head per distinct coefficient opens a term, so a term is
+        its head plus the fragments of its nonzero exponents.  A grid
+        variable of a Vandermonde determinant takes at most N distinct
+        exponents, so the tables stay tiny.
+        """
+        tables = [_Fragments(json.dumps(name) + ": ") for name in self.ring.variables]
+        heads = _Fragments('{"coeff": "', '", "monomial": {')
+        terms = self._terms
+        return "[" + ", ".join([
+            heads[terms[exp]] + ", ".join(compress(map(getitem, tables, exp), exp)) + "}}"
+            for exp in self._ordered_exponents()
+        ]) + "]"
 
     def __repr__(self):
         if not self._terms:

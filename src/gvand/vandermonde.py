@@ -80,6 +80,10 @@ class _SubsetMinors:
 
     def __init__(self, support: Support, coeff_ring: CoefficientRing):
         self.gammas = support.vectors
+        # every key of det(mask) starts with the gamma of the column it took
+        # from the top row, so visiting columns by descending gamma inserts
+        # the keys in descending order: the graded-lex sort finds one run
+        self.order = sorted(range(support.N), key=self.gammas.__getitem__, reverse=True)
         self.modulus = coeff_ring.characteristic
         self.memo = {0: {(): coeff_ring.normalize(1)}}
 
@@ -90,13 +94,14 @@ class _SubsetMinors:
         modulus = self.modulus
         acc = {}
         get = acc.get
-        sign = 1
-        rest = mask
-        while rest:
-            col = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for col in self.order:
+            bit = 1 << col
+            if not mask & bit:
+                continue
+            # cofactor sign: the column's place among the subset's columns
+            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
             gamma = self.gammas[col]
-            for e, c in self.det(mask ^ (1 << col)).items():
+            for e, c in self.det(mask ^ bit).items():
                 key = gamma + e
                 val = get(key, 0) + sign * c
                 if modulus:
@@ -105,7 +110,6 @@ class _SubsetMinors:
                     acc[key] = val
                 elif key in acc:
                     del acc[key]
-            sign = -sign
         self.memo[mask] = acc
         return acc
 

@@ -10,6 +10,9 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 from gvand.exponents import Support, affine_dimension, normalize
+from gvand.poly import grid_var
+from gvand.rings import ZZ
+from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
 
 
 def mat_mul(a, b):
@@ -56,6 +59,17 @@ def row_support(p, inst, row: int = 1) -> set:
     """Exponent vectors of one row's variables across the terms of p."""
     base = (row - 1) * inst.n
     return {exp[base : base + inst.n] for exp in p.term_map()}
+
+
+def classical_reassembles(support: Support, quotient) -> bool:
+    """quotient * prod_{i<j} (X_i_1 - X_j_1) equals the determinant over ZZ."""
+    inst = VandermondeInstance(support, ZZ)
+    ring = inst.poly_ring()
+    product = quotient
+    for i in range(1, inst.N + 1):
+        for j in range(i + 1, inst.N + 1):
+            product = product * (ring.variable(grid_var(i, 1)) - ring.variable(grid_var(j, 1)))
+    return product == vandermonde_determinant(inst)
 
 
 def random_support(rng: random.Random, n: int, N: int, exp_max: int) -> Support:

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_support, row_support
+from conftest import classical_reassembles, random_support, row_support
 from gvand.exponents import (
     Support,
     affine_dimension,
@@ -126,7 +126,9 @@ def test_criterion_04_single_coordinate_divisibility():
             support = random_support(rng, 1, rng.randint(2, 5), 10)
             report = classical_divisibility_check(support)
             assert report["divides"], f"division failed on {support.vectors}"
-            assert report["remultiplies"], f"reassembly failed on {support.vectors}"
+            assert classical_reassembles(support, report["quotient"]), (
+                f"reassembly failed on {support.vectors}"
+            )
 
 
 def test_criterion_05_determinant_route_agreement(determinant_corpus):

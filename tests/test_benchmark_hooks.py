@@ -1,21 +1,35 @@
-"""The benchmark's layer spans wrap gvand functions by name.
+"""What the benchmark reads from gvand must keep working.
 
 perfbench/layers.py patches every (module, attribute) in its WRAPPED
 table; a name missing from gvand would break the benchmark run, so it
-fails here first.  The benchmark file is only read, never changed.
+fails here first.  The benchmark's expand check compares a digest of
+expand's output bytes with perfbench/expand_digests.json; an encoder
+change that moves one byte fails here too, not only in the benchmark's
+ok_rate.  The benchmark files are only read, never changed.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from gvand import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_wrapped_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers")
     assert layers.WRAPPED
     missing = []
     for modname, attr, _ in layers.WRAPPED:
@@ -25,3 +39,19 @@ def test_every_wrapped_name_resolves():
         if owner is None:
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def test_expand_output_matches_the_recorded_digests(monkeypatch):
+    corpus = _load("corpus")
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # checks.py imports it by name
+    checks = _load("checks")
+    digests = json.loads((PERFBENCH / "expand_digests.json").read_text())
+    ops = [op for op in corpus.expand_ops(1) if len(op["support"]["exponents"]) <= 7]
+    assert len(ops) > 100
+    for op in ops:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["expand", "--char", str(op["char"])])
+        assert rc == 0 and err.getvalue() == ""
+        assert checks.expand_digest(out.getvalue()) == digests[corpus.expand_key(op)], op

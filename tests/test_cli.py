@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvand
 from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
@@ -465,6 +469,69 @@ def test_negative_seed_rejected(support_file, capsys):
     code, _, err = _run(capsys, ["decide", "--input", support_file(SQUARE), "--seed", "-1"])
     assert code == 2
     assert "seed" in err
+
+
+#### in-process reuse and fuzzing ####
+
+
+def _main_in_process(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(stdin)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_a_process(support_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    path = support_file(SQUARE)
+    runs = (
+        ["decide", "--input", path],
+        ["decide", "--input", path, "--char", "x"],  # argparse usage error
+        ["expand", "--input", path],
+    )
+    cli._build_parser.cache_clear()
+    in_process = [_main_in_process(argv) for argv in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert "invalid int value: 'x'" in in_process[1][2]
+    for argv, (code, out, err) in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gvand.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@st.composite
+def schema_supports(draw):
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, 6), st.integers(0, 10**6))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=N, max_size=N, unique_by=tuple))
+    return {"n": n, "exponents": vectors}
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_supports(), st.sampled_from(("0", "2", "3")))
+def test_expand_and_decide_end_cleanly_on_every_admitted_support(support, char):
+    text = json.dumps(support)
+    for command in ("expand", "decide"):
+        code, out, err = _main_in_process([command, "--char", char], text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") == (code != 0)
+        if command == "expand" and code == 0:
+            code, text_out, _ = _main_in_process([command, "--char", char, "--format", "text"], text)
+            assert code == 0
+            assert text_out == "\n".join(cli._render_text(json.loads(out))) + "\n"
 
 
 #### text format ####

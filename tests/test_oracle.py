@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import classical_reassembles
 from gvand.errors import DegenerateSupportError, SizeCapError, SpecializationUnluckyError
 from gvand.exponents import Support
 from gvand.oracle import (
@@ -51,8 +52,9 @@ def test_leibniz_size_cap():
 
 
 def test_classical_staircase_quotient_is_a_unit():
-    report = classical_divisibility_check(Support(1, ((0,), (1,), (2,))))
-    assert report["divides"] and report["remultiplies"]
+    support = Support(1, ((0,), (1,), (2,)))
+    report = classical_divisibility_check(support)
+    assert report["divides"] and classical_reassembles(support, report["quotient"])
     assert report["quotient_terms"] == 1
     quotient = report["quotient"]
     exp, coeff = quotient.leading_term()
@@ -60,8 +62,9 @@ def test_classical_staircase_quotient_is_a_unit():
 
 
 def test_classical_gap_quotient_is_symmetric():
-    report = classical_divisibility_check(Support(1, ((0,), (1,), (3,))))
-    assert report["divides"] and report["remultiplies"]
+    support = Support(1, ((0,), (1,), (3,)))
+    report = classical_divisibility_check(support)
+    assert report["divides"] and classical_reassembles(support, report["quotient"])
     quotient = report["quotient"]
     # quotient is +-(X_1_1 + X_2_1 + X_3_1)
     assert quotient.n_terms == 3

@@ -297,6 +297,42 @@ def test_json_constant_term_has_empty_monomial():
     assert RXY.constant(7).to_terms_json() == [{"coeff": "7", "monomial": {}}]
 
 
+def _dumps(p):
+    return json.dumps(p.to_terms_json(), separators=(", ", ": "))
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials on 1-12 variables (names JSON must escape included), exponents past 9."""
+    nvars = draw(st.integers(1, 12))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=nvars, max_size=nvars, unique=True))
+    ring = PolyRing(draw(st.sampled_from((ZZ, GF(2), GF(3)))), names)
+    exponent = st.one_of(st.just(0), st.integers(0, 40))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[exponent] * nvars), st.integers(-(10**30), 10**30), max_size=12
+        )
+    )
+    return SparsePoly(ring, terms)
+
+
+@given(wide_polys())
+def test_terms_json_text_is_the_encoded_term_list(p):
+    assert p.to_terms_json_text() == _dumps(p)
+
+
+def test_terms_json_text_edge_cases():
+    ring = PolyRing(ZZ, [f"X_{k}" for k in range(12)])
+    for p in (
+        ring.zero(),
+        ring.constant(-(10**40)),
+        ring.from_terms([((0,) * 12, 3), ((10,) + (0,) * 10 + (11,), -7), ((1,) * 12, 1)]),
+    ):
+        assert p.to_terms_json_text() == _dumps(p)
+    assert ring.zero().to_terms_json_text() == "[]"
+    assert ring.constant(5).to_terms_json_text() == '[{"coeff": "5", "monomial": {}}]'
+
+
 def test_repr_is_readable():
     p = SparsePoly(RXY, {(2, 0): 1, (1, 1): -1, (0, 0): -2})
     assert repr(p) == "x^2 - x*y - 2"

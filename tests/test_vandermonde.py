@@ -110,6 +110,15 @@ def test_row_expansion_matches_leibniz_and_reassembles(inst):
     assert total == exp.determinant
 
 
+@given(instances())
+def test_row_expansion_terms_arrive_in_descending_order(inst):
+    # the graded-lex sort then finds one run; every term has the same degree
+    exp = row_expansion(inst)
+    for poly in (exp.determinant, *exp.minors):
+        keys = list(poly.term_map())
+        assert keys == sorted(keys, reverse=True)
+
+
 def test_single_variable_classical_shape():
     inst = _inst([(0,), (1,)], 1)
     det = vandermonde_determinant(inst)
