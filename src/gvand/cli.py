@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 from gvand.errors import (
     CertificateMismatchError,
+    DegenerateSupportError,
     GvandError,
     InputError,
     InvariantViolationError,
+    SizeCapError,
 )
 from gvand.exponents import Support
 from gvand.irreducibility import (
@@ -33,7 +35,6 @@ from gvand.irreducibility import (
 )
 from gvand.oracle import (
     LEIBNIZ_MAX_N,
-    LINE_CASE_PRIMES,
     classical_divisibility_check,
     jacobian_independence_evidence,
     leibniz_determinant,
@@ -212,9 +213,13 @@ def _cmd_verify(config: RunConfig) -> int:
     }
     # one tropical decision serves the certificate check and the agreement oracle
     tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
+    # and over ZZ one expansion serves the classical oracle and the certificate check
+    det = classical["determinant"] if classical is not None and config.characteristic == 0 else None
     failed = False
     try:
-        payload["verification"] = verify_certificate(inst, cert, seed=config.seed, tropical=tropical_cert)
+        payload["verification"] = verify_certificate(
+            inst, cert, seed=config.seed, tropical=tropical_cert, det=det
+        )
     except CertificateMismatchError as exc:
         payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
         failed = True
@@ -272,12 +277,9 @@ def _cmd_oracle(config: RunConfig) -> int:
         }
         failed = not ok
     elif config.check == "line":
-        if config.characteristic not in LINE_CASE_PRIMES:
-            raise InputError(f"char: line check needs a characteristic in {list(LINE_CASE_PRIMES)}")
-        inst = VandermondeInstance(support, CoefficientRing(config.characteristic))
-        report = line_case_factor(inst, seed=config.seed)
-        payload["report"] = dict(report.to_json(), ok=report.n_factors >= 2)
-        failed = report.n_factors < 2
+        report = line_case_factor(VandermondeInstance(support, CoefficientRing(config.characteristic)))
+        payload["report"] = dict(report.to_json(), ok=report.splits)
+        failed = not report.splits
     elif config.check == "jacobian":
         report = jacobian_independence_evidence(support, trials=config.trials, seed=config.seed)
         payload["report"] = dict(report.to_json(), ok=True)
@@ -303,21 +305,15 @@ def run(config: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
         return _COMMANDS[config.command](config)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (InputError, SizeCapError, DegenerateSupportError, ValueError, KeyError) as exc:
+        # malformed input and caps: declined, not falsified
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CertificateMismatchError, InvariantViolationError) as exc:
         sys.stderr.write(f"falsified: {exc}\n")
         return 1
     except GvandError as exc:
-        # caps and unlucky randomized runs: declined, not falsified
-        name = type(exc).__name__
-        if name in ("SizeCapError", "DegenerateSupportError"):
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
+        # unlucky randomized runs
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 1
 

@@ -41,6 +41,7 @@ class PerturbationExhaustedError(GvandError):
     """No perturbation produced a simplicial subdivision within the retry limit."""
 
 
+# Nothing raises this any more; perfbench/layers.py reads it when it wraps.
 class SpecializationUnluckyError(GvandError):
     """Random specialization kept hitting degenerate values."""
 

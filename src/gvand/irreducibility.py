@@ -150,7 +150,11 @@ def _reconstruct_support(cert: IrreducibilityCertificate) -> Support:
 
 
 def verify_certificate(
-    inst: VandermondeInstance, cert: IrreducibilityCertificate, seed: int = 0, tropical=None
+    inst: VandermondeInstance,
+    cert: IrreducibilityCertificate,
+    seed: int = 0,
+    tropical=None,
+    det=None,
 ) -> dict:
     """Re-check a certificate constructively against the expanded determinant.
 
@@ -159,9 +163,13 @@ def verify_certificate(
     Branches that expand the determinant raise SizeCapError past
     vandermonde.EXPAND_MAX_N.  A caller that already holds
     decide_tropical_irreducibility(inst.support, seed) passes it as
-    ``tropical``; otherwise it is computed when needed.
+    ``tropical``, and one that already holds vandermonde_determinant(inst)
+    passes it as ``det``; otherwise each is computed when needed.
     """
     checks = []
+
+    def expanded():
+        return vandermonde_determinant(inst) if det is None else det
 
     def add(name, ok, detail):
         checks.append(ConditionCheck(name, bool(ok), detail))
@@ -186,13 +194,13 @@ def verify_certificate(
     if (inst.N < 3) != (verdict == VERDICT_SMALL_N):
         add("small_n", False, f"{verdict} verdict with N = {inst.N}")
     elif verdict == VERDICT_SMALL_N:
-        _check_small_n(inst, vandermonde_determinant(inst), add)
+        _check_small_n(inst, expanded(), add)
     elif verdict == VERDICT_MONOMIAL_FACTOR:
-        _check_monomial_factor(inst, cert, vandermonde_determinant(inst), add)
+        _check_monomial_factor(inst, cert, expanded(), add)
     elif verdict == VERDICT_POWER:
-        _check_power(inst, cert, vandermonde_determinant(inst), add)
+        _check_power(inst, cert, expanded(), add)
     elif verdict == VERDICT_COLLINEAR:
-        _check_collinear(inst, add)
+        _check_collinear(inst, add, expanded)
     elif verdict == VERDICT_IRREDUCIBLE:
         _check_irreducible(inst, cert, seed, add, tropical)
     else:
@@ -275,21 +283,19 @@ def _check_power(inst, cert, det, add):
     )
 
 
-def _check_collinear(inst, add):
-    # the witness expands the determinant; its cap declines, it does not falsify
-    require_expandable(inst.N)
+def collinear_witness(inst, det):
+    """The binomial that splits a collinear determinant, and the cofactor.
+
+    The support must have affine dimension 1: gamma_l = gamma_lo +
+    positions[l] * w with w primitive.  On X_1^w = X_2^w rows 1 and 2
+    are proportional, so f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+)
+    divides the determinant ``det``; det = f * q with f and q non-units
+    is a split over every field.  Returns (w, positions, f, q), with q
+    None when f does not divide ``det``.
+    """
     support = inst.support
-    dim, gamma_min = affine_dimension(support), componentwise_min(support)
-    if dim != 1 or any(gamma_min):
-        detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
-        add("line_split", False, detail)
-        return
-    # gamma_l = gamma_lo + positions[l] * w with w primitive.  On
-    # X_1^w = X_2^w rows 1 and 2 are proportional, so the binomial
-    # f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) divides the determinant;
-    # det = f * q with f and q non-units is a split over every field.
     reduced, _ = reduce_to_span_coordinates(support)
-    positions = [v[0] for v in reduced.vectors]
+    positions = tuple(v[0] for v in reduced.vectors)
     lo, hi = positions.index(0), positions.index(max(positions))
     w = tuple(
         (a - b) // positions[hi] for a, b in zip(support.vectors[hi], support.vectors[lo])
@@ -299,7 +305,18 @@ def _check_collinear(inst, add):
     rest = (0,) * (inst.n * (inst.N - 2))
     ring = inst.poly_ring()
     f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
-    q = vandermonde_determinant(inst).exact_divide(f)
+    return w, positions, f, det.exact_divide(f)
+
+
+def _check_collinear(inst, add, expanded):
+    # the witness expands the determinant; its cap declines, it does not falsify
+    require_expandable(inst.N)
+    dim, gamma_min = affine_dimension(inst.support), componentwise_min(inst.support)
+    if dim != 1 or any(gamma_min):
+        detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
+        add("line_split", False, detail)
+        return
+    w, _, _, q = collinear_witness(inst, expanded())
     binomial = f"binomial X_1^w - X_2^w with w = {list(w)}"
     if q is None:
         add("line_split", False, f"{binomial} does not divide the determinant")

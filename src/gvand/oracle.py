@@ -1,11 +1,11 @@
-"""Independent verification machinery.
+"""Cross-checks run by name through ``oracle --check``.
 
-Everything here deliberately avoids the main determinant kernels and
-decision logic so that agreement between routes means something: a
-permutation-sum determinant, divisibility by the classical alternant,
-specialized factoring of collinear supports, numeric rank evidence for
-the algebraic independence of minor ratios, and a lattice-polygon
-indecomposability certificate.
+A permutation-sum determinant, divisibility by the classical alternant,
+numeric rank evidence for the algebraic independence of minor ratios,
+and a lattice-polygon indecomposability certificate.  These avoid the
+decision logic, so agreement between routes means something.  The line
+check is not an independent route: it exhibits the same binomial split
+of a collinear determinant that verify's line_split check proves.
 """
 
 import math
@@ -14,20 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from gvand.errors import (
-    AllPointsSingularError,
-    DegenerateSupportError,
-    SizeCapError,
-    SpecializationUnluckyError,
-)
-from gvand.exponents import (
-    Support,
-    affine_dimension,
-    reduce_to_span_coordinates,
-    smith_normal_form,
-)
+from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
+from gvand.exponents import Support, affine_dimension
+from gvand.irreducibility import collinear_witness
 from gvand.linalg import fraction_rank
-from gvand.poly import PolyRing, SparsePoly, grid_var
+from gvand.poly import SparsePoly, grid_var
 from gvand.reporting import frac_str
 from gvand.rings import ZZ
 from gvand.vandermonde import (
@@ -37,9 +28,6 @@ from gvand.vandermonde import (
 )
 
 LEIBNIZ_MAX_N = 8
-LINE_CASE_PRIMES = (2, 3, 5)
-LINE_CASE_MAX_DEGREE = 24
-TRIAL_DIVISOR_MAX_DEGREE = 6
 SAMPLE_NUMERATOR_BOUND = 100
 SAMPLE_DENOMINATOR_BOUND = 16
 # The classical division forms up to N! * bound term products, where
@@ -116,8 +104,9 @@ def classical_divisibility_check(support: Support) -> dict:
     Builds prod_{i<j} (X_i_1 - X_j_1) and divides the generalized
     determinant by it exactly; a division with no remainder is the
     proof that det = quotient * alternant.  A failure here falsifies
-    the build.  Supports past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK
-    raise SizeCapError.
+    the build.  The report carries the determinant over ZZ for reuse.
+    Supports past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK raise
+    SizeCapError.
     """
     if support.n != 1:
         raise ValueError("classical divisibility needs a single-coordinate support")
@@ -143,238 +132,47 @@ def classical_divisibility_check(support: Support) -> dict:
         "quotient_terms": quotient.n_terms if divides else None,
         "quotient": quotient,
         "alternant_terms": alternant.n_terms,
+        "determinant": det,
     }
 
 
-#### collinear-case specialized factoring ####
+#### collinear binomial split ####
 
 
 @dataclass(frozen=True)
 class LineCaseReport:
-    """Specialized univariate split of a collinear-support determinant."""
+    """The binomial split of a collinear-support determinant."""
 
-    prime: int
-    specialization: dict  # variable name -> residue
-    exponent_map: tuple  # the functional applied to row-1 exponents
+    w: tuple  # primitive direction of the line
     line_positions: tuple  # position of each support vector along the line
-    univariate: SparsePoly
-    factors: tuple  # (factor poly, multiplicity) pairs, unit omitted
-    unit: int
-    n_factors: int
+    binomial: SparsePoly
+    quotient: object  # determinant / binomial, or None when it does not divide
+
+    @property
+    def splits(self) -> bool:
+        return self.quotient is not None and self.quotient.total_degree() > 0
 
     def to_json(self) -> dict:
         return {
-            "prime": self.prime,
-            "specialization": dict(sorted(self.specialization.items())),
-            "exponent_map": list(self.exponent_map),
+            "w": list(self.w),
             "line_positions": list(self.line_positions),
-            "univariate": self.univariate.to_terms_json(),
-            "unit": self.unit,
-            "factors": [
-                {"poly": f.to_terms_json(), "multiplicity": m} for f, m in self.factors
-            ],
-            "n_factors": self.n_factors,
+            "binomial": self.binomial.to_terms_json(),
+            "quotient_terms": None if self.quotient is None else self.quotient.n_terms,
         }
 
 
-def _line_functional(support: Support, positions) -> tuple:
-    """Integer u with u . direction = +-1 and u . gamma >= 0 on the support.
+def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
+    """Divide a collinear support's determinant by its line binomial.
 
-    The support is collinear: gamma_l = base + positions[l] * w with w
-    primitive.  A Bezout functional for w comes from the Smith form of
-    w as a column; rows of U below the first annihilate w, so they can
-    shift the functional until it is non-negative on the base point.
+    The same witness that verify's line_split check reads: rows 1 and 2
+    are proportional on X_1^w = X_2^w, so the binomial divides the
+    determinant in every characteristic and whatever the monomial
+    content.  Expanding raises SizeCapError past the expansion cap.
     """
-    base = next(v for v, r in zip(support.vectors, positions) if r == 0)
-    ref_idx = max(range(support.N), key=lambda k: positions[k])
-    r_ref = positions[ref_idx]
-    w = tuple((a - b) // r_ref for a, b in zip(support.vectors[ref_idx], base))
-    snf = smith_normal_form([[x] for x in w])
-    assert snf.D[0][0] == 1, "line direction is primitive"
-    u0 = snf.U[0]
-    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
-    u = tuple(u0)
-    if dot(u, base) < 0:
-        shift = next((row for row in snf.U[1:] if dot(row, base) != 0), None)
-        if shift is None:
-            # base is itself a multiple of w; the reversed functional works
-            u = tuple(-x for x in u0)
-        else:
-            if dot(shift, base) < 0:
-                shift = tuple(-x for x in shift)
-            need, step = -dot(u, base), dot(shift, base)
-            k = (need + step - 1) // step
-            u = tuple(a + k * b for a, b in zip(u, shift))
-    assert all(dot(u, v) >= 0 for v in support.vectors), "functional must stay non-negative"
-    assert abs(dot(u, w)) == 1, "functional must be unimodular along the line"
-    return u
-
-
-def _univariate_coeffs(p: SparsePoly):
-    """Dense coefficient list of a one-variable polynomial, low degree first."""
-    deg = 0 if p.is_zero() else max(e[0] for e in p.term_map())
-    out = [0] * (deg + 1)
-    for exp, c in p.term_map().items():
-        out[exp[0]] = c
-    return out
-
-
-def _u_divmod(num, den, p):
-    """Polynomial divmod of dense coefficient lists over GF(p), den monic-izable."""
-    num = list(num)
-    dden = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * (len(num) - dden) if len(num) > dden else [0]
-    for k in range(len(num) - 1, dden - 1, -1):
-        c = (num[k] * inv_lead) % p
-        if c:
-            quot[k - dden] = c
-            for i, d in enumerate(den):
-                num[k - dden + i] = (num[k - dden + i] - c * d) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _u_is_zero(coeffs) -> bool:
-    return all(c == 0 for c in coeffs)
-
-
-def _monic_candidates(degree, p):
-    """All monic dense polynomials of the given degree over GF(p)."""
-    lows = [[]]
-    for _ in range(degree):
-        lows = [low + [c] for low in lows for c in range(p)]
-    for low in lows:
-        yield low + [1]
-
-
-def _factor_univariate(poly: SparsePoly, p: int):
-    """Brute-force trial division over GF(p); returns (unit, [(factor, mult)]).
-
-    Monic candidate divisors are tried in increasing degree.  Candidate
-    degree is capped (TRIAL_DIVISOR_MAX_DEGREE); a remaining cofactor of
-    higher degree is reported as a single unsplit piece, which keeps
-    the product reconstruction exact.
-    """
-    assert not poly.is_zero()
-    ring = poly.ring
-    coeffs = _univariate_coeffs(poly)
-    factors = []
-    # monomial factors first: T with multiplicity = low-degree gap
-    shift = next(i for i, c in enumerate(coeffs) if c)
-    if shift:
-        factors.append((ring.variable("T"), shift))
-        coeffs = coeffs[shift:]
-    unit = coeffs[-1] % p
-    inv_unit = pow(unit, p - 2, p)
-    coeffs = [(c * inv_unit) % p for c in coeffs]
-    degree = 1
-    while 2 * degree <= len(coeffs) - 1 and degree <= TRIAL_DIVISOR_MAX_DEGREE:
-        for cand in _monic_candidates(degree, p):
-            if 2 * degree > len(coeffs) - 1:
-                break
-            mult = 0
-            while len(coeffs) - 1 >= degree:
-                quot, rem = _u_divmod(coeffs, cand, p)
-                if _u_is_zero(rem):
-                    mult += 1
-                    coeffs = quot
-                else:
-                    break
-            if mult:
-                fpoly = ring.from_terms(((i,), c) for i, c in enumerate(cand))
-                factors.append((fpoly, mult))
-        degree += 1
-    if len(coeffs) > 1:
-        fpoly = ring.from_terms(((i,), c) for i, c in enumerate(coeffs))
-        factors.append((fpoly, 1))
-    return unit, factors
-
-
-def line_case_factor(
-    inst: VandermondeInstance,
-    seed: int = 0,
-    max_degree: int = LINE_CASE_MAX_DEGREE,
-    max_attempts: int = 200,
-) -> LineCaseReport:
-    """Exhibit a factorization after specializing a collinear support.
-
-    Rows 2..N are specialized at random residues (nonzero ones for
-    p > 2), turning the determinant into a univariate polynomial in one
-    line parameter via substitute_monomial_map on row 1.  The last
-    minor must not vanish and the specialized support must keep degree
-    >= 2; failing draws are resampled.  Every specialized row is a root
-    of the univariate (two equal matrix rows), which is what forces the
-    split for p in {3, 5}.
-    """
-    p = inst.coeff_ring.characteristic
-    if p not in LINE_CASE_PRIMES:
-        raise ValueError(f"line-case factoring runs over GF(p) for p in {LINE_CASE_PRIMES}")
-    support = inst.support
-    if affine_dimension(support) != 1:
+    if affine_dimension(inst.support) != 1:
         raise ValueError("line-case factoring needs a support on an affine line")
-    reduced, _ = reduce_to_span_coordinates(support)
-    positions = tuple(v[0] for v in reduced.vectors)
-    if max(positions) > max_degree:
-        raise SizeCapError(
-            f"reduced line degree {max(positions)} exceeds the cap {max_degree}"
-        )
-    u = _line_functional(support, positions)
-
-    expansion = row_expansion(inst)
-    grid = inst.poly_ring()
-    tring = PolyRing(inst.coeff_ring, ("T",))
-    spec_vars = [grid_var(i, j) for i in range(2, inst.N + 1) for j in range(1, inst.n + 1)]
-    exp_matrix = [list(u) + [0] * ((inst.N - 1) * inst.n)]
-
-    rng = random.Random(seed)
-    for _ in range(max_attempts):
-        if p == 2:
-            point = {v: rng.randrange(2) for v in spec_vars}
-        else:
-            point = {v: rng.randrange(1, p) for v in spec_vars}
-        reference = expansion.minors[-1].evaluate(point)
-        if reference == 0:
-            continue
-        coeffs = [minor.evaluate(point) for minor in expansion.minors[:-1]] + [reference]
-        specialized = grid.zero()
-        for l in range(inst.N):
-            c = coeffs[l] if expansion.signs[l] == 0 else -coeffs[l]
-            specialized = specialized + grid.monomial(
-                _row1_exponents(inst, l), c
-            )
-        univariate = specialized.substitute_monomial_map(exp_matrix, tring)
-        if univariate.total_degree() < 2:
-            continue
-        unit, factors = _factor_univariate(univariate, p)
-        n_factors = sum(m for _, m in factors)
-        if n_factors < 2:
-            continue
-        check = tring.constant(unit)
-        for f, m in factors:
-            check = check * f**m
-        assert check == univariate, "factor product must reassemble the univariate"
-        return LineCaseReport(
-            prime=p,
-            specialization=point,
-            exponent_map=u,
-            line_positions=positions,
-            univariate=univariate,
-            factors=tuple(factors),
-            unit=unit,
-            n_factors=n_factors,
-        )
-    raise SpecializationUnluckyError(
-        f"no split-exhibiting specialization within {max_attempts} draws over GF({p})"
-    )
-
-
-def _row1_exponents(inst: VandermondeInstance, l: int) -> tuple:
-    exps = [0] * (inst.N * inst.n)
-    for j, e in enumerate(inst.support.vectors[l]):
-        exps[j] = e
-    return tuple(exps)
+    w, positions, binomial, quotient = collinear_witness(inst, vandermonde_determinant(inst))
+    return LineCaseReport(w=w, line_positions=positions, binomial=binomial, quotient=quotient)
 
 
 #### algebraic-independence evidence ####
@@ -485,6 +283,7 @@ POLYGON_UNKNOWN = "unknown"
 # The search's time and memory grow with the hull's lattice perimeter;
 # decomposability is NP-complete in general (Gao & Lauder 2001).
 POLYGON_MAX_PERIMETER = 128
+_ZERO, _FULL, _MIXED = 1, 2, 4
 
 
 @dataclass(frozen=True)
@@ -553,17 +352,26 @@ def polygon_indecomposability(support: Support) -> PolygonReport:
         raise SizeCapError(
             f"hull lattice perimeter {total} exceeds the polygon cap {POLYGON_MAX_PERIMETER}"
         )
-    reachable = {(0, 0): {0}}  # partial sum -> set of segment counts used
-    for prim, g in edges:
+    # Per partial sum, which kinds of choice reach it: every edge so far
+    # takes none of its segments (ZERO), every segment (FULL), or neither
+    # (MIXED).  The first edge seeds the table, because the empty choice
+    # is both ZERO and FULL.  A MIXED choice closing up at the origin is
+    # a proper nonempty summand.
+    (px, py), g0 = edges[0]
+    reachable = {(c * px, c * py): _ZERO if c == 0 else _FULL if c == g0 else _MIXED for c in range(g0 + 1)}
+    for (px, py), g in edges[1:]:
         nxt = {}
-        for (sx, sy), counts in reachable.items():
+        for (sx, sy), kinds in reachable.items():
             for c in range(g + 1):
-                key = (sx + c * prim[0], sy + c * prim[1])
-                bucket = nxt.setdefault(key, set())
-                bucket.update(k + c for k in counts)
+                grown = kinds & _MIXED
+                if kinds & _ZERO:
+                    grown |= _ZERO if c == 0 else _MIXED
+                if kinds & _FULL:
+                    grown |= _FULL if c == g else _MIXED
+                key = (sx + c * px, sy + c * py)
+                nxt[key] = nxt.get(key, 0) | grown
         reachable = nxt
-    closed_counts = reachable.get((0, 0), set())
-    decomposable = any(0 < k < total for k in closed_counts)
+    decomposable = bool(reachable.get((0, 0), 0) & _MIXED)
     return PolygonReport(
         status=POLYGON_DECOMPOSABLE if decomposable else POLYGON_INDECOMPOSABLE,
         hull=tuple(hull),

@@ -376,47 +376,7 @@ class SparsePoly:
         out = {tuple(x * q for x in exp): c for exp, c in self._terms.items()}
         return SparsePoly(self.ring, out, _canonical=True)
 
-    #### substitution and evaluation ####
-
-    def substitute_monomial_map(self, matrix, target_ring: PolyRing = None) -> "SparsePoly":
-        """Apply an integer matrix to every exponent vector.
-
-        ``matrix`` has one row per target variable and one column per
-        source variable; a term X^e maps to Z^(matrix . e) with the
-        coefficient kept.  Images with a negative exponent raise
-        NegativeExponentError.  When no target ring is given, a square
-        matrix reuses this ring and otherwise fresh variables Z_1..Z_m
-        are introduced.
-        """
-        matrix = [tuple(int(x) for x in row) for row in matrix]
-        k = self.ring.nvars
-        if any(len(row) != k for row in matrix):
-            raise ValueError("matrix column count must match the variable count")
-        m = len(matrix)
-        if target_ring is None:
-            if m == k:
-                target_ring = self.ring
-            else:
-                target_ring = PolyRing(self.ring.coeff_ring, [f"Z_{i}" for i in range(1, m + 1)])
-        else:
-            if target_ring.nvars != m:
-                raise RingMismatchError("target ring size does not match matrix rows")
-            if target_ring.coeff_ring != self.ring.coeff_ring:
-                raise RingMismatchError("target ring has a different coefficient ring")
-        char = target_ring.characteristic
-        out = {}
-        for exp, c in self._terms.items():
-            img = tuple(sum(row[j] * exp[j] for j in range(k)) for row in matrix)
-            if any(x < 0 for x in img):
-                raise NegativeExponentError(f"term {exp} maps to negative exponents {img}")
-            acc = out.get(img, 0) + c
-            if char:
-                acc %= char
-            if acc:
-                out[img] = acc
-            elif img in out:
-                del out[img]
-        return SparsePoly(target_ring, out, _canonical=True)
+    #### evaluation ####
 
     def evaluate(self, assignment):
         """Value at a point; keys are variable names.

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import gvand
 from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
+from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
 TRIANGLE = {"n": 2, "exponents": [[0, 0], [1, 0], [0, 1]]}
@@ -125,7 +126,7 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
     "command, exponents",
     [
         ("expand", [[k] for k in range(10)]),
-        ("verify", [[k, 2 * k] for k in range(10)]),  # collinear: the line oracle expands
+        ("verify", [[k, 2 * k] for k in range(10)]),  # collinear: the binomial witness expands
     ],
 )
 def test_expansion_cap_beyond_memory(support_file, command, exponents):
@@ -274,7 +275,7 @@ def test_verify_runs_tropical_once(support_file, capsys, monkeypatch):
     "exponents, char",
     [
         ([[k, 2 * k] for k in range(8)], 3),  # N - 1 = 7 rows outnumber the 2 nonzero residues of GF(3)
-        ([[0, 0], [1, 1], [25, 25]], 0),  # past the line oracle's degree cap of 24
+        ([[0, 0], [1, 1], [25, 25]], 0),  # reduced line degree 25: the division needs no degree cap
     ],
 )
 def test_verify_collinear_finishes(support_file, exponents, char):
@@ -308,6 +309,28 @@ def test_verify_collinear_refuses_a_dropped_term(support_file, capsys, monkeypat
     checks = {c["name"]: c for c in payload["verification"]["checks"]}
     assert checks["line_split"]["holds"] is False
     assert "does not divide" in checks["line_split"]["detail"]
+
+
+def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch):
+    support = {"n": 1, "exponents": [[0], [1], [3], [4], [7]]}
+    expansions = []
+    original = vandermonde.row_expansion
+
+    def counting(inst, *args, **kwargs):
+        expansions.append(inst.support)
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(vandermonde, "row_expansion", counting)
+    code, out, err = _run(capsys, ["verify", "--input", support_file(support), "--char", "0"])
+    assert code == 0 and err == ""
+    assert len(expansions) == 1  # the classical oracle's, reused by the collinear witness
+    payload = json.loads(out)
+    assert payload["certificate"]["verdict"] == "collinear_split"
+    # the same report as a certificate check that expands for itself
+    inst = vandermonde.VandermondeInstance(gvand.Support.from_json(support))
+    cert = irreducibility.decide(inst.support, irreducibility.FieldSpec(0))
+    assert payload["verification"] == irreducibility.verify_certificate(inst, cert)
+    assert len(expansions) == 2
 
 
 def test_verify_single_coordinate_runs_classical(support_file, capsys):
@@ -355,17 +378,40 @@ def test_oracle_line(support_file, capsys):
         capsys, ["oracle", "--check", "line", "--input", support_file(LINE), "--char", "3"]
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["report"]["ok"] is True
-    assert payload["report"]["n_factors"] >= 2
+    report = json.loads(out)["report"]
+    assert report["ok"] is True
+    assert report["w"] == [1, 1] and report["line_positions"] == [0, 1, 2]
+    assert report["binomial"] == [
+        {"coeff": "1", "monomial": {"X_1_1": 1, "X_1_2": 1}},
+        {"coeff": "2", "monomial": {"X_2_1": 1, "X_2_2": 1}},
+    ]
+    assert report["quotient_terms"] == 4
 
 
 def test_oracle_line_needs_small_prime(support_file, capsys):
-    code, _, err = _run(
-        capsys, ["oracle", "--check", "line", "--input", support_file(LINE), "--char", "7"]
+    # the binomial division needs no small prime: it runs in every characteristic
+    for char in ("7", "0"):
+        code, out, err = _run(
+            capsys, ["oracle", "--check", "line", "--input", support_file(LINE), "--char", char]
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["report"]["ok"] is True
+
+
+def test_oracle_line_splits_at_n8_over_gf3(support_file):
+    # seven rows to specialize and two nonzero residues in GF(3): no
+    # evaluation point exhibits this split, and the division needs none
+    line = {"n": 2, "exponents": [[k, 2 * k] for k in range(8)]}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "line", "--input", support_file(line), "--char", "3"],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
-    assert code == 2
-    assert "char" in err
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)["report"]
+    assert report["ok"] is True and report["w"] == [1, 2]
 
 
 def test_oracle_jacobian(support_file, capsys):
@@ -394,6 +440,29 @@ def test_oracle_polygon_perimeter_cap(support_file, capsys):
 
 
 #### exit code 2: malformed input and caps ####
+
+
+class _NarrowCap(SizeCapError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (SizeCapError("over the cap"), 2, "error: "),
+        (_NarrowCap("a subclass is still a cap"), 2, "error: "),
+        (DegenerateSupportError("too flat"), 2, "error: "),
+        (AllPointsSingularError("every point singular"), 1, "inconclusive: "),
+    ],
+    ids=["cap", "cap-subclass", "degenerate", "singular"],
+)
+def test_run_maps_library_errors_by_class(support_file, capsys, monkeypatch, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide", fail)
+    rc, out, err = _run(capsys, ["decide", "--input", support_file(TRIANGLE)])
+    assert (rc, out, err) == (code, "", f"{prefix}{exc}\n")
 
 
 def test_missing_file_is_input_error(capsys):

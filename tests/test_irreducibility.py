@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_support
+from gvand import irreducibility
 from gvand.errors import CertificateMismatchError
 from gvand.exponents import Support, affine_dimension, componentwise_min, d_gamma
 from gvand.irreducibility import (
@@ -18,6 +19,7 @@ from gvand.irreducibility import (
     decide,
     verify_certificate,
 )
+from gvand.poly import SparsePoly
 from gvand.rings import GF, ZZ
 from gvand.vandermonde import VandermondeInstance
 
@@ -180,11 +182,24 @@ def test_verify_irreducible_and_collinear_do_not_expand(monkeypatch):
     _, report = _verify([(0, 0), (1, 0), (0, 1)], 2, 0)
     assert report["verdict"] == VERDICT_IRREDUCIBLE
     monkeypatch.undo()
-    # the collinear witness is one exact division, not the line oracle's specialization
-    monkeypatch.setattr("gvand.oracle.line_case_factor", refuse)
+    # the collinear witness is one expansion and one exact division
+    calls = []
+    expand, divide = irreducibility.vandermonde_determinant, SparsePoly.exact_divide
+
+    def counted_expand(inst):
+        calls.append("expand")
+        return expand(inst)
+
+    def counted_divide(num, den):
+        calls.append("divide")
+        return divide(num, den)
+
+    monkeypatch.setattr(irreducibility, "vandermonde_determinant", counted_expand)
+    monkeypatch.setattr(SparsePoly, "exact_divide", counted_divide)
     _, report = _verify([(0,), (1,), (2,), (3,)], 1, 0, seed=5)
     assert report["verdict"] == VERDICT_COLLINEAR
     assert report["ok"] is True
+    assert calls == ["expand", "divide"]
 
 
 def test_verify_collinear_falls_back_to_a_luckier_prime():

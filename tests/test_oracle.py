@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import math
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import classical_reassembles
-from gvand.errors import DegenerateSupportError, SizeCapError, SpecializationUnluckyError
-from gvand.exponents import Support
+from gvand import cli
+from gvand.errors import DegenerateSupportError, SizeCapError
+from gvand.exponents import Support, affine_dimension
 from gvand.oracle import (
     POLYGON_DECOMPOSABLE,
     POLYGON_INDECOMPOSABLE,
@@ -78,83 +86,116 @@ def test_classical_requires_one_coordinate():
         classical_divisibility_check(Support(2, ((0, 0), (1, 1))))
 
 
-#### collinear-case specialized factoring ####
+#### collinear binomial split ####
 
 
-def _reassemble(report):
-    ring = report.univariate.ring
-    product = ring.constant(report.unit)
-    for f, m in report.factors:
-        product = product * f**m
-    return product
+def _reassembles(inst, report):
+    return report.binomial * report.quotient == vandermonde_determinant(inst)
 
 
 @pytest.mark.parametrize("char", [2, 3, 5])
 def test_line_case_splits_staircase(char):
     inst = _inst([(0,), (1,), (2,)], 1, char)
-    report = line_case_factor(inst, seed=0)
-    assert report.prime == char
-    assert report.n_factors >= 2
+    report = line_case_factor(inst)
+    assert report.splits
+    assert report.w == (1,)
     assert report.line_positions == (0, 1, 2)
-    assert _reassemble(report) == report.univariate
+    assert _reassembles(inst, report)
     json.dumps(report.to_json())
 
 
 def test_line_case_diagonal_support():
     inst = _inst([(0, 0), (1, 1), (2, 2)], 2, 5)
-    report = line_case_factor(inst, seed=0)
-    assert report.n_factors >= 2
-    assert _reassemble(report) == report.univariate
+    report = line_case_factor(inst)
+    assert report.splits and report.w == (1, 1)
+    assert _reassembles(inst, report)
 
 
 def test_line_case_shifted_base():
-    # base point (1, 2) is not a multiple of the direction (1, 1)
+    # base point (1, 2) is not a multiple of the direction (1, 1), and
+    # the content x^(1, 2) does not stop the binomial from dividing
     inst = _inst([(1, 2), (2, 3), (3, 4)], 2, 3)
-    report = line_case_factor(inst, seed=0)
-    assert report.n_factors >= 2
-    assert _reassemble(report) == report.univariate
+    report = line_case_factor(inst)
+    assert report.splits
+    assert _reassembles(inst, report)
 
 
 def test_line_case_base_on_direction():
     # base point (1, 1) is a multiple of the direction (1, 1)
     inst = _inst([(1, 1), (2, 2), (4, 4)], 2, 5)
-    report = line_case_factor(inst, seed=0)
-    assert report.n_factors >= 2
-    assert _reassemble(report) == report.univariate
+    report = line_case_factor(inst)
+    assert report.splits and report.line_positions == (0, 1, 3)
+    assert _reassembles(inst, report)
 
 
 def test_line_case_sparse_line():
     inst = _inst([(0,), (2,), (5,)], 1, 5)
-    report = line_case_factor(inst, seed=1)
+    report = line_case_factor(inst)
     assert report.line_positions == (0, 2, 5)
-    assert report.n_factors >= 2
+    assert report.splits and _reassembles(inst, report)
 
 
 def test_line_case_unlucky_small_field():
-    # over GF(3) every nonzero square is 1, so the reference minor
-    # x_3_1^2 - x_2_1^2 vanishes at every torus point and no
-    # specialization can exhibit the split
+    # over GF(3) every nonzero square is 1, so the minor x_3_1^2 - x_2_1^2
+    # vanishes on the whole torus and no evaluation point there exhibits
+    # the split; the binomial division needs no point
     inst = _inst([(0,), (2,), (5,)], 1, 3)
-    with pytest.raises(SpecializationUnluckyError):
-        line_case_factor(inst, seed=1, max_attempts=50)
+    report = line_case_factor(inst)
+    assert report.splits and _reassembles(inst, report)
 
 
 def test_line_case_input_validation():
     with pytest.raises(ValueError):
         line_case_factor(_inst([(0, 0), (1, 0), (0, 1)], 2, 3))
-    with pytest.raises(ValueError):
-        line_case_factor(_inst([(0,), (1,), (2,)], 1, 0))
-    with pytest.raises(ValueError):
-        line_case_factor(_inst([(0,), (1,), (2,)], 1, 7))
     with pytest.raises(SizeCapError):
-        line_case_factor(_inst([(0,), (25,), (50,)], 1, 3))
+        line_case_factor(_inst([(k,) for k in range(10)], 1, 3))
+    # no prime, characteristic or line-degree restriction
+    for inst in (_inst([(0,), (1,), (2,)], 1, 0), _inst([(0,), (1,), (2,)], 1, 7), _inst([(0,), (25,), (50,)], 1, 3)):
+        assert line_case_factor(inst).splits
+
+
+def test_line_case_two_point_lines():
+    # N = 2 with positions 0 and 1: the determinant is the binomial itself
+    report = line_case_factor(_inst([(0,), (1,)], 1, 0))
+    assert report.quotient.total_degree() == 0 and not report.splits
+    # positions 0 and 3: X_2_1^3 - X_1_1^3 is a genuine split
+    assert line_case_factor(_inst([(0,), (3,)], 1, 0)).splits
 
 
 def test_line_case_deterministic():
     inst = _inst([(0,), (1,), (3,)], 1, 5)
-    a = line_case_factor(inst, seed=9).to_json()
-    b = line_case_factor(inst, seed=9).to_json()
+    a = line_case_factor(inst).to_json()
+    b = line_case_factor(inst).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@st.composite
+def collinear_instances(draw):
+    """N = 3..6 points on a lattice line in NN^n, n <= 3, content allowed."""
+    n = draw(st.integers(1, 3))
+    w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    g = math.gcd(*w)
+    w = [x // g for x in w]
+    positions = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5, unique=True))
+    positions = [0] + positions
+    base = [max(0, -min(k * x for k in positions)) + draw(st.integers(0, 1)) for x in w]
+    vectors = [tuple(b + k * x for b, x in zip(base, w)) for k in positions]
+    vectors = draw(st.permutations(vectors))
+    return _inst(vectors, n, draw(st.sampled_from([0, 2, 3, 5])))
+
+
+@given(collinear_instances())
+@settings(max_examples=80, deadline=None)
+def test_line_case_splits_every_collinear_support(inst):
+    report = line_case_factor(inst)
+    assert report.splits
+    assert _reassembles(inst, report)
+    stdin = io.StringIO(json.dumps(inst.support.to_json()))
+    out = io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out):
+        code = cli.main(["oracle", "--check", "line", "--char", str(inst.coeff_ring.characteristic)])
+    assert code == 0
+    assert json.loads(out.getvalue())["report"]["ok"] is True
 
 
 #### algebraic-independence evidence ####
@@ -239,3 +280,24 @@ def test_polygon_out_of_scope_dimensions():
     assert report.status == POLYGON_UNKNOWN
     with pytest.raises(DegenerateSupportError):
         polygon_indecomposability(Support(2, ((0, 0), (1, 1), (2, 2))))
+
+
+def _brute_force_decomposable(edges) -> bool:
+    total = sum(g for _, g in edges)
+    for counts in product(*(range(g + 1) for _, g in edges)):
+        if 0 < sum(counts) < total and all(
+            sum(c * prim[k] for c, (prim, _) in zip(counts, edges)) == 0 for k in (0, 1)
+        ):
+            return True
+    return False
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=6, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_polygon_search_matches_sub_multiset_enumeration(points):
+    support = Support(2, tuple(points))
+    if affine_dimension(support) < 2:
+        return
+    report = polygon_indecomposability(support)
+    expected = POLYGON_DECOMPOSABLE if _brute_force_decomposable(report.edges) else POLYGON_INDECOMPOSABLE
+    assert report.status == expected

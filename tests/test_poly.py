@@ -218,41 +218,6 @@ def test_frobenius_root_higher_order():
     assert p.frobenius_root(2).term_map() == {(1, 0): 1, (0, 1): 1}
 
 
-def test_substitute_monomial_map_collapses_variables():
-    # x -> t, y -> t^2 via the 1x2 exponent matrix
-    p = SparsePoly(RXY, {(1, 0): 1, (0, 1): 1})
-    image = p.substitute_monomial_map([[1, 2]])
-    assert image.ring.variables == ("Z_1",)
-    assert image.term_map() == {(1,): 1, (2,): 1}
-
-
-def test_substitute_monomial_map_merges_and_cancels():
-    # both terms land on t^2 with opposite signs
-    p = SparsePoly(RXY, {(2, 0): 1, (0, 1): -1})
-    assert p.substitute_monomial_map([[1, 2]]).is_zero()
-
-
-def test_substitute_monomial_map_square_reuses_ring():
-    p = SparsePoly(RXY, {(1, 1): 5})
-    image = p.substitute_monomial_map([[1, 1], [0, 1]])
-    assert image.ring == RXY
-    assert image.term_map() == {(2, 1): 5}
-
-
-def test_substitute_monomial_map_rejects_negative_images():
-    p = SparsePoly(RXY, {(1, 0): 1})
-    with pytest.raises(NegativeExponentError):
-        p.substitute_monomial_map([[-1, 0]])
-
-
-@given(small_polys(), small_polys())
-def test_substitute_monomial_map_is_multiplicative(a, b):
-    matrix = [[1, 2], [0, 1]]
-    lhs = (a * b).substitute_monomial_map(matrix)
-    rhs = a.substitute_monomial_map(matrix) * b.substitute_monomial_map(matrix)
-    assert lhs == rhs
-
-
 def test_evaluate_integer_and_fraction_points():
     p = SparsePoly(RXY, {(2, 0): 1, (0, 1): -3})
     assert p.evaluate({"x": 2, "y": 1}) == 1
