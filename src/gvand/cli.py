@@ -213,8 +213,11 @@ def _cmd_verify(config: RunConfig) -> int:
     }
     # one tropical decision serves the certificate check and the agreement oracle
     tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
-    # and over ZZ one expansion serves the classical oracle and the certificate check
-    det = classical["determinant"] if classical is not None and config.characteristic == 0 else None
+    # and one expansion serves the classical oracle and the certificate check: the ZZ
+    # determinant has coefficients +-1, so its reduction mod p is the GF(p) determinant
+    det = None if classical is None else classical["determinant"]
+    if det is not None and config.characteristic:
+        det = SparsePoly(inst.poly_ring(), det.term_map())
     failed = False
     try:
         payload["verification"] = verify_certificate(

@@ -1,8 +1,10 @@
 """Small exact linear-algebra helpers over the integers and rationals.
 
-Matrices are lists (or tuples) of equal-length rows.  Integer routines
-use fraction-free Bareiss elimination; rational ones use plain Gaussian
-elimination over Fraction.
+Matrices are lists (or tuples) of equal-length rows.  Integer routines,
+including the affine solve behind the tropical witness search, use
+fraction-free Bareiss elimination and return rational results as integer
+numerators over one common denominator; fraction_rank uses plain
+Gaussian elimination over Fraction.
 """
 
 from fractions import Fraction
@@ -70,29 +72,45 @@ def fraction_rank(rows) -> int:
 
 
 def solve_affine(points, values):
-    """Affine function through the given graph points, or None.
+    """Affine function through the given integer graph points, or None.
 
     Solves a . x + b = value for every (point, value) pair, where the
-    points are m-tuples and there are exactly m + 1 of them.  Returns
-    (a, b) with Fraction entries, or None when the points are affinely
-    dependent (the system is singular).
+    points are m-tuples of ints, the values are ints, and there are
+    exactly m + 1 pairs.  Bareiss elimination on the rows
+    [point | 1 | value] and fraction-free back substitution give
+    (nums, den) with den > 0, a_j = nums[j] / den and b = nums[m] / den.
+    Returns None when the points are affinely dependent (the system is
+    singular).
     """
     m = len(points[0])
     assert len(points) == m + 1
-    aug = []
-    for pt, val in zip(points, values):
-        aug.append([Fraction(x) for x in pt] + [Fraction(1), Fraction(val)])
     n = m + 1
+    aug = [[*pt, 1, val] for pt, val in zip(points, values)]
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    sol = [aug[i][n] for i in range(n)]
-    return tuple(sol[:m]), sol[m]
+        top = aug[col]
+        p = top[col]
+        for i in range(col + 1, n):
+            row = aug[i]
+            c = row[col]
+            for j in range(col + 1, n + 1):
+                # Bareiss step: the division by the previous pivot is exact
+                row[j] = (p * row[j] - c * top[j]) // prev
+            row[col] = 0
+        prev = p
+    # prev = det of the row-permuted system; by Cramer's rule every
+    # prev * x_i is an integer, so each back-substitution division is exact
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = prev * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * nums[j]
+        nums[i] = acc // row[i]
+    if prev < 0:
+        return [-x for x in nums], -prev
+    return nums, prev

@@ -10,11 +10,17 @@ irreducibility holds exactly when the span, content, and scale (d = 1)
 conditions all pass; the witness exhibits multiplicity gcd d in the
 reducible scaled case.
 
-Every rational quantity is exact (Fraction); given the same support and
-seed the whole construction is deterministic.
+Every rational quantity is exact.  The subdivision search and its
+re-check run on integers: the lifting is scaled to integers by the lcm
+of its denominators, each candidate plane is solved fraction-free as
+integer numerators over one denominator, and every above/on-plane test
+is an integer comparison.  Fractions are built only for the lifting
+values and the witness planes of the cells kept.  Given the same
+support and seed the whole construction is deterministic.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,14 +167,16 @@ class TropicalCertificate:
 
 
 def _paraboloid_values(support: Support, eps) -> tuple:
-    last = support.vectors[-1]
-    values = []
-    for v, row in zip(support.vectors, eps):
-        total = Fraction(0)
-        for j in range(support.n):
-            total += (Fraction(v[j]) + row[j]) ** 2 - Fraction(last[j]) ** 2
-        values.append(total)
-    return tuple(values)
+    """sum_j (v_j + e_j)^2 - last_j^2 per vector v, with e_j = eps[v][j] / LIFT_DENOMINATOR.
+
+    Each value is one integer over LIFT_DENOMINATOR**2.
+    """
+    den = LIFT_DENOMINATOR
+    base = sum((x * den) ** 2 for x in support.vectors[-1])
+    return tuple(
+        Fraction(sum((x * den + e) ** 2 for x, e in zip(v, row)) - base, den * den)
+        for v, row in zip(support.vectors, eps)
+    )
 
 
 def _covers_all_points(sub: RegularSubdivision, n_points: int) -> bool:
@@ -189,10 +197,7 @@ def _witness(support: Support, seed: int, max_retries: int):
     """
     rng = random.Random(seed)
     for attempt in range(1, max_retries + 1):
-        eps = [
-            [Fraction(rng.randint(1, EPS_MAX_NUMERATOR), LIFT_DENOMINATOR) for _ in range(support.n)]
-            for _ in range(support.N)
-        ]
+        eps = [[rng.randint(1, EPS_MAX_NUMERATOR) for _ in range(support.n)] for _ in range(support.N)]
         lifting = Lifting(values=_paraboloid_values(support, eps), seed=seed, attempts=attempt)
         sub = regular_subdivision(support, lifting)
         if sub.simplicial and _covers_all_points(sub, support.N):
@@ -207,12 +212,21 @@ def delaunay_lifting(support: Support, seed: int = 0, max_retries: int = DEFAULT
     return _witness(support, seed, max_retries)[0]
 
 
+def _integer_lift(values):
+    """(scale, ints): scale is the lcm of the denominators, ints[t] = values[t] * scale."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivision:
     """Lower-hull subdivision of the support induced by the lifting.
 
     Brute-force witness search: every (m+1)-subset of support points
     that spans an affine plane lying weakly below all lifted points
-    contributes the cell given by the plane's equality set.
+    contributes the cell given by the plane's equality set.  The search
+    runs on the integer lifting ints = values * scale: a plane solved as
+    (nums, den) lies weakly below point t iff
+    nums . point + nums[m] <= den * ints[t].
     """
     if affine_dimension(support) != support.n:
         raise DegenerateSupportError(
@@ -224,43 +238,61 @@ def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivisio
     points = support.vectors
     values = lifting.values
     assert len(values) == len(points), "one lifting value per support vector"
+    scale, lifted = _integer_lift(values)
     found = {}
     for subset in combinations(range(len(points)), m + 1):
-        plane = solve_affine([points[i] for i in subset], [values[i] for i in subset])
+        plane = solve_affine([points[i] for i in subset], [lifted[i] for i in subset])
         if plane is None:
             continue
-        normal, offset = plane
+        nums, den = plane
+        normal, offset = nums[:m], nums[m]
         below = True
         cell_verts = []
         for t, pt in enumerate(points):
-            val = sum(a * x for a, x in zip(normal, pt)) + offset
-            if val > values[t]:
+            val = sum(map(operator.mul, normal, pt)) + offset
+            bound = den * lifted[t]
+            if val > bound:
                 below = False
                 break
-            if val == values[t]:
+            if val == bound:
                 cell_verts.append(t)
         if not below:
             continue
         key = tuple(cell_verts)
         if key not in found:
-            found[key] = Cell(vertices=key, normal=normal, offset=offset)
+            den *= scale
+            found[key] = Cell(
+                vertices=key,
+                normal=tuple(Fraction(a, den) for a in normal),
+                offset=Fraction(offset, den),
+            )
     cells = tuple(found[k] for k in sorted(found))
     simplicial = bool(cells) and all(len(c.vertices) == m + 1 for c in cells)
     return RegularSubdivision(ambient_dim=m, cells=cells, simplicial=simplicial)
 
 
 def verify_subdivision(support: Support, lifting: Lifting, sub: RegularSubdivision) -> dict:
-    """Re-check every cell witness; returns {'ok': bool, 'failures': [...]}."""
+    """Re-check every cell witness; returns {'ok': bool, 'failures': [...]}.
+
+    Each cell's plane and the lifting are compared as integers over
+    their common denominator.
+    """
     failures = []
     m = sub.ambient_dim
     points = support.vectors
+    scale, lifted = _integer_lift(lifting.values)
     for idx, cell in enumerate(sub.cells):
+        coeffs = (*cell.normal, cell.offset)
+        den = math.lcm(scale, *(c.denominator for c in coeffs))
+        *normal, offset = (c.numerator * (den // c.denominator) for c in coeffs)
+        k = den // scale
         on_plane = []
         for t, pt in enumerate(points):
-            val = sum(a * x for a, x in zip(cell.normal, pt)) + cell.offset
-            if val > lifting.values[t]:
+            val = sum(map(operator.mul, normal, pt)) + offset
+            bound = k * lifted[t]
+            if val > bound:
                 failures.append(f"cell {idx}: witness plane is above lifted point {t}")
-            elif val == lifting.values[t]:
+            elif val == bound:
                 on_plane.append(t)
         if tuple(on_plane) != cell.vertices:
             failures.append(f"cell {idx}: equality set {on_plane} != vertices {list(cell.vertices)}")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,6 +54,27 @@ def integer_det(rows) -> int:
             a[i][col] = 0
         prev = a[col][col]
     return sign * a[n - 1][n - 1]
+
+
+def fraction_solve_affine(points, values):
+    """Reference for linalg.solve_affine: Gauss-Jordan over Fraction on [point | 1 | value].
+
+    Returns (a, b) with a a tuple of Fractions, or None when singular.
+    """
+    n = len(points)
+    aug = [[Fraction(x) for x in pt] + [Fraction(1), Fraction(v)] for pt, v in zip(points, values)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col:
+                c = aug[i][col]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
+    sol = [row[n] for row in aug]
+    return tuple(sol[:-1]), sol[-1]
 
 
 def row_support(p, inst, row: int = 1) -> set:

@@ -5,10 +5,14 @@ table; a name missing from gvand would break the benchmark run, so it
 fails here first.  The benchmark's expand check compares a digest of
 expand's output bytes with perfbench/expand_digests.json; an encoder
 change that moves one byte fails here too, not only in the benchmark's
-ok_rate.  The benchmark files are only read, never changed.
+ok_rate.  The tropical certificate has the same guard: digests of
+`tropical` output over the benchmark's classify supports, recorded in
+tests/data/tropical_digests.json.  The benchmark files are only read,
+never changed.
 """
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -19,6 +23,7 @@ from pathlib import Path
 from gvand import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _load(name):
@@ -55,3 +60,19 @@ def test_expand_output_matches_the_recorded_digests(monkeypatch):
             rc = cli.main(["expand", "--char", str(op["char"])])
         assert rc == 0 and err.getvalue() == ""
         assert checks.expand_digest(out.getvalue()) == digests[corpus.expand_key(op)], op
+
+
+def test_tropical_output_matches_the_recorded_digests(monkeypatch):
+    corpus = _load("corpus")
+    digests = json.loads((DATA / "tropical_digests.json").read_text())
+    ops = [op for op in corpus.classify_ops(1) if op["command"] == "tropical"]
+    assert len(ops) > 100
+    for seed in (0, 7):
+        for op in ops:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(["tropical", "--seed", str(seed)])
+            assert rc == 0 and err.getvalue() == ""
+            key = f"{seed}|{json.dumps(op['support'], separators=(',', ':'))}"
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key

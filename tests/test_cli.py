@@ -311,7 +311,7 @@ def test_verify_collinear_refuses_a_dropped_term(support_file, capsys, monkeypat
     assert "does not divide" in checks["line_split"]["detail"]
 
 
-def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch):
+def _verify_expands_once(char, support_file, capsys, monkeypatch):
     support = {"n": 1, "exponents": [[0], [1], [3], [4], [7]]}
     expansions = []
     original = vandermonde.row_expansion
@@ -321,16 +321,26 @@ def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch
         return original(inst, *args, **kwargs)
 
     monkeypatch.setattr(vandermonde, "row_expansion", counting)
-    code, out, err = _run(capsys, ["verify", "--input", support_file(support), "--char", "0"])
+    code, out, err = _run(capsys, ["verify", "--input", support_file(support), "--char", str(char)])
     assert code == 0 and err == ""
     assert len(expansions) == 1  # the classical oracle's, reused by the collinear witness
     payload = json.loads(out)
     assert payload["certificate"]["verdict"] == "collinear_split"
     # the same report as a certificate check that expands for itself
-    inst = vandermonde.VandermondeInstance(gvand.Support.from_json(support))
-    cert = irreducibility.decide(inst.support, irreducibility.FieldSpec(0))
+    field = irreducibility.FieldSpec(char)
+    inst = vandermonde.VandermondeInstance(gvand.Support.from_json(support), field.ring)
+    cert = irreducibility.decide(inst.support, field)
     assert payload["verification"] == irreducibility.verify_certificate(inst, cert)
     assert len(expansions) == 2
+
+
+def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch):
+    _verify_expands_once(0, support_file, capsys, monkeypatch)
+
+
+def test_verify_expands_once_over_gf_p(support_file, capsys, monkeypatch):
+    # the classical oracle's ZZ determinant, reduced mod 3, serves the GF(3) check
+    _verify_expands_once(3, support_file, capsys, monkeypatch)
 
 
 def test_verify_single_coordinate_runs_classical(support_file, capsys):

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import integer_det, mat_mul
+from conftest import fraction_solve_affine, integer_det, mat_mul
 from gvand.linalg import fraction_rank, identity, integer_rank, solve_affine, vec_mat
 from gvand.rings import GF, ZZ, CoefficientRing, is_prime
 
@@ -101,7 +101,38 @@ def test_mat_mul_identity():
 
 
 def test_solve_linear_and_affine():
-    normal, offset = solve_affine([(0, 0), (1, 0), (0, 1)], [1, 3, 5])
-    assert normal == (Fraction(2), Fraction(4))
-    assert offset == Fraction(1)
+    nums, den = solve_affine([(0, 0), (1, 0), (0, 1)], [1, 3, 5])
+    assert den > 0
+    assert [Fraction(x, den) for x in nums] == [2, 4, 1]
     assert solve_affine([(0, 0), (1, 1), (2, 2)], [0, 1, 2]) is None
+
+
+@st.composite
+def _affine_systems(draw):
+    m = draw(st.integers(1, 4))
+    coords = st.integers(-3, 3)  # a small box, so singular systems come up often
+    points = draw(st.lists(st.tuples(*[coords] * m), min_size=m + 1, max_size=m + 1))
+    values = draw(st.lists(st.integers(-(2**70), 2**70), min_size=m + 1, max_size=m + 1))
+    return points, values
+
+
+@given(_affine_systems())
+@example(([(0, 0), (1, 0), (0, 1)], [1, 3, 5]))  # zero leading pivot: a row swap
+@example(([(1, 0), (0, 0), (0, 1)], [7, -2, 9]))  # negative determinant
+@example(([(0, 1), (1, 0), (0, 0)], [-1, 4, 0]))  # swap and negative determinant
+@example(([(0, 0), (1, 1), (2, 2)], [0, 1, 5]))  # collinear: singular
+@example(([(1, 2, 0), (1, 2, 0), (0, 0, 1), (3, 1, 1)], [0, 0, 0, 1]))  # repeated point
+@example(([(2,), (2,)], [1, 2]))  # singular, m = 1
+def test_solve_affine_matches_the_fraction_reference(system):
+    points, values = system
+    ref = fraction_solve_affine(points, values)
+    got = solve_affine(points, values)
+    if ref is None:
+        assert got is None
+        return
+    nums, den = got
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(x, int) for x in nums)
+    a, b = ref
+    assert tuple(Fraction(x, den) for x in nums[:-1]) == a
+    assert Fraction(nums[-1], den) == b

@@ -1,16 +1,21 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import zero_min_wide_corpus
+from conftest import fraction_solve_affine, zero_min_wide_corpus
 from gvand.errors import DegenerateSupportError, NotSimplicialError
-from gvand.exponents import Support, d_gamma, reduce_to_span_coordinates
+from gvand.exponents import Support, affine_dimension, d_gamma, reduce_to_span_coordinates
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
     TROPICAL_REDUCIBLE,
+    Cell,
     Lifting,
+    RegularSubdivision,
     balancing_check,
     combinatorics,
     decide_tropical_irreducibility,
@@ -59,6 +64,72 @@ def test_verify_subdivision_catches_doctoring():
     report = verify_subdivision(UNIT_SQUARE, lifting, doctored)
     assert not report["ok"]
     assert report["failures"]
+
+
+def test_verify_subdivision_checks_on_the_common_denominator():
+    # lowering one plane by less than any lifting denominator resolves leaves it
+    # below every point, so only the equality set fails
+    lifting = _flat_lifting([0, 0, 0, Fraction(1, 7)])
+    sub = regular_subdivision(UNIT_SQUARE, lifting)
+    cell = sub.cells[0]
+    bad = Cell(vertices=cell.vertices, normal=cell.normal, offset=cell.offset - Fraction(1, 3 * 2**64))
+    doctored = RegularSubdivision(ambient_dim=2, cells=(bad,) + sub.cells[1:], simplicial=True)
+    report = verify_subdivision(UNIT_SQUARE, lifting, doctored)
+    assert report["failures"] == ["cell 0: equality set [] != vertices [0, 1, 2]"]
+
+
+def _fraction_subdivision(support, lifting):
+    """Reference: the lower-hull subset search evaluated in Fraction arithmetic."""
+    m = support.n
+    points, values = support.vectors, lifting.values
+    found = {}
+    for subset in combinations(range(len(points)), m + 1):
+        plane = fraction_solve_affine([points[i] for i in subset], [values[i] for i in subset])
+        if plane is None:
+            continue
+        normal, offset = plane
+        vals = [sum(a * x for a, x in zip(normal, pt)) + offset for pt in points]
+        if any(v > lift for v, lift in zip(vals, values)):
+            continue
+        key = tuple(t for t, (v, lift) in enumerate(zip(vals, values)) if v == lift)
+        found.setdefault(key, Cell(vertices=key, normal=normal, offset=offset))
+    cells = tuple(found[k] for k in sorted(found))
+    simplicial = bool(cells) and all(len(c.vertices) == m + 1 for c in cells)
+    return RegularSubdivision(ambient_dim=m, cells=cells, simplicial=simplicial)
+
+
+@st.composite
+def _lifted_supports(draw):
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 8))
+    coords = st.integers(0, 4 if n > 1 else 12)
+    vecs = draw(st.lists(st.tuples(*[coords] * n), min_size=N, max_size=N, unique=True))
+    support, _ = reduce_to_span_coordinates(Support(n, tuple(vecs)))
+    # small numerators make flat, non-simplicial cells common
+    dens = st.sampled_from((1, 3, 7, 2**64))
+    values = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-3, 3), dens), min_size=support.N, max_size=support.N
+        )
+    )
+    return support, Lifting(values=tuple(values), seed=0, attempts=1)
+
+
+@given(_lifted_supports())
+@example((UNIT_SQUARE, _flat_lifting([0, 0, 0, 0])))
+@example((UNIT_SQUARE, _flat_lifting([Fraction(1, 3), Fraction(1, 7), 0, Fraction(-4, 21)])))
+@example(
+    (
+        Support(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
+        _flat_lifting([0, Fraction(1, 2**64), Fraction(-2, 7), Fraction(1, 3), 0]),
+    )
+)
+def test_regular_subdivision_matches_the_fraction_search(case):
+    support, lifting = case
+    assert affine_dimension(support) == support.n
+    sub = regular_subdivision(support, lifting)
+    assert sub == _fraction_subdivision(support, lifting)
+    assert verify_subdivision(support, lifting, sub)["ok"]
 
 
 def test_lifting_is_deterministic_per_seed():
