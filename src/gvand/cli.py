@@ -357,6 +357,8 @@ def main(argv=None) -> int:
             raise InputError(f"max-n: must be between 1 and {DEFAULT_MAX_N}")
         if args.max_vars < 1:
             raise InputError("max-vars: must be positive")
+        if getattr(args, "trials", 1) < 1:
+            raise InputError("trials: must be positive")
         try:
             CoefficientRing(args.char)
         except ValueError as exc:

@@ -1,7 +1,7 @@
 """Term-map kernels: sums and products of SparsePoly.
 
-The determinant does not run through them: its cofactor memo multiplies
-by monomial entries through exponent-suffix concatenation (see
+The determinant does not run through them: its terms come straight
+from permutations, each key a concatenation of exponent vectors (see
 gvand.vandermonde).
 
 A term map is a dict from exponent vector (tuple of non-negative ints)

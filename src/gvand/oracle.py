@@ -51,9 +51,11 @@ def _perm_sign(perm) -> int:
 def leibniz_determinant(matrix, max_n: int = LEIBNIZ_MAX_N) -> SparsePoly:
     """Determinant as the signed permutation sum.
 
-    Independent of the memoized cofactor route: term accumulation is
-    done inline here, on purpose, rather than through the shared
-    kernels.
+    Independent of the structural permutation enumeration in
+    gvand.vandermonde, which shares no code with it: this sum multiplies
+    generic matrix entries, takes each sign from its own inversion
+    count and accumulates terms inline, cancellation allowed, on
+    purpose rather than through the shared kernels.
     """
     n = len(matrix)
     if n > max_n:

@@ -3,26 +3,29 @@
 An instance pairs a support (N exponent vectors in NN^n) with a
 coefficient ring.  The matrix is N x N over the grid variables X_i_j:
 row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
-X_i^(gamma_l).  Determinants expand by memoized cofactors along the
-topmost remaining row, sharing minors across column subsets.  One memo
-over the full matrix yields the determinant and every first-row minor:
-minor l is the entry for the column subset without l.  The memo works
-on raw term maps keyed by exponent suffixes (only the rows a subset
-covers), so multiplying by an entry is a tuple concatenation; only the
-determinant and the minors become SparsePoly values.  build_matrix
-serves the permutation-sum oracle, which takes its own route.
+X_i^(gamma_l).  Rows use disjoint variables and the gamma are distinct,
+so the determinant is one term per permutation sigma, the monomial
+prod_i X_i^(gamma_sigma(i)) with coefficient sign(sigma), and nothing
+cancels.  Terms come straight from itertools.permutations: a key is the
+concatenation of the gammas a permutation takes, and the signs come as
+one list in lex order.  The determinant alone is one enumeration over
+all N columns; the first-row expansion enumerates each minor once and
+builds the determinant from the minors' keys.  build_matrix serves the
+permutation-sum oracle, which takes its own route.
 """
 
-import math
 from dataclasses import dataclass
+from itertools import chain, permutations
 
-from gvand.errors import InvariantViolationError, SizeCapError
+from gvand.errors import SizeCapError
 from gvand.exponents import Support
 from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
 DEFAULT_MAX_N = 12
-# N! terms held as tuples: N = 9 peaks near 1 GB, N = 10 would need ~10 GB
+# N! terms held as tuples.  At N = 9, n = 3 (Python 3.11) expand peaks at
+# 0.66 GB with JSON output and 2.0 GB with text, verify at 0.35-0.37 GB;
+# N = 10 would need about ten times that
 EXPAND_MAX_N = 9
 
 
@@ -45,12 +48,7 @@ class VandermondeInstance:
 
 def _entry_exponents(inst: VandermondeInstance, row: int, col: int) -> tuple:
     """Exponent vector of the (row, col) entry over the full grid (0-based)."""
-    n, gamma = inst.n, inst.support.vectors[col]
-    exps = [0] * (inst.N * n)
-    base = row * n
-    for j in range(n):
-        exps[base + j] = gamma[j]
-    return tuple(exps)
+    return (0,) * (row * inst.n) + inst.support.vectors[col] + (0,) * ((inst.N - 1 - row) * inst.n)
 
 
 def build_matrix(inst: VandermondeInstance):
@@ -66,52 +64,38 @@ def build_matrix(inst: VandermondeInstance):
     ]
 
 
-class _SubsetMinors:
-    """Memoized cofactor expansion over column subsets of the last rows.
+def _lex_signs(m: int, one: int = 1, minus: int = -1) -> tuple:
+    """The signs of S_m in lex order, and their negations.
 
-    det(mask) is the determinant of the submatrix on the columns in
-    ``mask`` and the last popcount(mask) rows, expanded along the topmost
-    of those rows and shared across overlapping subsets.  It is a raw
-    term map whose keys hold only the exponents of the rows it covers: a
-    suffix of the full grid vector.  Every entry is the monomial
-    X_i^(gamma_l), so the product with the top row's entry is the tuple
-    concatenation gamma_l + e, and no vector is ever added slot by slot.
+    A permutation that starts with j has j inversions from its head and
+    a tail ranked like a permutation of S_(m-1), so the sequence is the
+    concatenation over j of (-1)^j times the sequence of S_(m-1).
     """
+    pos, neg = [one], [minus]
+    for k in range(2, m + 1):
+        tail = k % 2
+        pos, neg = (pos + neg) * (k // 2) + pos * tail, (neg + pos) * (k // 2) + neg * tail
+    return pos, neg
 
-    def __init__(self, support: Support, coeff_ring: CoefficientRing):
-        self.gammas = support.vectors
-        # every key of det(mask) starts with the gamma of the column it took
-        # from the top row, so visiting columns by descending gamma inserts
-        # the keys in descending order: the graded-lex sort finds one run
-        self.order = sorted(range(support.N), key=self.gammas.__getitem__, reverse=True)
-        self.modulus = coeff_ring.characteristic
-        self.memo = {0: {(): coeff_ring.normalize(1)}}
 
-    def det(self, mask: int) -> dict:
-        cached = self.memo.get(mask)
-        if cached is not None:
-            return cached
-        modulus = self.modulus
-        acc = {}
-        get = acc.get
-        for col in self.order:
-            bit = 1 << col
-            if not mask & bit:
-                continue
-            # cofactor sign: the column's place among the subset's columns
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            gamma = self.gammas[col]
-            for e, c in self.det(mask ^ bit).items():
-                key = gamma + e
-                val = get(key, 0) + sign * c
-                if modulus:
-                    val %= modulus
-                if val:
-                    acc[key] = val
-                elif key in acc:
-                    del acc[key]
-        self.memo[mask] = acc
-        return acc
+def _permutation_terms(gammas: tuple, coeff_ring: CoefficientRing) -> tuple:
+    """The determinant on columns ``gammas`` and the last len(gammas) rows.
+
+    Rows use disjoint variables and the gamma are distinct, so each
+    permutation gives its own monomial with coefficient its sign and
+    nothing cancels.  Returns (keys, coeffs, negated coeffs): a key holds
+    only the exponents of the rows covered, a suffix of the full grid
+    vector.  The columns are taken by descending gamma, so the keys come
+    in descending order and the graded-lex sort finds one run; the signs
+    in that order are the lex-order signs times the order's own sign.
+    """
+    order = sorted(range(len(gammas)), key=gammas.__getitem__, reverse=True)
+    pos, neg = _lex_signs(len(gammas), coeff_ring.normalize(1), coeff_ring.normalize(-1))
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    if inversions % 2:
+        pos, neg = neg, pos
+    keys = list(map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order]))))
+    return keys, pos, neg
 
 
 @dataclass(frozen=True)
@@ -127,8 +111,10 @@ class RowExpansion:
     determinant: SparsePoly
 
 
-def require_expandable(N: int):
-    """Raise SizeCapError when N! terms would not fit in memory."""
+def require_expandable(N: int, max_n: int = DEFAULT_MAX_N):
+    """Raise SizeCapError when N exceeds ``max_n`` or N! terms would not fit in memory."""
+    if N > max_n:
+        raise SizeCapError(f"N = {N} exceeds the cap {max_n}")
     if N > EXPAND_MAX_N:
         raise SizeCapError(
             f"N = {N} exceeds the expansion cap {EXPAND_MAX_N}: {N}! terms do not fit in memory"
@@ -138,36 +124,28 @@ def require_expandable(N: int):
 def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
-    Rows use disjoint variables and the gamma are distinct, so the
-    determinant has exactly N! terms, one per permutation, each with
-    coefficient +-1; anything else raises InvariantViolationError.
-    N above EXPAND_MAX_N raises SizeCapError whatever ``max_n`` says.
+    Each minor is one permutation enumeration over rows 2..N; the
+    determinant is assembled from the minors' raw keys by one top-row
+    step.  N above EXPAND_MAX_N raises SizeCapError whatever ``max_n``
+    says.
     """
-    N = inst.N
-    if N > max_n:
-        raise SizeCapError(f"N = {N} exceeds the cap {max_n}")
-    require_expandable(N)
-    # det(full) fills the memo, so each minor at full ^ (1 << l) is a hit
-    memo = _SubsetMinors(inst.support, inst.coeff_ring)
-    full = (1 << N) - 1
-    terms = memo.det(full)
-    units = {inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)}
-    expected = math.factorial(N)
-    if len(terms) != expected or not units.issuperset(terms.values()):
-        raise InvariantViolationError(
-            f"determinant has {len(terms)} terms, expected N! = {expected} with coefficients +-1"
-        )
+    N, gammas = inst.N, inst.support.vectors
+    require_expandable(N, max_n)
     ring = inst.poly_ring()
     # minor l covers rows 2..N; row 1's exponents are zero
     row1 = (0,) * inst.n
-    minors = tuple(
-        SparsePoly(ring, {row1 + e: c for e, c in memo.det(full ^ (1 << l)).items()}, _canonical=True)
-        for l in range(N)
-    )
-    signs = tuple((1 + l) % 2 for l in range(1, N + 1))
-    return RowExpansion(signs=signs, minors=minors, determinant=SparsePoly(ring, terms, _canonical=True))
+    minors, det = [None] * N, {}
+    for l in sorted(range(N), key=gammas.__getitem__, reverse=True):
+        keys, pos, neg = _permutation_terms(gammas[:l] + gammas[l + 1 :], inst.coeff_ring)
+        minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
+        # visiting l by descending gamma keeps the determinant's keys descending
+        det.update(zip(map(gammas[l].__add__, keys), neg if l % 2 else pos))
+    signs = tuple(l % 2 for l in range(N))
+    return RowExpansion(signs=signs, minors=tuple(minors), determinant=SparsePoly(ring, det, _canonical=True))
 
 
 def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    return row_expansion(inst, max_n=max_n).determinant
-
+    """The determinant alone, from one enumeration over all N columns; no minors."""
+    require_expandable(inst.N, max_n)
+    keys, pos, _ = _permutation_terms(inst.support.vectors, inst.coeff_ring)
+    return SparsePoly(inst.poly_ring(), dict(zip(keys, pos)), _canonical=True)

@@ -51,8 +51,8 @@ def test_expand_output_matches_the_recorded_digests(monkeypatch):
     monkeypatch.setitem(sys.modules, "corpus", corpus)  # checks.py imports it by name
     checks = _load("checks")
     digests = json.loads((PERFBENCH / "expand_digests.json").read_text())
-    ops = [op for op in corpus.expand_ops(1) if len(op["support"]["exponents"]) <= 7]
-    assert len(ops) > 100
+    ops = corpus.expand_ops(1)
+    assert len(ops) == 109  # N = 8, n = 3, the largest expansion the benchmark runs, among them
     for op in ops:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
         out, err = io.StringIO(), io.StringIO()

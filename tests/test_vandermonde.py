@@ -1,8 +1,11 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import row_support
+from gvand import vandermonde
 from gvand.errors import SizeCapError
 from gvand.exponents import Support, componentwise_min
 from gvand.oracle import leibniz_determinant
@@ -114,9 +117,30 @@ def test_row_expansion_matches_leibniz_and_reassembles(inst):
 def test_row_expansion_terms_arrive_in_descending_order(inst):
     # the graded-lex sort then finds one run; every term has the same degree
     exp = row_expansion(inst)
-    for poly in (exp.determinant, *exp.minors):
+    for poly in (exp.determinant, *exp.minors, vandermonde_determinant(inst)):
         keys = list(poly.term_map())
         assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_lex_signs_are_inversion_signs(m):
+    def sign(perm):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        return -1 if inversions % 2 else 1
+
+    pos, neg = vandermonde._lex_signs(m)
+    assert pos == [sign(perm) for perm in permutations(range(m))]
+    assert neg == [-s for s in pos]
+
+
+def test_determinant_builds_no_minors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the determinant built the first-row minors")
+
+    inst = _inst([(0, 1), (2, 0), (1, 1), (3, 2)], 2, 3)
+    expected = row_expansion(inst).determinant
+    monkeypatch.setattr(vandermonde, "row_expansion", refuse)
+    assert vandermonde_determinant(inst) == expected == leibniz_determinant(build_matrix(inst))
 
 
 def test_single_variable_classical_shape():
