@@ -4,7 +4,11 @@ Subcommands: decide, expand, tropical, verify, oracle.  Input is a
 support as JSON ({"n": ..., "exponents": [[...], ...]}) from --input or
 stdin; field and seed come from flags.  JSON is the wire format; text
 output renders the same data and nothing more.  For a fixed input and
-seed every command prints byte-identical output across runs.
+seed every command prints byte-identical output across runs.  expand
+writes its document, in either format, in chunks straight from the
+permutation enumeration of gvand.vandermonde: one per top-row column
+of the determinant and one per first-row minor.  A reader that closes
+stdout early ends the command with exit 0 and nothing on stderr.
 
 Exit codes: 0 success, 1 falsified invariant or certificate mismatch
 (also inconclusive randomized checks), 2 malformed input or cap
@@ -14,8 +18,10 @@ violation.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from gvand.errors import (
     CertificateMismatchError,
@@ -41,14 +47,16 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
-from gvand.poly import SparsePoly
+from gvand.poly import SparsePoly, grid_var
 from gvand.rings import CoefficientRing
 from gvand.tropical import TROPICAL_IRREDUCIBLE, decide_tropical_irreducibility
 from gvand.vandermonde import (
     DEFAULT_MAX_N,
     VandermondeInstance,
     build_matrix,
-    row_expansion,
+    first_row_terms,
+    permutation_terms,
+    require_expandable,
     vandermonde_determinant,
 )
 
@@ -138,12 +146,94 @@ def _json_text(data) -> str:
         raise
 
 
-def _emit(config: RunConfig, payload: dict):
-    """Print a payload; SparsePoly values inside it print as term lists."""
+def _emit(config: RunConfig, payload):
+    """Print a payload; SparsePoly values inside it print as term lists.
+
+    A payload that is not a dict is the document itself, as chunks of
+    text already in the output format, written as they come.
+    """
+    if isinstance(payload, dict):
+        text = "\n".join(_render_text(payload)) if config.fmt == "text" else _json_text(payload)
+        payload = (text + "\n",)
+    write = sys.stdout.write
+    for chunk in payload:
+        write(chunk)
+        del chunk  # not held while the next chunk is built
+
+
+class _TermText:
+    """Term lists of the determinant and its minors as output text.
+
+    A term is a head, then one fragment per nonzero exponent; ``joiner``
+    goes between terms.  ``table[r][c]`` holds row r's fragments when it
+    takes column c, each led by ``sep``, which the first fragment of a
+    term drops.  A term with no variables has ``blank`` after its head.
+    """
+
+    def __init__(self, gammas, head, fragment, sep, joiner, blank):
+        self.gammas, self.head, self.sep, self.joiner, self.blank = gammas, head, sep, joiner, blank
+        self.table = [
+            ["".join(sep + fragment.format(grid_var(r, j), e) for j, e in enumerate(g, 1) if e) for g in gammas]
+            for r in range(1, len(gammas) + 1)
+        ]
+
+    @classmethod
+    def json(cls, gammas):
+        return cls(gammas, '{{"coeff": "{}", "monomial": {{', '"{}": {}', ", ", "}}, ", "")
+
+    @classmethod
+    def text(cls, gammas, indent):
+        pad = "  " * indent
+        return cls(gammas, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: {{}}", "", "", " {}")
+
+    def unit_heads(self, ring: CoefficientRing, cols) -> tuple:
+        """The heads of the coefficients 1 and -1 for terms on columns ``cols``."""
+        blank = "" if any(map(any, map(self.gammas.__getitem__, cols))) else self.blank
+        return self.head.format(ring.normalize(1)) + blank, self.head.format(ring.normalize(-1)) + blank
+
+    def chunk(self, terms, heads, prefix=""):
+        """``terms`` as text, each after its head and ``prefix``, the first row's fragments."""
+        bodies = map(itemgetter(slice(len(self.sep), None)), map(prefix.__add__, map("".join, terms)))
+        return self.joiner.join(map(add, heads, bodies))
+
+
+def _expand_document(config: RunConfig, inst: VandermondeInstance):
+    """expand's output in chunks: the determinant one top-row column at a
+    time, then one chunk per first-row minor.  No term map and no whole
+    document is ever built."""
+    support, ring = inst.support, inst.coeff_ring
+    gammas, N = support.vectors, support.N
+    head = {
+        "command": "expand",
+        "seed": config.seed,
+        "characteristic": config.characteristic,
+        "support": support.to_json(),
+        "variables": list(inst.poly_ring().variables),
+    }
+    signs = [l % 2 for l in range(N)]
     if config.fmt == "text":
-        sys.stdout.write("\n".join(_render_text(payload)) + "\n")
+        det_text, minor_text = _TermText.text(gammas, 1), _TermText.text(gammas, 2)
+        yield "\n".join(_render_text(head)) + "\ndeterminant:"
+        after_det = "\n" + "\n".join(_render_text({"signs": signs})) + "\nminors:"
+        minor_open, minor_close, minor_sep, end = "\n  -", "", "", "\n"
     else:
-        sys.stdout.write(_json_text(payload) + "\n")
+        det_text = minor_text = _TermText.json(gammas)
+        yield json.dumps(head)[:-1] + ', "determinant": ['
+        after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
+        minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
+    between = ""
+    for l, terms, _, heads in first_row_terms(det_text.table, gammas, *det_text.unit_heads(ring, range(N))):
+        yield between
+        yield det_text.chunk(terms, heads, det_text.table[0][l])
+        between = det_text.joiner
+    yield after_det
+    for l in range(N):
+        cols = [c for c in range(N) if c != l]
+        terms, heads, _ = permutation_terms(minor_text.table, gammas, cols, *minor_text.unit_heads(ring, cols))
+        yield (minor_sep if l else "") + minor_open
+        yield minor_text.chunk(terms, heads)
+        yield minor_close
+    yield end
 
 
 def _cmd_decide(config: RunConfig) -> int:
@@ -165,20 +255,8 @@ def _cmd_decide(config: RunConfig) -> int:
 def _cmd_expand(config: RunConfig) -> int:
     support = _load_support(config)
     inst = VandermondeInstance(support, CoefficientRing(config.characteristic))
-    expansion = row_expansion(inst, max_n=config.max_n)
-    _emit(
-        config,
-        {
-            "command": "expand",
-            "seed": config.seed,
-            "characteristic": config.characteristic,
-            "support": support.to_json(),
-            "variables": list(inst.poly_ring().variables),
-            "determinant": expansion.determinant,
-            "signs": list(expansion.signs),
-            "minors": list(expansion.minors),
-        },
-    )
+    require_expandable(support.N, config.max_n)
+    _emit(config, _expand_document(config, inst))
     return 0
 
 
@@ -377,7 +455,15 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return run(config)
+    try:
+        return run(config)
+    except BrokenPipeError:
+        # the reader closed stdout: stop, and send what is still buffered to
+        # the null device so that the exit flush reports nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

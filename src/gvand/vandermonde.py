@@ -6,16 +6,20 @@ row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
 X_i^(gamma_l).  Rows use disjoint variables and the gamma are distinct,
 so the determinant is one term per permutation sigma, the monomial
 prod_i X_i^(gamma_sigma(i)) with coefficient sign(sigma), and nothing
-cancels.  Terms come straight from itertools.permutations: a key is the
-concatenation of the gammas a permutation takes, and the signs come as
-one list in lex order.  The determinant alone is one enumeration over
-all N columns; the first-row expansion enumerates each minor once and
-builds the determinant from the minors' keys.  build_matrix serves the
-permutation-sum oracle, which takes its own route.
+cancels.  Terms come straight from itertools.permutations over a table
+of what each row contributes in each column, and the signs come as one
+list in lex order.  With gamma_c as every row's entry a term is an
+exponent key, the concatenation of the gammas a permutation takes; with
+text fragments it is a term of expand's output, which the CLI writes
+without building the key.  The determinant alone is one enumeration
+over all N columns; the first-row expansion enumerates each minor once
+and builds the determinant from the minors' keys.  build_matrix serves
+the permutation-sum oracle, which takes its own route.
 """
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
+from operator import getitem
 
 from gvand.errors import SizeCapError
 from gvand.exponents import Support
@@ -23,9 +27,11 @@ from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
 DEFAULT_MAX_N = 12
-# N! terms held as tuples.  At N = 9, n = 3 (Python 3.11) expand peaks at
-# 0.66 GB with JSON output and 2.0 GB with text, verify at 0.35-0.37 GB;
-# N = 10 would need about ten times that
+# verify holds the N! terms as tuples: at N = 9, n = 3 it peaks at 0.37 GB
+# (Python 3.11, measured in a child process under RLIMIT_AS), and N = 10
+# would need about ten times that.  expand streams its output and peaks at
+# 56 MB with JSON and 68 MB with text there (about 0.1 GB at n = 8), so
+# output size, not memory, bounds it; it shares this cap for now
 EXPAND_MAX_N = 9
 
 
@@ -64,8 +70,9 @@ def build_matrix(inst: VandermondeInstance):
     ]
 
 
-def _lex_signs(m: int, one: int = 1, minus: int = -1) -> tuple:
-    """The signs of S_m in lex order, and their negations.
+def _lex_signs(m: int, one=1, minus=-1) -> tuple:
+    """The signs of S_m in lex order, and their negations, as ``one`` and
+    ``minus``: coefficients, or the text that opens a term of each sign.
 
     A permutation that starts with j has j inversions from its head and
     a tail ranked like a permutation of S_(m-1), so the sequence is the
@@ -78,24 +85,44 @@ def _lex_signs(m: int, one: int = 1, minus: int = -1) -> tuple:
     return pos, neg
 
 
-def _permutation_terms(gammas: tuple, coeff_ring: CoefficientRing) -> tuple:
-    """The determinant on columns ``gammas`` and the last len(gammas) rows.
+def permutation_terms(table, gammas: tuple, cols, one, minus) -> tuple:
+    """The determinant on columns ``cols`` and the last len(cols) rows.
 
     Rows use disjoint variables and the gamma are distinct, so each
     permutation gives its own monomial with coefficient its sign and
-    nothing cancels.  Returns (keys, coeffs, negated coeffs): a key holds
-    only the exponents of the rows covered, a suffix of the full grid
-    vector.  The columns are taken by descending gamma, so the keys come
-    in descending order and the graded-lex sort finds one run; the signs
+    nothing cancels.  ``table[r][c]`` is what row r contributes when it
+    takes column c: gamma_c itself for exponent keys, a text fragment for
+    output.  Returns (terms, coeffs, negated coeffs): terms yields, per
+    permutation, the contributions of the rows covered in row order.  The
+    columns are taken by descending gamma, so the terms come in descending
+    order of their keys and the graded-lex sort finds one run; the signs
     in that order are the lex-order signs times the order's own sign.
     """
-    order = sorted(range(len(gammas)), key=gammas.__getitem__, reverse=True)
-    pos, neg = _lex_signs(len(gammas), coeff_ring.normalize(1), coeff_ring.normalize(-1))
+    order = sorted(cols, key=gammas.__getitem__, reverse=True)
+    pos, neg = _lex_signs(len(order), one, minus)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
     if inversions % 2:
         pos, neg = neg, pos
-    keys = list(map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order]))))
-    return keys, pos, neg
+    rows = table[len(table) - len(order) :]
+    if all(row is table[-1] for row in rows):
+        # rows that share one table permute its entries directly, with no lookup per term
+        return permutations([table[-1][c] for c in order]), pos, neg
+    return map(map, repeat(getitem), repeat(rows), permutations(order)), pos, neg
+
+
+def first_row_terms(table, gammas: tuple, one, minus):
+    """The determinant's terms, one top-row column at a time.
+
+    Yields (l, terms, coeffs, determinant coeffs) for each column l by
+    descending gamma: terms and coeffs are minor l's, from
+    permutation_terms over rows 2..N, and the determinant's terms with
+    row 1 in column l carry coeffs times (-1)^l.  Visiting l by descending
+    gamma keeps the determinant's terms descending.
+    """
+    N = len(gammas)
+    for l in sorted(range(N), key=gammas.__getitem__, reverse=True):
+        terms, pos, neg = permutation_terms(table, gammas, [c for c in range(N) if c != l], one, minus)
+        yield l, terms, pos, neg if l % 2 else pos
 
 
 @dataclass(frozen=True)
@@ -121,6 +148,11 @@ def require_expandable(N: int, max_n: int = DEFAULT_MAX_N):
         )
 
 
+def _units(inst: VandermondeInstance) -> tuple:
+    """The coefficients 1 and -1 in the instance's coefficient ring."""
+    return inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)
+
+
 def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
@@ -135,17 +167,19 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
     # minor l covers rows 2..N; row 1's exponents are zero
     row1 = (0,) * inst.n
     minors, det = [None] * N, {}
-    for l in sorted(range(N), key=gammas.__getitem__, reverse=True):
-        keys, pos, neg = _permutation_terms(gammas[:l] + gammas[l + 1 :], inst.coeff_ring)
+    for l, terms, pos, det_coeffs in first_row_terms([gammas] * N, gammas, *_units(inst)):
+        keys = list(map(tuple, map(chain.from_iterable, terms)))
         minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
-        # visiting l by descending gamma keeps the determinant's keys descending
-        det.update(zip(map(gammas[l].__add__, keys), neg if l % 2 else pos))
+        det.update(zip(map(gammas[l].__add__, keys), det_coeffs))
     signs = tuple(l % 2 for l in range(N))
     return RowExpansion(signs=signs, minors=tuple(minors), determinant=SparsePoly(ring, det, _canonical=True))
 
 
 def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     """The determinant alone, from one enumeration over all N columns; no minors."""
-    require_expandable(inst.N, max_n)
-    keys, pos, _ = _permutation_terms(inst.support.vectors, inst.coeff_ring)
+    N, gammas = inst.N, inst.support.vectors
+    require_expandable(N, max_n)
+    terms, pos, _ = permutation_terms([gammas] * N, gammas, range(N), *_units(inst))
+    keys = map(tuple, map(chain.from_iterable, terms))
     return SparsePoly(inst.poly_ring(), dict(zip(keys, pos)), _canonical=True)
+

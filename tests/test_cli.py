@@ -15,11 +15,14 @@ import gvand
 from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
+from gvand.poly import SparsePoly
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
 TRIANGLE = {"n": 2, "exponents": [[0, 0], [1, 0], [0, 1]]}
 STAIRCASE = {"n": 1, "exponents": [[0], [1], [2]]}
 LINE = {"n": 2, "exponents": [[0, 0], [1, 1], [2, 2]]}
+# the benchmark's N = 8, n = 3 expand operation: 20.6 MB of JSON
+BENCH_N8 = {"n": 3, "exponents": [[2, 4, 4], [1, 2, 1], [5, 3, 6], [0, 0, 0], [3, 6, 6], [3, 2, 6], [4, 7, 0], [1, 4, 3]]}
 SRC = str(Path(gvand.__file__).resolve().parents[1])
 
 
@@ -100,16 +103,64 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
 )
 def test_expansion_cap_beyond_memory(support_file, command, exponents):
     big = {"n": len(exponents[0]), "exponents": exponents}
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", command, "--input", support_file(big)],
-        capture_output=True,
-        text=True,
-        timeout=5,
+    for fmt in ("json", "text"):  # the cap refuses before the first byte of either format
+        done = subprocess.run(
+            [sys.executable, "-m", "gvand.cli", command, "--input", support_file(big), "--format", fmt],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "expansion cap" in done.stderr
+
+
+class _WriteSizes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_expand_holds_no_document(support_file, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("expand must not build a term map or a term list")
+
+    monkeypatch.setattr(vandermonde, "row_expansion", unreachable)
+    monkeypatch.setattr(SparsePoly, "to_terms_json", unreachable)
+    monkeypatch.setattr(SparsePoly, "to_terms_json_text", unreachable)
+    N = 7  # 5040 terms
+    path = support_file({"n": 2, "exponents": [[0, 0], [1, 0], [0, 1], [2, 1], [1, 3], [3, 3], [4, 0]]})
+    for fmt in ("json", "text"):
+        out = _WriteSizes()
+        with contextlib.redirect_stdout(out):
+            assert main(["expand", "--input", path, "--format", fmt]) == 0
+        text = out.getvalue()
+        header = text[: text.index("determinant")]
+        # each top-row column owns one determinant chunk and one minor
+        assert max(out.sizes) <= len(header) + len(text) // N, fmt
+        assert text.count("coeff") == 2 * 5040
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_ends_cleanly(support_file, fmt):
+    path = support_file(BENCH_N8)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gvand.cli", "expand", "--input", path, "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "expansion cap" in done.stderr
+    head = proc.stdout.read(100)
+    proc.stdout.close()  # long before the whole document is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert len(head) == 100 and err == b""
 
 
 def test_cli_imports_only_stdlib():
@@ -579,6 +630,12 @@ def schema_supports(draw):
     return {"n": n, "exponents": vectors}
 
 
+def _assert_text_renders_json(argv, json_out, stdin=""):
+    code, text_out, _ = _main_in_process(argv + ["--format", "text"], stdin)
+    assert code == 0
+    assert text_out == "\n".join(cli._render_text(json.loads(json_out))) + "\n"
+
+
 @settings(max_examples=100, deadline=None)
 @given(schema_supports(), st.sampled_from(("0", "2", "3")))
 def test_expand_and_decide_end_cleanly_on_every_admitted_support(support, char):
@@ -588,9 +645,22 @@ def test_expand_and_decide_end_cleanly_on_every_admitted_support(support, char):
         assert code in (0, 1, 2)
         assert "Traceback" not in err and err.count("\n") == (code != 0)
         if command == "expand" and code == 0:
-            code, text_out, _ = _main_in_process([command, "--char", char, "--format", "text"], text)
-            assert code == 0
-            assert text_out == "\n".join(cli._render_text(json.loads(out))) + "\n"
+            _assert_text_renders_json([command, "--char", char], out, text)
+
+
+@pytest.mark.parametrize(
+    "support, char",
+    [
+        (BENCH_N8, "0"),
+        ({"n": 2, "exponents": [[0, 0]]}, "3"),  # no variables in the determinant or the minor
+        ({"n": 1, "exponents": [[4]]}, "0"),
+        ({"n": 2, "exponents": [[1, 2], [0, 0]]}, "2"),  # minor 1 has no variables
+    ],
+)
+def test_expand_text_renders_the_json_data(support, char):
+    code, out, _ = _main_in_process(["expand", "--char", char], json.dumps(support))
+    assert code == 0
+    _assert_text_renders_json(["expand", "--char", char], out, json.dumps(support))
 
 
 #### text format ####
