@@ -6,8 +6,11 @@ span of the exponent set has dimension >= 2, the componentwise minimum
 is zero (no monomial content), and p does not divide the scale gcd d.
 Each failure mode names its witness: a monomial content factor, a
 collinear support whose determinant a binomial divides, or a p-th power
-structure coming from the Frobenius.  Certificates are constructively
-re-checkable against the expanded determinant.
+structure coming from the Frobenius.  A certificate is re-checked from
+its own data and the support: once gamma_bar + p^r * reduced support
+reconstructs the instance, the small_n and monomial_factor verdicts need
+nothing more, and only the power and collinear checks read the expanded
+determinant.
 """
 
 from dataclasses import dataclass
@@ -156,11 +159,14 @@ def verify_certificate(
     tropical=None,
     det=None,
 ) -> dict:
-    """Re-check a certificate constructively against the expanded determinant.
+    """Re-check a certificate against the support it claims to describe.
 
     Returns a report of named checks when everything passes; raises
     CertificateMismatchError (report attached) when any check fails.
-    Branches that expand the determinant raise SizeCapError past
+    Each check tests only what can fail: the small_n, monomial_factor
+    and irreducible branches read the certificate, the support and the
+    tropical decision; the power and collinear branches expand the
+    determinant once and raise SizeCapError past
     vandermonde.EXPAND_MAX_N.  A caller that already holds
     decide_tropical_irreducibility(inst.support, seed) passes it as
     ``tropical``, and one that already holds vandermonde_determinant(inst)
@@ -194,9 +200,9 @@ def verify_certificate(
     if (inst.N < 3) != (verdict == VERDICT_SMALL_N):
         add("small_n", False, f"{verdict} verdict with N = {inst.N}")
     elif verdict == VERDICT_SMALL_N:
-        _check_small_n(inst, expanded(), add)
+        add("small_n", True, f"N = {inst.N} < 3 decides small_n whatever else holds")
     elif verdict == VERDICT_MONOMIAL_FACTOR:
-        _check_monomial_factor(inst, cert, expanded(), add)
+        _check_monomial_factor(cert, add)
     elif verdict == VERDICT_POWER:
         _check_power(inst, cert, expanded(), add)
     elif verdict == VERDICT_COLLINEAR:
@@ -226,34 +232,17 @@ def _finish(cert, checks, message):
     raise CertificateMismatchError(message, report)
 
 
-def _check_small_n(inst, det, add):
-    ring = inst.poly_ring()
-    n, vectors = inst.n, inst.support.vectors
-    if inst.N == 1:
-        expected = ring.monomial(vectors[0])
-        add("small_n", det == expected, "N = 1 determinant is the single monomial")
-        return
-    if inst.N == 2:
-        g1, g2 = vectors
-        plus = ring.monomial(tuple(g1) + tuple(g2))
-        minus = ring.monomial(tuple(g2) + tuple(g1))
-        add("small_n", det == plus - minus, "N = 2 determinant is the 2x2 binomial")
-
-
-def _check_monomial_factor(inst, cert, det, add):
-    # the support check already proved gamma_bar <= every gamma_l
+def _check_monomial_factor(cert, add):
+    # the support check proved Gamma = gamma_bar + p^r * reduced with the reduced
+    # support in NN^n, so a nonzero gamma_bar >= 0 is a monomial dividing every term
     gamma_bar = cert.gamma_bar
-    if not any(gamma_bar):
-        add("content_divides", False, "certificate content gamma_bar is zero")
-        return
-    add("content_divides", True, "componentwise-min monomial divides the determinant")
-    shifted = tuple(tuple(x - g for x, g in zip(v, gamma_bar)) for v in inst.support.vectors)
-    shifted_inst = VandermondeInstance(Support(inst.n, shifted), inst.coeff_ring)
-    content = inst.poly_ring().monomial(gamma_bar * inst.N)
+    holds = any(gamma_bar) and min(gamma_bar) >= 0
     add(
-        "content_quotient",
-        content * vandermonde_determinant(shifted_inst) == det,
-        "quotient equals the determinant of the normalized support",
+        "content_divides",
+        holds,
+        "componentwise-min monomial divides the determinant"
+        if holds
+        else f"certificate content {gamma_bar} is not a nonzero monomial",
     )
 
 
@@ -268,10 +257,11 @@ def _check_power(inst, cert, det, add):
         add("frobenius_root", False, f"no p^{r}-th root: {exc}")
         return
     add("frobenius_root", True, f"determinant admits a p^{r}-th Frobenius root")
-    reduced_inst = VandermondeInstance(cert.reduced_support, inst.coeff_ring)
+    # Gamma = gamma_bar + q * reduced (q = p^r) makes det = X^gamma_bar * det_reduced^q,
+    # so the root is X^(gamma_bar / q) * det_reduced: the reduced determinant iff gamma_bar = 0
     add(
         "root_is_reduced_det",
-        root == vandermonde_determinant(reduced_inst),
+        not any(cert.gamma_bar),
         "root equals the determinant of the reduced support",
     )
     add("root_repowers", root.frobenius_power(r) == det, "root re-raised to p^r reproduces the determinant")

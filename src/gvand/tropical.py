@@ -351,7 +351,12 @@ def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
 
 
 def balancing_check(tc: TropicalCombinatorics, support: Support) -> dict:
-    """Oriented multiplicity-weighted edge vectors around each ridge sum to zero."""
+    """Oriented multiplicity-weighted edge vectors around each ridge sum to zero.
+
+    This always holds, so the decision does not run it: a triangle's three
+    oriented edge vectors telescope to zero, and each stored multiplicity
+    is the same gcd of the edge vector recomputed here.
+    """
     failures = []
     for ridge in tc.ridges:
         u, v, w = ridge.vertices
@@ -449,9 +454,6 @@ def decide_tropical_irreducibility(
         wreport = verify_subdivision(reduced, lifting, sub)
         if not wreport["ok"]:
             raise InvariantViolationError(f"witness re-check failed: {wreport['failures'][:3]}")
-        breport = balancing_check(tc, reduced)
-        if not breport["ok"]:
-            raise InvariantViolationError(f"balancing failed: {breport['failures'][:3]}")
         mult_gcd = multiplicity_gcd(tc)
         connected = is_ridge_connected(tc)
         if d is not None and mult_gcd != d:

@@ -27,9 +27,9 @@ from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
 DEFAULT_MAX_N = 12
-# verify holds the N! terms as tuples: at N = 9, n = 3 it peaks at 0.37 GB
-# (Python 3.11, measured in a child process under RLIMIT_AS), and N = 10
-# would need about ten times that.  expand streams its output and peaks at
+# verify holds the N! terms as tuples only for power and collinear verdicts:
+# at N = 9 those peak at about 0.35 GB (Python 3.11, measured in a child
+# process under RLIMIT_AS), and N = 10 would need about ten times that.  expand streams its output and peaks at
 # 56 MB with JSON and 68 MB with text there (about 0.1 GB at n = 8), so
 # output size, not memory, bounds it; it shares this cap for now
 EXPAND_MAX_N = 9

@@ -7,8 +7,9 @@ expand's output bytes with perfbench/expand_digests.json; an encoder
 change that moves one byte fails here too, not only in the benchmark's
 ok_rate.  The tropical certificate has the same guard: digests of
 `tropical` output over the benchmark's classify supports, recorded in
-tests/data/tropical_digests.json.  The benchmark files are only read,
-never changed.
+tests/data/tropical_digests.json, and so does `verify` output over the
+benchmark's seed-1 verify corpus, in tests/data/verify_digests.json.
+The benchmark files are only read, never changed.
 """
 
 import contextlib
@@ -76,3 +77,18 @@ def test_tropical_output_matches_the_recorded_digests(monkeypatch):
             assert rc == 0 and err.getvalue() == ""
             key = f"{seed}|{json.dumps(op['support'], separators=(',', ':'))}"
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+
+
+def test_verify_output_matches_the_recorded_digests(monkeypatch):
+    corpus = _load("corpus")
+    digests = json.loads((DATA / "verify_digests.json").read_text())
+    ops = corpus.verify_ops(1)
+    assert len(ops) == 173
+    for op in ops:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", "--char", str(op["char"])])
+        assert rc == 0 and err.getvalue() == ""
+        key = f"{op['char']}|{json.dumps(op['support'], separators=(',', ':'))}"
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key

@@ -245,8 +245,17 @@ def test_verify_runs_no_jacobian_oracle_or_division(
     assert "jacobian_evidence" not in payload["oracles"]
 
 
-def test_verify_wide_exponents_finish(support_file):
-    wide = {"n": 2, "exponents": [[0, 0], [10**5, 0], [0, 10**5], [1, 1]]}
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        [[0, 0], [10**5, 0], [0, 10**5], [1, 1]],
+        # monomial_factor at N = 12, past the expansion cap: its check reads no determinant
+        [[k + 1, j + 1] for j in range(2) for k in range(6)],
+    ],
+    ids=["wide", "monomial_n12"],
+)
+def test_verify_wide_exponents_finish(support_file, exponents):
+    wide = {"n": 2, "exponents": exponents}
     done = subprocess.run(
         [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(wide)],
         capture_output=True,

@@ -154,8 +154,9 @@ def test_verify_irreducible_nontrivial_d():
 def test_verify_monomial_factor():
     cert, report = _verify([(1, 1), (3, 1), (1, 3)], 2, 0)
     assert report["ok"] is True
-    names = [c["name"] for c in report["checks"]]
-    assert "content_divides" in names and "content_quotient" in names
+    checks = {c["name"]: c["holds"] for c in report["checks"]}
+    assert checks["content_divides"] is True
+    assert "content_quotient" not in checks
 
 
 def test_verify_power():
@@ -200,6 +201,16 @@ def test_verify_irreducible_and_collinear_do_not_expand(monkeypatch):
     assert report["verdict"] == VERDICT_COLLINEAR
     assert report["ok"] is True
     assert calls == ["expand", "divide"]
+    # monomial_factor and small_n read the certificate; power expands once for its root
+    for vectors, char, verdict, expected in (
+        ([(1, 1), (3, 1), (1, 3)], 0, VERDICT_MONOMIAL_FACTOR, []),
+        ([(0, 3), (4, 1)], 0, VERDICT_SMALL_N, []),
+        ([(0, 0), (2, 0), (0, 2), (2, 2)], 2, VERDICT_POWER, ["expand"]),
+    ):
+        calls.clear()
+        _, report = _verify(vectors, 2, char)
+        assert report["verdict"] == verdict and report["ok"] is True
+        assert calls == expected, verdict
 
 
 def test_verify_collinear_falls_back_to_a_luckier_prime():
@@ -275,6 +286,21 @@ def test_verify_rejects_doctored_verdict():
     assert exc.value.report["verdict"] == VERDICT_POWER
 
 
+def test_verify_rejects_negative_content():
+    # gamma_bar = (-1, 0) plus this reduced support reconstructs the unit triangle
+    support = Support(2, ((0, 0), (1, 0), (0, 1)))
+    forged = dataclasses.replace(
+        decide(support, CHAR0),
+        verdict=VERDICT_MONOMIAL_FACTOR,
+        gamma_bar=(-1, 0),
+        reduced_support=Support(2, ((1, 0), (2, 0), (1, 1))),
+    )
+    with pytest.raises(CertificateMismatchError) as exc:
+        verify_certificate(VandermondeInstance(support, ZZ), forged)
+    checks = {c["name"]: c["holds"] for c in exc.value.report["checks"]}
+    assert checks == {"support": True, "content_divides": False}
+
+
 VERDICTS = (
     VERDICT_SMALL_N,
     VERDICT_MONOMIAL_FACTOR,
@@ -298,6 +324,7 @@ VERDICTS = (
         ((0, 0), (2, 0), (0, 2), (2, 2)),  # power_of_irreducible over GF(2)
         ((0, 0), (3, 0), (0, 3)),  # power_of_irreducible over GF(3)
         ((0, 0), (1, 0), (0, 1)),  # irreducible everywhere
+        ((2, 2), (4, 2), (2, 4)),  # monomial_factor whose power swap has a root over GF(2)
     ],
 )
 def test_verify_refuses_every_swapped_verdict(vectors):
