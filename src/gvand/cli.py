@@ -5,10 +5,12 @@ support as JSON ({"n": ..., "exponents": [[...], ...]}) from --input or
 stdin; field and seed come from flags.  JSON is the wire format; text
 output renders the same data and nothing more.  For a fixed input and
 seed every command prints byte-identical output across runs.  expand
-writes its document, in either format, in chunks straight from the
-permutation enumeration of gvand.vandermonde: one per top-row column
-of the determinant and one per first-row minor.  A reader that closes
-stdout early ends the command with exit 0 and nothing on stderr.
+writes its document, in either format, in chunks straight from
+gvand.vandermonde.text_terms, which joins each term from a prefix and a
+tail of the last rows built once per document: one chunk per top-row
+column of the determinant, and per first-row minor one per column of
+its own first row.  A reader that closes stdout early ends the command
+with exit 0 and nothing on stderr.
 
 Exit codes: 0 success, 1 falsified invariant or certificate mismatch
 (also inconclusive randomized checks), 2 malformed input or cap
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from operator import add, itemgetter
 
 from gvand.errors import (
     CertificateMismatchError,
@@ -54,9 +55,9 @@ from gvand.vandermonde import (
     DEFAULT_MAX_N,
     VandermondeInstance,
     build_matrix,
-    first_row_terms,
-    permutation_terms,
     require_expandable,
+    text_tails,
+    text_terms,
     vandermonde_determinant,
 )
 
@@ -168,6 +169,9 @@ class _TermText:
     goes between terms.  ``table[r][c]`` holds row r's fragments when it
     takes column c, each led by ``sep``, which the first fragment of a
     term drops.  A term with no variables has ``blank`` after its head.
+    ``tails`` holds the texts of the bottom rows, built once with the
+    table, before the first term; vandermonde.text_terms puts each term
+    together from a prefix and one of them.
     """
 
     def __init__(self, gammas, head, fragment, sep, joiner, blank):
@@ -176,6 +180,7 @@ class _TermText:
             ["".join(sep + fragment.format(grid_var(r, j), e) for j, e in enumerate(g, 1) if e) for g in gammas]
             for r in range(1, len(gammas) + 1)
         ]
+        self.tails = text_tails(self.table, gammas)
 
     @classmethod
     def json(cls, gammas):
@@ -186,21 +191,23 @@ class _TermText:
         pad = "  " * indent
         return cls(gammas, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: {{}}", "", "", " {}")
 
-    def unit_heads(self, ring: CoefficientRing, cols) -> tuple:
-        """The heads of the coefficients 1 and -1 for terms on columns ``cols``."""
+    def chunks(self, ring: CoefficientRing, cols):
+        """The terms on columns ``cols`` and the last len(cols) rows as text:
+        one chunk per run of text_terms, that is per column the first of
+        those rows takes, with ``joiner`` between."""
         blank = "" if any(map(any, map(self.gammas.__getitem__, cols))) else self.blank
-        return self.head.format(ring.normalize(1)) + blank, self.head.format(ring.normalize(-1)) + blank
-
-    def chunk(self, terms, heads, prefix=""):
-        """``terms`` as text, each after its head and ``prefix``, the first row's fragments."""
-        bodies = map(itemgetter(slice(len(self.sep), None)), map(prefix.__add__, map("".join, terms)))
-        return self.joiner.join(map(add, heads, bodies))
+        heads = (self.head.format(ring.normalize(1)) + blank, self.head.format(ring.normalize(-1)) + blank)
+        between = ""
+        for run in text_terms(self.table, self.gammas, cols, *heads, self.tails, len(self.sep)):
+            yield between
+            yield self.joiner.join(run)
+            between = self.joiner
 
 
 def _expand_document(config: RunConfig, inst: VandermondeInstance):
     """expand's output in chunks: the determinant one top-row column at a
-    time, then one chunk per first-row minor.  No term map and no whole
-    document is ever built."""
+    time, then each first-row minor one column of its first row at a time.
+    No term map and no whole document is ever built."""
     support, ring = inst.support, inst.coeff_ring
     gammas, N = support.vectors, support.N
     head = {
@@ -212,26 +219,26 @@ def _expand_document(config: RunConfig, inst: VandermondeInstance):
     }
     signs = [l % 2 for l in range(N)]
     if config.fmt == "text":
-        det_text, minor_text = _TermText.text(gammas, 1), _TermText.text(gammas, 2)
+        terms = _TermText.text(gammas, 1)
         yield "\n".join(_render_text(head)) + "\ndeterminant:"
         after_det = "\n" + "\n".join(_render_text({"signs": signs})) + "\nminors:"
         minor_open, minor_close, minor_sep, end = "\n  -", "", "", "\n"
     else:
-        det_text = minor_text = _TermText.json(gammas)
+        terms = _TermText.json(gammas)
         yield json.dumps(head)[:-1] + ', "determinant": ['
         after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
         minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
-    between = ""
-    for l, terms, _, heads in first_row_terms(det_text.table, gammas, *det_text.unit_heads(ring, range(N))):
-        yield between
-        yield det_text.chunk(terms, heads, det_text.table[0][l])
-        between = det_text.joiner
+    yield from terms.chunks(ring, range(N))
+    if config.fmt == "text":
+        # the minors sit one level deeper.  Their table is built only once the
+        # determinant's is freed, so one set of tails is held at a time, and
+        # between chunks, where its strings leave no gaps among freed terms
+        del terms
+        terms = _TermText.text(gammas, 2)
     yield after_det
     for l in range(N):
-        cols = [c for c in range(N) if c != l]
-        terms, heads, _ = permutation_terms(minor_text.table, gammas, cols, *minor_text.unit_heads(ring, cols))
         yield (minor_sep if l else "") + minor_open
-        yield minor_text.chunk(terms, heads)
+        yield from terms.chunks(ring, [c for c in range(N) if c != l])
         yield minor_close
     yield end
 

@@ -6,20 +6,23 @@ row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
 X_i^(gamma_l).  Rows use disjoint variables and the gamma are distinct,
 so the determinant is one term per permutation sigma, the monomial
 prod_i X_i^(gamma_sigma(i)) with coefficient sign(sigma), and nothing
-cancels.  Terms come straight from itertools.permutations over a table
-of what each row contributes in each column, and the signs come as one
-list in lex order.  With gamma_c as every row's entry a term is an
-exponent key, the concatenation of the gammas a permutation takes; with
-text fragments it is a term of expand's output, which the CLI writes
-without building the key.  The determinant alone is one enumeration
+cancels.  Terms come straight from itertools.permutations of the
+columns taken by descending gamma, and the signs come as one list in
+lex order.  As an exponent key a term is the concatenation of the gammas
+a permutation takes.  As text, a term of expand's output, it is joined
+from a table of what each row contributes in each column: the rows above
+the last four make a prefix, joined once per prefix, and the last four
+rows' texts on each set of four columns are joined once per table, so no
+row is looked up per term.  The determinant alone is one enumeration
 over all N columns; the first-row expansion enumerates each minor once
 and builds the determinant from the minors' keys.  build_matrix serves
 the permutation-sum oracle, which takes its own route.
 """
 
 from dataclasses import dataclass
-from itertools import chain, permutations, repeat
-from operator import getitem
+from itertools import chain, combinations, permutations
+from math import factorial
+from operator import add, getitem
 
 from gvand.errors import SizeCapError
 from gvand.exponents import Support
@@ -29,9 +32,11 @@ from gvand.rings import ZZ, CoefficientRing
 DEFAULT_MAX_N = 12
 # verify holds the N! terms as tuples only for power and collinear verdicts:
 # at N = 9 those peak at about 0.35 GB (Python 3.11, measured in a child
-# process under RLIMIT_AS), and N = 10 would need about ten times that.  expand streams its output and peaks at
-# 56 MB with JSON and 68 MB with text there (about 0.1 GB at n = 8), so
-# output size, not memory, bounds it; it shares this cap for now
+# process under RLIMIT_AS), and N = 10 would need about ten times that.
+# expand streams its output: at N = 9 it takes 0.24 s and peaks at 46 MB with
+# JSON, 53 MB with text at n = 3, and at most 0.62 s and 107 MB at n = 8 in
+# either format, so output size, not memory, bounds it; it shares this cap
+# for now
 EXPAND_MAX_N = 9
 
 
@@ -85,44 +90,111 @@ def _lex_signs(m: int, one=1, minus=-1) -> tuple:
     return pos, neg
 
 
-def permutation_terms(table, gammas: tuple, cols, one, minus) -> tuple:
-    """The determinant on columns ``cols`` and the last len(cols) rows.
+def _descending(gammas: tuple, cols) -> list:
+    """``cols`` by descending gamma, the order every enumeration takes them in."""
+    return sorted(cols, key=gammas.__getitem__, reverse=True)
 
-    Rows use disjoint variables and the gamma are distinct, so each
-    permutation gives its own monomial with coefficient its sign and
-    nothing cancels.  ``table[r][c]`` is what row r contributes when it
-    takes column c: gamma_c itself for exponent keys, a text fragment for
-    output.  Returns (terms, coeffs, negated coeffs): terms yields, per
-    permutation, the contributions of the rows covered in row order.  The
-    columns are taken by descending gamma, so the terms come in descending
-    order of their keys and the graded-lex sort finds one run; the signs
-    in that order are the lex-order signs times the order's own sign.
+
+def _column_order(gammas: tuple, cols, signs: tuple) -> tuple:
+    """(order, coeffs, negated coeffs) of the permutations of ``cols``.
+
+    ``order`` is ``cols`` by descending gamma, so the terms of its
+    permutations in lex order come in descending order of their keys and
+    the graded-lex sort finds one run; their signs are ``signs``, the
+    lex-order signs of S_len(cols) from _lex_signs, times the order's own
+    sign.
     """
-    order = sorted(cols, key=gammas.__getitem__, reverse=True)
-    pos, neg = _lex_signs(len(order), one, minus)
+    order = _descending(gammas, cols)
+    pos, neg = signs
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-    if inversions % 2:
-        pos, neg = neg, pos
-    rows = table[len(table) - len(order) :]
-    if all(row is table[-1] for row in rows):
-        # rows that share one table permute its entries directly, with no lookup per term
-        return permutations([table[-1][c] for c in order]), pos, neg
-    return map(map, repeat(getitem), repeat(rows), permutations(order)), pos, neg
+    return (order, neg, pos) if inversions % 2 else (order, pos, neg)
 
 
-def first_row_terms(table, gammas: tuple, one, minus):
-    """The determinant's terms, one top-row column at a time.
+def _first_row(gammas: tuple, cols, one, minus):
+    """The determinant on columns ``cols``, expanded along its first row.
 
-    Yields (l, terms, coeffs, determinant coeffs) for each column l by
-    descending gamma: terms and coeffs are minor l's, from
-    permutation_terms over rows 2..N, and the determinant's terms with
-    row 1 in column l carry coeffs times (-1)^l.  Visiting l by descending
-    gamma keeps the determinant's terms descending.
+    Yields (c, order, coeffs, determinant coeffs) for each column c the
+    first row takes, by descending gamma: order and coeffs are the minor
+    on the other columns', from _column_order, and the determinant's
+    terms with the first row in column c carry coeffs times (-1)^i, c
+    being the i-th of ``cols``.  Visiting c by descending gamma keeps the
+    determinant's terms in the lex order of its own permutations.
     """
-    N = len(gammas)
-    for l in sorted(range(N), key=gammas.__getitem__, reverse=True):
-        terms, pos, neg = permutation_terms(table, gammas, [c for c in range(N) if c != l], one, minus)
-        yield l, terms, pos, neg if l % 2 else pos
+    cols = sorted(cols)
+    signs = _lex_signs(len(cols) - 1, one, minus)
+    for c in _descending(gammas, cols):
+        i = cols.index(c)
+        order, pos, neg = _column_order(gammas, cols[:i] + cols[i + 1 :], signs)
+        yield c, order, pos, neg if i % 2 else pos
+
+
+def _keys(gammas: tuple, order) -> map:
+    """The exponent keys of the permutations of ``order``, in lex order.
+
+    A key is the gammas the rows take in row order; every row takes
+    gamma_c in column c, so the keys come from permuting the gammas
+    themselves, with no lookup per term.
+    """
+    return map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order])))
+
+
+def _tail_rows(table) -> int:
+    """k, the bottom rows of ``table`` that text_terms joins once per set of k columns.
+
+    Four: with three the prefixes are too many and each costs Python
+    work; five is no faster at N = 7 and holds up to five times the
+    strings.  The tail stays below a minor's first row, so k is at most
+    N - 2.
+    """
+    return max(0, min(len(table) - 2, 4))
+
+
+def text_tails(table, gammas: tuple) -> dict:
+    """The tails text_terms reads: for each set of k = _tail_rows(table)
+    columns, the text of the last k rows on it, one string per permutation
+    of the set by descending gamma, in lex order.  C(N, k)*k! strings."""
+    k = _tail_rows(table)
+    last = table[len(table) - k :]
+    return {
+        frozenset(cols): ["".join(map(getitem, last, p)) for p in permutations(cols)]
+        for cols in combinations(_descending(gammas, range(len(gammas))), k)
+    }
+
+
+def text_terms(table, gammas: tuple, cols, one, minus, tails: dict, drop: int):
+    """The determinant on columns ``cols``, all N or all but one, and the
+    last m = len(cols) rows, as text.
+
+    ``table[r][c]`` is the text row r contributes in column c, led by a
+    separator of ``drop`` characters, which a term's first text drops;
+    ``one`` and ``minus`` open a term of each sign, and ``tails`` is
+    text_tails(table, gammas).  Yields one run of terms per column the
+    first row takes, from _first_row, so the terms come in the lex order
+    of the permutations.  The rows between the first and the last k are a
+    prefix: each prefix is joined once, after either head, and each of
+    its k! terms is that plus one of the tails on the columns it leaves.
+    """
+    m = len(cols)
+    if not m:
+        yield [one]
+        return
+    k = _tail_rows(table)
+    block = factorial(k)
+    first, mid = table[-m], table[len(table) - m + 1 : len(table) - k]
+
+    def run(lead, order, coeffs):
+        columns = frozenset(order)
+        for at, p in enumerate(permutations(order, len(mid))):
+            tail = tails[columns.difference(p)]
+            prefix = lead + "".join(map(getitem, mid, p))
+            if not prefix:  # the zero vector's column with no row between: its tails open the term
+                tail = [t[drop:] for t in tail]
+            body = prefix[drop:]
+            heads = {one: one + body, minus: minus + body}
+            yield map(add, map(heads.__getitem__, coeffs[at * block : (at + 1) * block]), tail)
+
+    for c, order, _, coeffs in _first_row(gammas, cols, one, minus):
+        yield chain.from_iterable(run(first[c], order, coeffs))
 
 
 @dataclass(frozen=True)
@@ -167,8 +239,8 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
     # minor l covers rows 2..N; row 1's exponents are zero
     row1 = (0,) * inst.n
     minors, det = [None] * N, {}
-    for l, terms, pos, det_coeffs in first_row_terms([gammas] * N, gammas, *_units(inst)):
-        keys = list(map(tuple, map(chain.from_iterable, terms)))
+    for l, order, pos, det_coeffs in _first_row(gammas, range(N), *_units(inst)):
+        keys = list(_keys(gammas, order))
         minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
         det.update(zip(map(gammas[l].__add__, keys), det_coeffs))
     signs = tuple(l % 2 for l in range(N))
@@ -179,7 +251,5 @@ def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_
     """The determinant alone, from one enumeration over all N columns; no minors."""
     N, gammas = inst.N, inst.support.vectors
     require_expandable(N, max_n)
-    terms, pos, _ = permutation_terms([gammas] * N, gammas, range(N), *_units(inst))
-    keys = map(tuple, map(chain.from_iterable, terms))
-    return SparsePoly(inst.poly_ring(), dict(zip(keys, pos)), _canonical=True)
-
+    order, pos, _ = _column_order(gammas, range(N), _lex_signs(N, *_units(inst)))
+    return SparsePoly(inst.poly_ring(), dict(zip(_keys(gammas, order), pos)), _canonical=True)

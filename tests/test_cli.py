@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,9 @@ import gvand
 from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
+from gvand.exponents import Support
 from gvand.poly import SparsePoly
+from gvand.rings import CoefficientRing
 
 SQUARE = {"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]}
 TRIANGLE = {"n": 2, "exponents": [[0, 0], [1, 0], [0, 1]]}
@@ -114,6 +118,45 @@ def test_expansion_cap_beyond_memory(support_file, command, exponents):
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "expansion cap" in done.stderr
+
+
+# the largest expand the caps admit: N = EXPAND_MAX_N = 9, n = --max-vars = 8, every exponent
+# nonzero; 2 * 9! = 725 760 terms
+CAP_EDGE = {"n": 8, "exponents": [[(7 * i + 3 * j) % 9 + 1 for j in range(8)] for i in range(9)]}
+# Streaming, expand runs on it in about 0.1 GB of address space in either format; a
+# document held whole would need more than its 0.61 GB (JSON) or 0.81 GB (text).  The
+# budget sits four times above the first and below the second.
+CAP_EDGE_ADDRESS_SPACE = 512 * 2**20
+CAP_EDGE_SECONDS = 30  # it takes under 1 s on a 2-core host
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_EDGE_ADDRESS_SPACE, CAP_EDGE_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gvand.cli", "expand", "--input", support_file(CAP_EDGE), "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_address_space,
+    )
+    timer = threading.Timer(CAP_EDGE_SECONDS, proc.kill)
+    timer.start()
+    coeffs, carry = 0, b""
+    try:
+        while chunk := proc.stdout.read(1 << 20):
+            coeffs += (carry + chunk).count(b"coeff")
+            carry = chunk[-4:]  # too short to hold a whole "coeff" twice
+        err = proc.stderr.read()
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+    assert coeffs == 2 * 362880
 
 
 class _WriteSizes(io.StringIO):
@@ -670,6 +713,39 @@ def test_expand_text_renders_the_json_data(support, char):
     code, out, _ = _main_in_process(["expand", "--char", char], json.dumps(support))
     assert code == 0
     _assert_text_renders_json(["expand", "--char", char], out, json.dumps(support))
+
+
+# nonzero exponent vectors in no order of their own; the zero vector goes in among them
+_NONZERO = {
+    1: [[3], [1], [6], [2], [5], [4]],
+    2: [[1, 0], [0, 2], [2, 1], [1, 3], [3, 0], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", range(1, 8))
+def test_expand_terms_match_the_row_expansion_encoder(N, n):
+    """expand's term lists, byte for byte, against SparsePoly.to_terms_json_text
+    over row_expansion: exponent keys, a graded-lex sort and per-variable
+    fragments, a route that shares no text table with expand.  The zero vector
+    in each column position runs the empty prefix in the determinant and the
+    minors; over GF(2) both signs have one head."""
+    others = _NONZERO[n][: N - 1]
+    for pos in range(N):
+        support = {"n": n, "exponents": others[:pos] + [[0] * n] + others[pos:]}
+        for char in ("0", "2", "3"):
+            code, out, err = _main_in_process(["expand", "--char", char], json.dumps(support))
+            assert code == 0 and err == ""
+            inst = vandermonde.VandermondeInstance(Support.from_json(support), CoefficientRing(int(char)))
+            exp = vandermonde.row_expansion(inst)
+            minors = ", ".join(minor.to_terms_json_text() for minor in exp.minors)
+            expected = (
+                f', "determinant": {exp.determinant.to_terms_json_text()}, '
+                f'"signs": {json.dumps(list(exp.signs))}, "minors": [{minors}]}}\n'
+            )
+            same = out[out.index(', "determinant": ') :] == expected  # no diff of megabytes on failure
+            assert same, (support, char)
+            _assert_text_renders_json(["expand", "--char", char], out, json.dumps(support))
 
 
 #### text format ####
