@@ -3,8 +3,10 @@
 Matrices are lists (or tuples) of equal-length rows.  Integer routines,
 including the affine solve behind the tropical witness search, use
 fraction-free Bareiss elimination and return rational results as integer
-numerators over one common denominator; fraction_rank uses plain
-Gaussian elimination over Fraction.
+numerators over one common denominator.  fraction_rank, plain Gaussian
+elimination over Fraction, has no runtime caller: the tests use it as an
+independent reference for integer_rank, and the benchmark's layer
+table names it.
 """
 
 from fractions import Fraction

@@ -1,35 +1,27 @@
 """Cross-checks run by name through ``oracle --check``.
 
 A permutation-sum determinant, divisibility by the classical alternant,
-numeric rank evidence for the algebraic independence of minor ratios,
-and a lattice-polygon indecomposability certificate.  These avoid the
-decision logic, so agreement between routes means something.  The line
-check is not an independent route: it exhibits the same binomial split
-of a collinear determinant that verify's line_split check proves.
+a Jacobian rank mod a prime that proves the minor ratios independent
+with nothing expanded, and a lattice-polygon indecomposability
+certificate.  These avoid the decision logic, so agreement between
+routes means something.  The line check is not an independent route:
+it exhibits the same binomial split of a collinear determinant that
+verify's line_split check proves.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support, affine_dimension
 from gvand.irreducibility import collinear_witness
-from gvand.linalg import fraction_rank
 from gvand.poly import SparsePoly, grid_var
-from gvand.reporting import frac_str
 from gvand.rings import ZZ
-from gvand.vandermonde import (
-    VandermondeInstance,
-    row_expansion,
-    vandermonde_determinant,
-)
+from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
 
 LEIBNIZ_MAX_N = 8
-SAMPLE_NUMERATOR_BOUND = 100
-SAMPLE_DENOMINATOR_BOUND = 16
 # The classical division forms up to N! * bound term products, where
 # bound = prod_{i<j} (g_j - g_i) / (j - i) over the sorted exponents is
 # the Schur quotient's coefficient sum and so caps its term count.  At
@@ -180,12 +172,15 @@ def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
 #### algebraic-independence evidence ####
 
 
+JACOBIAN_PRIME = 2**61 - 1
+
+
 @dataclass(frozen=True)
 class JacobianReport:
     trials: int
     achieved_rank: int
     target_rank: int
-    sample_points: tuple
+    sample_points: tuple  # one {X_i_j: residue mod JACOBIAN_PRIME} per point used
 
     def __post_init__(self):
         assert self.achieved_rank <= self.target_rank
@@ -201,73 +196,79 @@ class JacobianReport:
             "target_rank": self.target_rank,
             "conclusive": self.conclusive,
             "sample_points": [
-                {name: frac_str(v) for name, v in sorted(pt.items())}
+                {name: str(v) for name, v in sorted(pt.items())}
                 for pt in self.sample_points
             ],
         }
 
 
+def _kernel_vector(rows, q: int):
+    """v with rows . v = 0 mod q and v[-1] = 1, from one Gauss-Jordan
+    elimination of [M' | -M[:, -1]]; None when M', ``rows`` less their
+    last column, is singular mod q."""
+    a = [row[:-1] + [-row[-1] % q] for row in rows]
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return None
+        inv = pow(a[piv][col], -1, q)
+        a[piv], a[col] = a[col], [x * inv % q for x in a[piv]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != col:
+                a[i] = [(x - f * y) % q for x, y in zip(row, a[col])]
+    return [row[-1] for row in a] + [1]
+
+
 def jacobian_independence_evidence(
     support: Support, trials: int = 3, seed: int = 0
 ) -> JacobianReport:
-    """Numeric rank evidence that the minor ratios are independent.
+    """Rank of the Jacobian of the minor ratios Delta_l / Delta_N (l < N)
+    at random points mod JACOBIAN_PRIME, with nothing expanded.
 
-    The ratios Delta_l / Delta_N (l < N) are differentiated by the
-    quotient rule; only the numerator matrix [d Delta_l * Delta_N -
-    Delta_l * d Delta_N] matters for rank.  Reaching rank N - 1 at any
-    sampled rational point is positive evidence; anything less after
-    all trials is merely inconclusive.
+    Rows 2..N at a point make M, M[i][c] = X_i^(gamma_c).  Its kernel
+    vector v = (v', 1) holds the ratios up to sign, and one elimination
+    of M' (M less its last column, det M' = Delta_N) finds it, or the
+    point is redrawn.  Differentiating M v = 0 in X_i_j gives
+    dv'/dX_i_j = -s_ij M'^-1 e_i, s_ij X_i_j = sum_c gamma_c_j M[i][c] v_c,
+    so the rank is the number of rows i with some s_ij nonzero.  Rank
+    N - 1 mod the prime at an integer point makes an (N-1)-minor of the
+    integer quotient-rule Jacobian nonzero, so the generic rank is N - 1;
+    less after all trials is inconclusive.
     """
     if support.N < 2:
         raise DegenerateSupportError("independence evidence needs N >= 2")
-    inst = VandermondeInstance(support, ZZ)
-    expansion = row_expansion(inst)
-    minors = expansion.minors
-    var_names = [
-        grid_var(i, j) for i in range(2, inst.N + 1) for j in range(1, inst.n + 1)
-    ]
-    partials = [[m.partial_derivative(v) for v in var_names] for m in minors]
-
+    q = JACOBIAN_PRIME
+    gammas = support.vectors
+    by_coordinate = list(zip(*gammas))  # gamma_c_j over c, one tuple per j
     rng = random.Random(seed)
-    target = inst.N - 1
+    target = support.N - 1
     best = 0
     used_points = []
-    singular_only = True
     for _ in range(trials):
-        point = None
         for _ in range(20):
-            cand = {
-                name: Fraction(
-                    rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
-                    rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
-                )
-                for name in var_names
-            }
-            if minors[-1].evaluate(cand) != 0:
-                point = cand
+            point = [[rng.randint(1, q - 1) for _ in range(support.n)] for _ in range(target)]
+            matrix = [
+                [math.prod(pow(x, e, q) for x, e in zip(xs, g)) % q for g in gammas]
+                for xs in point
+            ]
+            v = _kernel_vector(matrix, q)
+            if v is not None:
                 break
-        if point is None:
+        else:
             continue
-        singular_only = False
-        used_points.append(point)
-        d_n = minors[-1].evaluate(point)
-        v_n = [pd.evaluate(point) for pd in partials[-1]]
-        rows = []
-        for l in range(target):
-            d_l = minors[l].evaluate(point)
-            rows.append(
-                [
-                    partials[l][k].evaluate(point) * d_n - d_l * v_n[k]
-                    for k in range(len(var_names))
-                ]
-            )
-        best = max(best, fraction_rank(rows))
+        used_points.append(
+            {grid_var(i, j): x for i, xs in enumerate(point, 2) for j, x in enumerate(xs, 1)}
+        )
+        rank = sum(
+            any(sum(g * m * vc for g, m, vc in zip(gj, row, v)) % q for gj in by_coordinate)
+            for row in matrix
+        )
+        best = max(best, rank)
         if best == target:
             break
-    if singular_only:
-        raise AllPointsSingularError(
-            "the reference minor vanished at every sample; widen the sample range or reseed"
-        )
+    if not used_points:
+        raise AllPointsSingularError("the reference minor vanished at every sample; reseed")
     return JacobianReport(
         trials=len(used_points),
         achieved_rank=best,

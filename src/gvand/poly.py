@@ -269,22 +269,7 @@ class SparsePoly:
 
     __hash__ = None
 
-    #### calculus and divisibility ####
-
-    def partial_derivative(self, var: str) -> "SparsePoly":
-        v = self.ring.var_index(var)
-        out = {}
-        norm = self.ring.coeff_ring.normalize
-        for exp, c in self._terms.items():
-            e = exp[v]
-            if e == 0:
-                continue
-            nc = norm(c * e)
-            if nc == 0:
-                continue
-            nexp = exp[:v] + (e - 1,) + exp[v + 1 :]
-            out[nexp] = nc
-        return SparsePoly(self.ring, out, _canonical=True)
+    #### divisibility ####
 
     def exact_divide(self, den: "SparsePoly"):
         """Quotient self / den when den divides exactly, else None.

@@ -159,6 +159,27 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
     assert coeffs == 2 * 362880
 
 
+# the largest shape oracle --check jacobian admits: N = 12, n = --max-vars = 8, exponents near 10**18
+JACOBIAN_CAP_EDGE = {"n": 8, "exponents": [[10**18 - (8 * i + j) ** 2 for j in range(8)] for i in range(12)]}
+# It and BENCH_N8 each take about 0.05 s and 17 MB on a 2-core host, interpreter start-up
+# included; the budget leaves a hundredfold margin for a loaded host.
+JACOBIAN_SECONDS = 5
+
+
+@pytest.mark.parametrize("support", [JACOBIAN_CAP_EDGE, BENCH_N8], ids=["N12-n8-1e18", "N8-n3"])
+def test_jacobian_oracle_at_the_cap_edge_ends_within_bounds(support_file, support):
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "jacobian", "--input", support_file(support)],
+        capture_output=True,
+        text=True,
+        timeout=JACOBIAN_SECONDS,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["report"]["conclusive"] is True
+
+
 class _WriteSizes(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -682,10 +703,25 @@ def schema_supports(draw):
     return {"n": n, "exponents": vectors}
 
 
+def _first_difference(a, b, block=1 << 12):
+    """Offset of the first character where the unequal strings a and b differ."""
+    at = 0
+    while a[at : at + block] == b[at : at + block]:
+        at += block
+    pairs = zip(a[at : at + block], b[at : at + block])
+    return at + next((k for k, (x, y) in enumerate(pairs) if x != y), min(len(a), len(b)) - at)
+
+
 def _assert_text_renders_json(argv, json_out, stdin=""):
     code, text_out, _ = _main_in_process(argv + ["--format", "text"], stdin)
     assert code == 0
-    assert text_out == "\n".join(cli._render_text(json.loads(json_out))) + "\n"
+    expected = "\n".join(cli._render_text(json.loads(json_out))) + "\n"
+    # compared through names: pytest would diff megabyte strings on a failure
+    same = text_out == expected
+    if not same:
+        at = _first_difference(text_out, expected)
+        window = slice(max(0, at - 40), at + 40)
+        pytest.fail(f"text differs from the JSON data at offset {at}: {text_out[window]!r} != {expected[window]!r}")
 
 
 @settings(max_examples=100, deadline=None)

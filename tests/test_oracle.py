@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import random
+import sys
+import types
 from itertools import product
 from unittest import mock
 
@@ -10,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classical_reassembles
-from gvand import cli
-from gvand.errors import DegenerateSupportError, SizeCapError
+from gvand import cli, oracle, vandermonde
+from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support, affine_dimension
 from gvand.oracle import (
+    JACOBIAN_PRIME,
     POLYGON_DECOMPOSABLE,
     POLYGON_INDECOMPOSABLE,
     POLYGON_UNKNOWN,
@@ -23,6 +27,7 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
+from gvand.poly import SparsePoly
 from gvand.rings import GF, ZZ
 from gvand.vandermonde import VandermondeInstance, build_matrix, vandermonde_determinant
 
@@ -234,6 +239,50 @@ def test_jacobian_deterministic():
     a = jacobian_independence_evidence(support, seed=5).to_json()
     b = jacobian_independence_evidence(support, seed=5).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    names = {f"X_{i}_{j}" for i in range(2, 4) for j in range(1, 3)}
+    assert a["sample_points"]
+    for point in a["sample_points"]:
+        assert set(point) == names
+        for residue in point.values():
+            assert residue == str(int(residue)) and 1 <= int(residue) < JACOBIAN_PRIME
+
+
+# N = 6, n = 3: a 720-term determinant if anything expanded it
+_JACOBIAN_N6 = Support(3, ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 2, 0), (1, 1, 1), (4, 0, 1)))
+
+
+def test_jacobian_expands_nothing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the Jacobian oracle must not expand or evaluate a polynomial")
+
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("gvand") and m]
+    for original in (vandermonde.vandermonde_determinant, vandermonde.row_expansion):
+        for module in modules:
+            for key, val in list(vars(module).items()):
+                if val is original:
+                    monkeypatch.setattr(module, key, unreachable)
+    monkeypatch.setattr(SparsePoly, "evaluate", unreachable)
+    report = jacobian_independence_evidence(_JACOBIAN_N6, seed=0)
+    assert report.conclusive and report.target_rank == 5
+
+
+class _EqualRows(random.Random):
+    """Every draw is the same residue, so all rows of the matrix are equal."""
+
+    def randint(self, a, b):
+        return 7
+
+
+def test_jacobian_singular_at_every_draw(monkeypatch):
+    monkeypatch.setattr(oracle, "random", types.SimpleNamespace(Random=_EqualRows))
+    with pytest.raises(AllPointsSingularError):
+        jacobian_independence_evidence(_JACOBIAN_N6, trials=2, seed=0)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(_JACOBIAN_N6.to_json()))
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["oracle", "--check", "jacobian"])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("inconclusive: ") and err.getvalue().count("\n") == 1
 
 
 #### lattice-polygon indecomposability ####

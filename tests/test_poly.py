@@ -127,17 +127,6 @@ def test_mixed_int_arithmetic():
     assert 2 - x == -(x - 2)
 
 
-def test_partial_derivative():
-    p = SparsePoly(RXY, {(2, 1): 3, (0, 4): 1, (0, 0): 7})
-    assert p.partial_derivative("x").term_map() == {(1, 1): 6}
-    assert p.partial_derivative("y").term_map() == {(2, 0): 3, (0, 3): 4}
-
-
-def test_partial_derivative_drops_char_p_multiples():
-    p = SparsePoly(RXY_F2, {(2, 0): 1, (1, 0): 1})
-    assert p.partial_derivative("x").term_map() == {(0, 0): 1}
-
-
 @given(small_polys(), small_polys())
 def test_exact_divide_round_trip(a, b):
     if b.is_zero():
