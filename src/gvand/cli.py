@@ -298,16 +298,9 @@ def _cmd_verify(config: RunConfig) -> int:
     }
     # one tropical decision serves the certificate check and the agreement oracle
     tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
-    # and one expansion serves the classical oracle and the certificate check: the ZZ
-    # determinant has coefficients +-1, so its reduction mod p is the GF(p) determinant
-    det = None if classical is None else classical["determinant"]
-    if det is not None and config.characteristic:
-        det = SparsePoly(inst.poly_ring(), det.term_map())
     failed = False
     try:
-        payload["verification"] = verify_certificate(
-            inst, cert, seed=config.seed, tropical=tropical_cert, det=det
-        )
+        payload["verification"] = verify_certificate(inst, cert, seed=config.seed, tropical=tropical_cert)
     except CertificateMismatchError as exc:
         payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
         failed = True

@@ -9,11 +9,13 @@ collinear support whose determinant a binomial divides, or a p-th power
 structure coming from the Frobenius.  A certificate is re-checked from
 its own data and the support: once gamma_bar + p^r * reduced support
 reconstructs the instance, the small_n and monomial_factor verdicts need
-nothing more, and only the power and collinear checks read the expanded
-determinant.
+nothing more, the collinear check reads its binomial and the quotient's
+size off the line, and only the power check expands the determinant.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from gvand.errors import CertificateMismatchError, NoRootError
 from gvand.exponents import (
@@ -26,7 +28,7 @@ from gvand.exponents import (
 )
 from gvand.reporting import ConditionCheck
 from gvand.rings import CoefficientRing
-from gvand.vandermonde import VandermondeInstance, require_expandable, vandermonde_determinant
+from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
 
 VERDICT_IRREDUCIBLE = "irreducible"
 VERDICT_MONOMIAL_FACTOR = "monomial_factor"
@@ -157,7 +159,6 @@ def verify_certificate(
     cert: IrreducibilityCertificate,
     seed: int = 0,
     tropical=None,
-    det=None,
 ) -> dict:
     """Re-check a certificate against the support it claims to describe.
 
@@ -165,17 +166,13 @@ def verify_certificate(
     CertificateMismatchError (report attached) when any check fails.
     Each check tests only what can fail: the small_n, monomial_factor
     and irreducible branches read the certificate, the support and the
-    tropical decision; the power and collinear branches expand the
-    determinant once and raise SizeCapError past
-    vandermonde.EXPAND_MAX_N.  A caller that already holds
-    decide_tropical_irreducibility(inst.support, seed) passes it as
-    ``tropical``, and one that already holds vandermonde_determinant(inst)
-    passes it as ``det``; otherwise each is computed when needed.
+    tropical decision, and the collinear branch checks that the support
+    lies on its line; only the power branch expands the determinant,
+    once, and raises SizeCapError past vandermonde.EXPAND_MAX_N.  A
+    caller that already holds decide_tropical_irreducibility(inst.support,
+    seed) passes it as ``tropical``; otherwise it is computed when needed.
     """
     checks = []
-
-    def expanded():
-        return vandermonde_determinant(inst) if det is None else det
 
     def add(name, ok, detail):
         checks.append(ConditionCheck(name, bool(ok), detail))
@@ -204,9 +201,9 @@ def verify_certificate(
     elif verdict == VERDICT_MONOMIAL_FACTOR:
         _check_monomial_factor(cert, add)
     elif verdict == VERDICT_POWER:
-        _check_power(inst, cert, expanded(), add)
+        _check_power(inst, cert, vandermonde_determinant(inst), add)
     elif verdict == VERDICT_COLLINEAR:
-        _check_collinear(inst, add, expanded)
+        _check_collinear(inst, add)
     elif verdict == VERDICT_IRREDUCIBLE:
         _check_irreducible(inst, cert, seed, add, tropical)
     else:
@@ -273,45 +270,53 @@ def _check_power(inst, cert, det, add):
     )
 
 
-def collinear_witness(inst, det):
-    """The binomial that splits a collinear determinant, and the cofactor.
+def collinear_witness(inst):
+    """The binomial that splits a collinear determinant, and the quotient's size.
 
-    The support must have affine dimension 1: gamma_l = gamma_lo +
-    positions[l] * w with w primitive.  On X_1^w = X_2^w rows 1 and 2
-    are proportional, so f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+)
-    divides the determinant ``det``; det = f * q with f and q non-units
-    is a split over every field.  Returns (w, positions, f, q), with q
-    None when f does not divide ``det``.
+    The support must have affine dimension 1: positions k_l come from its
+    span coordinates and w from its two ends, and the lattice condition
+    gamma_l = gamma_lo + k_l * w is checked for every l.  Then f =
+    X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) divides each 2x2 minor M_lm on
+    rows 1 and 2, leaving a geometric series of |k_l - k_m| monomials,
+    and rows 3..N fix the pair {l, m}: det / f has (N-2)! * sum_{l<m}
+    |k_l - k_m| terms, all +-1, and degree sum_l |gamma_l|_1 - |w|_1 in
+    every characteristic.  det = f * q with q of positive degree is a
+    split over every field.  Returns (w, positions, f, terms, degree),
+    the last two None when the lattice condition fails.
     """
     support = inst.support
     reduced, _ = reduce_to_span_coordinates(support)
     positions = tuple(v[0] for v in reduced.vectors)
     lo, hi = positions.index(0), positions.index(max(positions))
-    w = tuple(
-        (a - b) // positions[hi] for a, b in zip(support.vectors[hi], support.vectors[lo])
-    )
+    base = support.vectors[lo]
+    w = tuple((a - b) // positions[hi] for a, b in zip(support.vectors[hi], base))
     w_plus = tuple(max(x, 0) for x in w)
     w_minus = tuple(max(-x, 0) for x in w)
     rest = (0,) * (inst.n * (inst.N - 2))
     ring = inst.poly_ring()
     f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
-    return w, positions, f, det.exact_divide(f)
+    on_line = all(
+        v == tuple(b + k * x for b, x in zip(base, w)) for k, v in zip(positions, support.vectors)
+    )
+    if not on_line:
+        return w, positions, f, None, None
+    terms = math.factorial(inst.N - 2) * sum(abs(a - b) for a, b in combinations(positions, 2))
+    degree = sum(map(sum, support.vectors)) - sum(map(abs, w))
+    return w, positions, f, terms, degree
 
 
-def _check_collinear(inst, add, expanded):
-    # the witness expands the determinant; its cap declines, it does not falsify
-    require_expandable(inst.N)
+def _check_collinear(inst, add):
     dim, gamma_min = affine_dimension(inst.support), componentwise_min(inst.support)
     if dim != 1 or any(gamma_min):
         detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
         add("line_split", False, detail)
         return
-    w, _, _, q = collinear_witness(inst, expanded())
+    w, positions, _, terms, degree = collinear_witness(inst)
     binomial = f"binomial X_1^w - X_2^w with w = {list(w)}"
-    if q is None:
-        add("line_split", False, f"{binomial} does not divide the determinant")
+    if terms is None:
+        add("line_split", False, f"{binomial}: the support is not gamma_lo + k * w at positions {list(positions)}")
         return
-    add("line_split", q.total_degree() > 0, f"{binomial} divides the determinant, quotient of {q.n_terms} terms")
+    add("line_split", degree > 0, f"{binomial} divides the determinant, quotient of {terms} terms")
 
 
 def _check_irreducible(inst, cert, seed, add, tcert):

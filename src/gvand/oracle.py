@@ -5,8 +5,8 @@ a Jacobian rank mod a prime that proves the minor ratios independent
 with nothing expanded, and a lattice-polygon indecomposability
 certificate.  These avoid the decision logic, so agreement between
 routes means something.  The line check is not an independent route:
-it exhibits the same binomial split of a collinear determinant that
-verify's line_split check proves.
+it reads off the line, with nothing expanded, the binomial split of a
+collinear determinant that verify's line_split check proves.
 """
 
 import math
@@ -98,8 +98,7 @@ def classical_divisibility_check(support: Support) -> dict:
     Builds prod_{i<j} (X_i_1 - X_j_1) and divides the generalized
     determinant by it exactly; a division with no remainder is the
     proof that det = quotient * alternant.  A failure here falsifies
-    the build.  The report carries the determinant over ZZ for reuse.
-    Supports past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK raise
+    the build.  Supports past CLASSICAL_MAX_N or CLASSICAL_MAX_WORK raise
     SizeCapError.
     """
     if support.n != 1:
@@ -126,7 +125,6 @@ def classical_divisibility_check(support: Support) -> dict:
         "quotient_terms": quotient.n_terms if divides else None,
         "quotient": quotient,
         "alternant_terms": alternant.n_terms,
-        "determinant": det,
     }
 
 
@@ -140,33 +138,34 @@ class LineCaseReport:
     w: tuple  # primitive direction of the line
     line_positions: tuple  # position of each support vector along the line
     binomial: SparsePoly
-    quotient: object  # determinant / binomial, or None when it does not divide
+    quotient_terms: object  # terms of determinant / binomial, or None when the support is off the line
+    quotient_degree: object  # total degree of that quotient, or None likewise
 
     @property
     def splits(self) -> bool:
-        return self.quotient is not None and self.quotient.total_degree() > 0
+        return self.quotient_terms is not None and self.quotient_degree > 0
 
     def to_json(self) -> dict:
         return {
             "w": list(self.w),
             "line_positions": list(self.line_positions),
             "binomial": self.binomial.to_terms_json(),
-            "quotient_terms": None if self.quotient is None else self.quotient.n_terms,
+            "quotient_terms": self.quotient_terms,
         }
 
 
 def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
-    """Divide a collinear support's determinant by its line binomial.
+    """The binomial that divides a collinear support's determinant.
 
-    The same witness that verify's line_split check reads: rows 1 and 2
-    are proportional on X_1^w = X_2^w, so the binomial divides the
+    The same witness that verify's line_split check reads: the support
+    lies on the line gamma_lo + k * w, so the binomial divides the
     determinant in every characteristic and whatever the monomial
-    content.  Expanding raises SizeCapError past the expansion cap.
+    content, and the quotient's term count and degree follow from the
+    positions k.  Nothing is expanded, so every admitted N runs.
     """
     if affine_dimension(inst.support) != 1:
         raise ValueError("line-case factoring needs a support on an affine line")
-    w, positions, binomial, quotient = collinear_witness(inst, vandermonde_determinant(inst))
-    return LineCaseReport(w=w, line_positions=positions, binomial=binomial, quotient=quotient)
+    return LineCaseReport(*collinear_witness(inst))
 
 
 #### algebraic-independence evidence ####

@@ -30,9 +30,9 @@ from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
 DEFAULT_MAX_N = 12
-# verify holds the N! terms as tuples only for power and collinear verdicts:
-# at N = 9 those peak at about 0.35 GB (Python 3.11, measured in a child
-# process under RLIMIT_AS), and N = 10 would need about ten times that.
+# verify holds the N! terms as tuples only for a power verdict: at N = 9 it
+# peaks at about 0.35 GB (Python 3.11, n = 2 and 3, measured in a child
+# process), and N = 10 would need about ten times that.
 # expand streams its output: at N = 9 it takes 0.24 s and peaks at 46 MB with
 # JSON, 53 MB with text at n = 3, and at most 0.62 s and 107 MB at n = 8 in
 # either format, so output size, not memory, bounds it; it shares this cap

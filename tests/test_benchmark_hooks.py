@@ -8,8 +8,10 @@ change that moves one byte fails here too, not only in the benchmark's
 ok_rate.  The tropical certificate has the same guard: digests of
 `tropical` output over the benchmark's classify supports, recorded in
 tests/data/tropical_digests.json, and so does `verify` output over the
-benchmark's seed-1 verify corpus, in tests/data/verify_digests.json.
-The benchmark files are only read, never changed.
+benchmark's seed-1 verify corpus, in tests/data/verify_digests.json, and
+`oracle --check line` output over the classify supports on an affine
+line, in tests/data/line_digests.json.  The benchmark files are only
+read, never changed.
 """
 
 import contextlib
@@ -77,6 +79,27 @@ def test_tropical_output_matches_the_recorded_digests(monkeypatch):
             assert rc == 0 and err.getvalue() == ""
             key = f"{seed}|{json.dumps(op['support'], separators=(',', ':'))}"
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+
+
+def test_line_oracle_output_matches_the_recorded_digests(monkeypatch):
+    # recorded from the oracle that divided the expanded determinant, on the supports
+    # where it exited 0: N = 2..9 less the lines whose quotient has degree 0
+    corpus = _load("corpus")
+    digests = json.loads((DATA / "line_digests.json").read_text())
+    assert len(digests) == 38
+    checked = 0
+    for op in corpus.classify_ops(1):
+        key = f"{op['char']}|{json.dumps(op['support'], separators=(',', ':'))}"
+        if op["command"] != "tropical" or key not in digests:
+            continue
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["oracle", "--check", "line", "--char", str(op["char"])])
+        assert rc == 0 and err.getvalue() == ""
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+        checked += 1
+    assert checked == len(digests)
 
 
 def test_verify_output_matches_the_recorded_digests(monkeypatch):

@@ -98,13 +98,7 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
         assert len(json.loads(out)["determinant"]) == 6
 
 
-@pytest.mark.parametrize(
-    "command, exponents",
-    [
-        ("expand", [[k] for k in range(10)]),
-        ("verify", [[k, 2 * k] for k in range(10)]),  # collinear: the binomial witness expands
-    ],
-)
+@pytest.mark.parametrize("command, exponents", [("expand", [[k] for k in range(10)])])
 def test_expansion_cap_beyond_memory(support_file, command, exponents):
     big = {"n": len(exponents[0]), "exponents": exponents}
     for fmt in ("json", "text"):  # the cap refuses before the first byte of either format
@@ -162,22 +156,63 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
 # the largest shape oracle --check jacobian admits: N = 12, n = --max-vars = 8, exponents near 10**18
 JACOBIAN_CAP_EDGE = {"n": 8, "exponents": [[10**18 - (8 * i + j) ** 2 for j in range(8)] for i in range(12)]}
 # It and BENCH_N8 each take about 0.05 s and 17 MB on a 2-core host, interpreter start-up
-# included; the budget leaves a hundredfold margin for a loaded host.
-JACOBIAN_SECONDS = 5
+# included; the budget leaves a hundredfold margin for a loaded host.  The collinear rows
+# below share it.
+BOUNDED_SECONDS = 5
+
+
+def _run_bounded(argv, support_path):
+    return subprocess.run(
+        [sys.executable, "-m", "gvand.cli", *argv, "--input", support_path],
+        capture_output=True,
+        text=True,
+        timeout=BOUNDED_SECONDS,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_address_space,
+    )
 
 
 @pytest.mark.parametrize("support", [JACOBIAN_CAP_EDGE, BENCH_N8], ids=["N12-n8-1e18", "N8-n3"])
 def test_jacobian_oracle_at_the_cap_edge_ends_within_bounds(support_file, support):
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "jacobian", "--input", support_file(support)],
-        capture_output=True,
-        text=True,
-        timeout=JACOBIAN_SECONDS,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        preexec_fn=_limit_address_space,
-    )
+    done = _run_bounded(["oracle", "--check", "jacobian"], support_file(support))
     assert done.returncode == 0 and done.stderr == ""
     assert json.loads(done.stdout)["report"]["conclusive"] is True
+
+
+# Collinear supports whose determinant or quotient would not fit: gaps of 10**6, 10**7 and
+# 10**18 along the line, N = 10, and the largest shape the caps admit, N = 12, n = 8.  Both
+# commands read the witness off the line and take about 0.04 s on a 2-core host, interpreter
+# start-up included.  Expanding the determinant and dividing it would exceed this address
+# space on each gap, and the expansion cap refuses N >= 10.
+COLLINEAR_CAP_EDGE = {
+    "gap1e6": {"n": 2, "exponents": [[0, 0], [1, 2], [10**6, 2 * 10**6]]},
+    "gap1e7": {"n": 2, "exponents": [[0, 0], [1, 2], [10**7, 2 * 10**7]]},
+    "gap1e18": {"n": 2, "exponents": [[0, 0], [1, 1], [10**18, 10**18]]},
+    "N10-n2": {"n": 2, "exponents": [[k, 2 * k] for k in range(10)]},
+    "N12-n8": {"n": 8, "exponents": [[k * j for j in range(1, 9)] for k in range(12)]},
+}
+# n = 1: the line oracle admits it, while verify's classical oracle refuses it at its cap
+LINE_GAP_N1 = {"n": 1, "exponents": [[0], [1], [10**7]]}
+
+
+@pytest.mark.parametrize("command", ["verify", "line"])
+@pytest.mark.parametrize("support", list(COLLINEAR_CAP_EDGE))
+def test_collinear_at_the_cap_edge_ends_within_bounds(support_file, support, command):
+    argv = ["verify", "--char", "0"] if command == "verify" else ["oracle", "--check", "line"]
+    done = _run_bounded(argv, support_file(COLLINEAR_CAP_EDGE[support]))
+    assert done.returncode == 0 and done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert (payload if command == "verify" else payload["report"])["ok"] is True
+
+
+def test_wide_single_coordinate_line_splits_past_the_classical_cap(support_file):
+    path = support_file(LINE_GAP_N1)
+    done = _run_bounded(["oracle", "--check", "line"], path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["report"]["ok"] is True
+    done = _run_bounded(["verify", "--char", "0"], path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: classical ") and done.stderr.count("\n") == 1
 
 
 class _WriteSizes(io.StringIO):
@@ -386,22 +421,26 @@ def test_verify_collinear_finishes(support_file, exponents, char):
     assert payload["ok"] is True
 
 
-def test_verify_collinear_refuses_a_dropped_term(support_file, capsys, monkeypatch):
-    original = irreducibility.vandermonde_determinant
+def test_verify_collinear_refuses_an_off_line_support(support_file, capsys, monkeypatch):
+    # span coordinates that move every vector but the base one step up the line
+    # put the support off gamma_lo + k * w for every w the witness can derive
+    original = irreducibility.reduce_to_span_coordinates
 
-    def lossy(inst):
-        terms = original(inst).term_map()
-        del terms[max(terms)]
-        return gvand.SparsePoly(inst.poly_ring(), terms)
+    def shifted(support):
+        reduced, reduction = original(support)
+        vectors = tuple((k + 1,) if k else (k,) for (k,) in reduced.vectors)
+        return gvand.Support(1, vectors), reduction
 
-    monkeypatch.setattr(irreducibility, "vandermonde_determinant", lossy)
+    monkeypatch.setattr(irreducibility, "reduce_to_span_coordinates", shifted)
     code, out, err = _run(capsys, ["verify", "--input", support_file(LINE)])
     assert code == 1 and err == ""
     payload = json.loads(out)
     assert payload["ok"] is False
     checks = {c["name"]: c for c in payload["verification"]["checks"]}
     assert checks["line_split"]["holds"] is False
-    assert "does not divide" in checks["line_split"]["detail"]
+    assert checks["line_split"]["detail"] == (
+        "binomial X_1^w - X_2^w with w = [0, 0]: the support is not gamma_lo + k * w at positions [0, 2, 3]"
+    )
 
 
 def _verify_expands_once(char, support_file, capsys, monkeypatch):
@@ -421,15 +460,15 @@ def _verify_expands_once(char, support_file, capsys, monkeypatch):
                     monkeypatch.setattr(module, key, counting)
     code, out, err = _run(capsys, ["verify", "--input", support_file(support), "--char", str(char)])
     assert code == 0 and err == ""
-    assert len(expansions) == 1  # the classical oracle's, reused by the collinear witness
+    assert len(expansions) == 1  # the classical oracle's; the collinear witness expands nothing
     payload = json.loads(out)
     assert payload["certificate"]["verdict"] == "collinear_split"
-    # the same report as a certificate check that expands for itself
+    # the same report as a certificate check run alone, which expands nothing either
     field = irreducibility.FieldSpec(char)
     inst = vandermonde.VandermondeInstance(gvand.Support.from_json(support), field.ring)
     cert = irreducibility.decide(inst.support, field)
     assert payload["verification"] == irreducibility.verify_certificate(inst, cert)
-    assert len(expansions) == 2
+    assert len(expansions) == 1
 
 
 def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch):
@@ -437,7 +476,6 @@ def test_verify_expands_once_over_the_integers(support_file, capsys, monkeypatch
 
 
 def test_verify_expands_once_over_gf_p(support_file, capsys, monkeypatch):
-    # the classical oracle's ZZ determinant, reduced mod 3, serves the GF(3) check
     _verify_expands_once(3, support_file, capsys, monkeypatch)
 
 

@@ -95,7 +95,13 @@ def test_classical_requires_one_coordinate():
 
 
 def _reassembles(inst, report):
-    return report.binomial * report.quotient == vandermonde_determinant(inst)
+    """The closed-form quotient size against an exact division of the expansion."""
+    det = vandermonde_determinant(inst)
+    q = det.exact_divide(report.binomial)
+    assert q is not None
+    assert q.n_terms == report.quotient_terms
+    assert q.total_degree() == report.quotient_degree
+    return report.binomial * q == det
 
 
 @pytest.mark.parametrize("char", [2, 3, 5])
@@ -152,8 +158,9 @@ def test_line_case_unlucky_small_field():
 def test_line_case_input_validation():
     with pytest.raises(ValueError):
         line_case_factor(_inst([(0, 0), (1, 0), (0, 1)], 2, 3))
-    with pytest.raises(SizeCapError):
-        line_case_factor(_inst([(k,) for k in range(10)], 1, 3))
+    # past the expansion cap: 8! * sum_{l<m} (m - l) = 40320 * 165 quotient terms, none built
+    report = line_case_factor(_inst([(k,) for k in range(10)], 1, 3))
+    assert report.splits and report.quotient_terms == 6652800
     # no prime, characteristic or line-degree restriction
     for inst in (_inst([(0,), (1,), (2,)], 1, 0), _inst([(0,), (1,), (2,)], 1, 7), _inst([(0,), (25,), (50,)], 1, 3)):
         assert line_case_factor(inst).splits
@@ -162,7 +169,7 @@ def test_line_case_input_validation():
 def test_line_case_two_point_lines():
     # N = 2 with positions 0 and 1: the determinant is the binomial itself
     report = line_case_factor(_inst([(0,), (1,)], 1, 0))
-    assert report.quotient.total_degree() == 0 and not report.splits
+    assert report.quotient_degree == 0 and not report.splits
     # positions 0 and 3: X_2_1^3 - X_1_1^3 is a genuine split
     assert line_case_factor(_inst([(0,), (3,)], 1, 0)).splits
 
@@ -176,12 +183,12 @@ def test_line_case_deterministic():
 
 @st.composite
 def collinear_instances(draw):
-    """N = 3..6 points on a lattice line in NN^n, n <= 3, content allowed."""
+    """N = 3..7 points on a lattice line in NN^n, n <= 3, content allowed."""
     n = draw(st.integers(1, 3))
     w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
     g = math.gcd(*w)
     w = [x // g for x in w]
-    positions = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5, unique=True))
+    positions = draw(st.lists(st.integers(1, 7), min_size=2, max_size=6, unique=True))
     positions = [0] + positions
     base = [max(0, -min(k * x for k in positions)) + draw(st.integers(0, 1)) for x in w]
     vectors = [tuple(b + k * x for b, x in zip(base, w)) for k in positions]
@@ -264,6 +271,28 @@ def test_jacobian_expands_nothing(monkeypatch):
     monkeypatch.setattr(SparsePoly, "evaluate", unreachable)
     report = jacobian_independence_evidence(_JACOBIAN_N6, seed=0)
     assert report.conclusive and report.target_rank == 5
+
+
+def test_line_oracle_expands_nothing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the line oracle must not expand or divide a polynomial")
+
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("gvand") and m]
+    for original in (vandermonde.vandermonde_determinant, vandermonde.row_expansion):
+        for module in modules:
+            for key, val in list(vars(module).items()):
+                if val is original:
+                    monkeypatch.setattr(module, key, unreachable)
+    monkeypatch.setattr(SparsePoly, "exact_divide", unreachable)
+    # N = 6, n = 3 on a line with direction +-(2, -1, 1): 4! * 69 quotient terms of degree 128 - 4
+    support = Support(3, tuple((1 + 2 * k, 11 - k, 1 + k) for k in (0, 1, 3, 4, 7, 10)))
+    report = line_case_factor(VandermondeInstance(support, GF(5)))
+    assert report.splits and report.w == (-2, 1, -1)
+    assert (report.quotient_terms, report.quotient_degree) == (24 * 69, 124)
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(support.to_json()))), contextlib.redirect_stdout(out):
+        assert cli.main(["oracle", "--check", "line", "--char", "5"]) == 0
+    assert json.loads(out.getvalue())["report"]["quotient_terms"] == 24 * 69
 
 
 class _EqualRows(random.Random):
