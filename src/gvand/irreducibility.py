@@ -10,14 +10,15 @@ structure coming from the Frobenius.  A certificate is re-checked from
 its own data and the support: once gamma_bar + p^r * reduced support
 reconstructs the instance, the small_n and monomial_factor verdicts need
 nothing more, the collinear check reads its binomial and the quotient's
-size off the line, and only the power check expands the determinant.
+size off the line, and the power check reads the Frobenius identity off
+that reconstruction.  No check expands the determinant.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from gvand.errors import CertificateMismatchError, NoRootError
+from gvand.errors import CertificateMismatchError
 from gvand.exponents import (
     Support,
     affine_dimension,
@@ -28,7 +29,7 @@ from gvand.exponents import (
 )
 from gvand.reporting import ConditionCheck
 from gvand.rings import CoefficientRing
-from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
+from gvand.vandermonde import VandermondeInstance
 
 VERDICT_IRREDUCIBLE = "irreducible"
 VERDICT_MONOMIAL_FACTOR = "monomial_factor"
@@ -164,13 +165,12 @@ def verify_certificate(
 
     Returns a report of named checks when everything passes; raises
     CertificateMismatchError (report attached) when any check fails.
-    Each check tests only what can fail: the small_n, monomial_factor
-    and irreducible branches read the certificate, the support and the
-    tropical decision, and the collinear branch checks that the support
-    lies on its line; only the power branch expands the determinant,
-    once, and raises SizeCapError past vandermonde.EXPAND_MAX_N.  A
-    caller that already holds decide_tropical_irreducibility(inst.support,
-    seed) passes it as ``tropical``; otherwise it is computed when needed.
+    Each check tests only what can fail and expands nothing: the
+    branches read the certificate, the support and the tropical
+    decision, and the collinear branch checks that the support lies on
+    its line.  A caller that already holds
+    decide_tropical_irreducibility(inst.support, seed) passes it as
+    ``tropical``; otherwise it is computed when needed.
     """
     checks = []
 
@@ -201,7 +201,7 @@ def verify_certificate(
     elif verdict == VERDICT_MONOMIAL_FACTOR:
         _check_monomial_factor(cert, add)
     elif verdict == VERDICT_POWER:
-        _check_power(inst, cert, vandermonde_determinant(inst), add)
+        _check_power(cert, add)
     elif verdict == VERDICT_COLLINEAR:
         _check_collinear(inst, add)
     elif verdict == VERDICT_IRREDUCIBLE:
@@ -243,25 +243,19 @@ def _check_monomial_factor(cert, add):
     )
 
 
-def _check_power(inst, cert, det, add):
+def _check_power(cert, add):
     p, r = cert.characteristic, cert.power_r
     if p == 0 or r < 1:
         add("power_shape", False, f"power verdict needs p > 0 and r >= 1, got p={p}, r={r}")
         return
-    try:
-        root = det.frobenius_root(r)
-    except NoRootError as exc:
-        add("frobenius_root", False, f"no p^{r}-th root: {exc}")
-        return
-    add("frobenius_root", True, f"determinant admits a p^{r}-th Frobenius root")
-    # Gamma = gamma_bar + q * reduced (q = p^r) makes det = X^gamma_bar * det_reduced^q,
-    # so the root is X^(gamma_bar / q) * det_reduced: the reduced determinant iff gamma_bar = 0
+    # the support check proved Gamma = gamma_bar + q * reduced (q = p^r), and the
+    # Frobenius is a ring map, so det = X^gamma_bar * det_reduced^q: the p^r-th
+    # root is X^(gamma_bar / q) * det_reduced, the reduced determinant iff gamma_bar = 0
     add(
         "root_is_reduced_det",
         not any(cert.gamma_bar),
         "root equals the determinant of the reduced support",
     )
-    add("root_repowers", root.frobenius_power(r) == det, "root re-raised to p^r reproduces the determinant")
     sub = decide(cert.reduced_support, FieldSpec(p))
     add(
         "reduced_verdict",

@@ -40,7 +40,7 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def leibniz_determinant(matrix, max_n: int = LEIBNIZ_MAX_N) -> SparsePoly:
+def leibniz_determinant(matrix) -> SparsePoly:
     """Determinant as the signed permutation sum.
 
     Independent of the structural permutation enumeration in
@@ -50,8 +50,8 @@ def leibniz_determinant(matrix, max_n: int = LEIBNIZ_MAX_N) -> SparsePoly:
     purpose rather than through the shared kernels.
     """
     n = len(matrix)
-    if n > max_n:
-        raise SizeCapError(f"permutation sum over {n}! terms exceeds the N <= {max_n} cap")
+    if n > LEIBNIZ_MAX_N:
+        raise SizeCapError(f"permutation sum over {n}! terms exceeds the N <= {LEIBNIZ_MAX_N} cap")
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     ring = matrix[0][0].ring

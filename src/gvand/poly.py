@@ -345,22 +345,6 @@ class SparsePoly:
             out[tuple(x // q for x in exp)] = c
         return SparsePoly(self.ring, out, _canonical=True)
 
-    def frobenius_power(self, e: int = 1) -> "SparsePoly":
-        """The p^e-th power over a prime field, in O(terms).
-
-        The Frobenius is additive and c^q = c on GF(p), so raising to
-        q = p^e multiplies every exponent by q and keeps the coefficients;
-        the inverse of frobenius_root.
-        """
-        p = self.ring.characteristic
-        if p == 0:
-            raise RingMismatchError("frobenius_power needs a prime-field ring")
-        if e < 1:
-            raise ValueError("power order must be >= 1")
-        q = p**e
-        out = {tuple(x * q for x in exp): c for exp, c in self._terms.items()}
-        return SparsePoly(self.ring, out, _canonical=True)
-
     #### evaluation ####
 
     def evaluate(self, assignment):

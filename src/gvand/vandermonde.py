@@ -29,14 +29,12 @@ from gvand.exponents import Support
 from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ, CoefficientRing
 
-DEFAULT_MAX_N = 12
-# verify holds the N! terms as tuples only for a power verdict: at N = 9 it
-# peaks at about 0.35 GB (Python 3.11, n = 2 and 3, measured in a child
-# process), and N = 10 would need about ten times that.
 # expand streams its output: at N = 9 it takes 0.24 s and peaks at 46 MB with
 # JSON, 53 MB with text at n = 3, and at most 0.62 s and 107 MB at n = 8 in
-# either format, so output size, not memory, bounds it; it shares this cap
-# for now
+# either format, so output size, not memory, bounds it.  The expanding
+# oracles and library callers hold the N! terms as tuples: about 0.35 GB at
+# N = 9 (Python 3.11, n = 2 and 3, measured in a child process), and N = 10
+# would need about ten times that.  verify expands nothing.
 EXPAND_MAX_N = 9
 
 
@@ -210,10 +208,8 @@ class RowExpansion:
     determinant: SparsePoly
 
 
-def require_expandable(N: int, max_n: int = DEFAULT_MAX_N):
-    """Raise SizeCapError when N exceeds ``max_n`` or N! terms would not fit in memory."""
-    if N > max_n:
-        raise SizeCapError(f"N = {N} exceeds the cap {max_n}")
+def require_expandable(N: int):
+    """Raise SizeCapError when N! terms would not fit in memory."""
     if N > EXPAND_MAX_N:
         raise SizeCapError(
             f"N = {N} exceeds the expansion cap {EXPAND_MAX_N}: {N}! terms do not fit in memory"
@@ -225,16 +221,15 @@ def _units(inst: VandermondeInstance) -> tuple:
     return inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)
 
 
-def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowExpansion:
+def row_expansion(inst: VandermondeInstance) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
     Each minor is one permutation enumeration over rows 2..N; the
     determinant is assembled from the minors' raw keys by one top-row
-    step.  N above EXPAND_MAX_N raises SizeCapError whatever ``max_n``
-    says.
+    step.  N above EXPAND_MAX_N raises SizeCapError.
     """
     N, gammas = inst.N, inst.support.vectors
-    require_expandable(N, max_n)
+    require_expandable(N)
     ring = inst.poly_ring()
     # minor l covers rows 2..N; row 1's exponents are zero
     row1 = (0,) * inst.n
@@ -247,9 +242,9 @@ def row_expansion(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> RowE
     return RowExpansion(signs=signs, minors=tuple(minors), determinant=SparsePoly(ring, det, _canonical=True))
 
 
-def vandermonde_determinant(inst: VandermondeInstance, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
+def vandermonde_determinant(inst: VandermondeInstance) -> SparsePoly:
     """The determinant alone, from one enumeration over all N columns; no minors."""
     N, gammas = inst.N, inst.support.vectors
-    require_expandable(N, max_n)
+    require_expandable(N)
     order, pos, _ = _column_order(gammas, range(N), _lex_signs(N, *_units(inst)))
     return SparsePoly(inst.poly_ring(), dict(zip(_keys(gammas, order), pos)), _canonical=True)

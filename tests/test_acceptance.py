@@ -240,10 +240,10 @@ def test_criterion_09_power_structure():
             inst = VandermondeInstance(support, field.ring)
             report = verify_certificate(inst, cert)
             assert report["ok"], f"certificate re-check failed on {support.vectors}"
-            names = {c["name"]: c["holds"] for c in report["checks"]}
-            assert names["frobenius_root"] and names["root_repowers"], (
-                f"root extraction/re-powering not bit-exact on {support.vectors}"
-            )
+            # the Frobenius identity verify reads off the certificate, checked on the expansions
+            root = vandermonde_determinant(inst).frobenius_root(cert.power_r)
+            reduced = vandermonde_determinant(VandermondeInstance(cert.reduced_support, field.ring))
+            assert root == reduced, f"p^r-th root is not the reduced determinant on {support.vectors}"
 
 
 def test_criterion_10_jacobian_rank_evidence():

@@ -3,11 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_support
-from gvand import irreducibility
+from gvand import irreducibility, vandermonde
 from gvand.errors import CertificateMismatchError
-from gvand.exponents import Support, affine_dimension, componentwise_min, d_gamma
+from gvand.exponents import Support, affine_dimension, componentwise_min, d_gamma, normalize
 from gvand.irreducibility import (
     VERDICT_COLLINEAR,
     VERDICT_IRREDUCIBLE,
@@ -163,9 +165,7 @@ def test_verify_power():
     cert, report = _verify([(0, 0), (2, 0), (0, 2)], 2, 2)
     assert report["ok"] is True
     names = [c["name"] for c in report["checks"]]
-    for expected in ("frobenius_root", "root_is_reduced_det", "root_repowers", "reduced_verdict"):
-        assert expected in names
-    assert "root_row_support" not in names
+    assert names == ["support", "root_is_reduced_det", "reduced_verdict"]
 
 
 def test_verify_collinear():
@@ -177,40 +177,46 @@ def test_verify_collinear():
 
 def test_verify_irreducible_and_collinear_do_not_expand(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the determinant was expanded")
+        raise AssertionError("the determinant was expanded or divided")
 
-    monkeypatch.setattr("gvand.irreducibility.vandermonde_determinant", refuse)
-    _, report = _verify([(0, 0), (1, 0), (0, 1)], 2, 0)
-    assert report["verdict"] == VERDICT_IRREDUCIBLE
-    monkeypatch.undo()
-    # the collinear witness reads the line: no expansion and no division
-    calls = []
-    expand, divide = irreducibility.vandermonde_determinant, SparsePoly.exact_divide
-
-    def counted_expand(inst):
-        calls.append("expand")
-        return expand(inst)
-
-    def counted_divide(num, den):
-        calls.append("divide")
-        return divide(num, den)
-
-    monkeypatch.setattr(irreducibility, "vandermonde_determinant", counted_expand)
-    monkeypatch.setattr(SparsePoly, "exact_divide", counted_divide)
-    _, report = _verify([(0,), (1,), (2,), (3,)], 1, 0, seed=5)
-    assert report["verdict"] == VERDICT_COLLINEAR
-    assert report["ok"] is True
-    assert calls == []
-    # monomial_factor and small_n read the certificate; power expands once for its root
-    for vectors, char, verdict, expected in (
-        ([(1, 1), (3, 1), (1, 3)], 0, VERDICT_MONOMIAL_FACTOR, []),
-        ([(0, 3), (4, 1)], 0, VERDICT_SMALL_N, []),
-        ([(0, 0), (2, 0), (0, 2), (2, 2)], 2, VERDICT_POWER, ["expand"]),
+    # the global too, so that a name imported into irreducibility would be refused
+    for module in (vandermonde, irreducibility):
+        monkeypatch.setattr(module, "vandermonde_determinant", refuse, raising=False)
+    monkeypatch.setattr(SparsePoly, "exact_divide", refuse)
+    # the collinear witness reads the line; the other verdicts read the certificate
+    for vectors, n, char, verdict in (
+        ([(0, 0), (1, 0), (0, 1)], 2, 0, VERDICT_IRREDUCIBLE),
+        ([(0,), (1,), (2,), (3,)], 1, 0, VERDICT_COLLINEAR),
+        ([(1, 1), (3, 1), (1, 3)], 2, 0, VERDICT_MONOMIAL_FACTOR),
+        ([(0, 3), (4, 1)], 2, 0, VERDICT_SMALL_N),
     ):
-        calls.clear()
-        _, report = _verify(vectors, 2, char)
+        _, report = _verify(vectors, n, char, seed=5)
         assert report["verdict"] == verdict and report["ok"] is True
-        assert calls == expected, verdict
+
+
+@st.composite
+def wide_unit_scale_supports(draw):
+    """Supports with zero componentwise minimum, affine dimension >= 2 and d = 1."""
+    n = draw(st.integers(2, 3))
+    N = draw(st.integers(3, 7))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=N, max_size=N, unique=True))
+    support, _ = normalize(Support(n, tuple(vectors)))
+    assume(affine_dimension(support) >= 2 and d_gamma(support) == 1)
+    return support
+
+
+@given(wide_unit_scale_supports(), st.sampled_from((2, 3, 5)), st.integers(1, 2))
+def test_power_determinant_is_a_frobenius_power_of_the_reduced_one(reduced, p, r):
+    # what verify's power branch reads off the support check: Gamma = p^r * reduced
+    # makes det_Gamma = det_reduced^(p^r), so its Frobenius root is det_reduced
+    q = p**r
+    support = Support(reduced.n, tuple(tuple(q * x for x in v) for v in reduced.vectors))
+    field = FieldSpec(p)
+    cert = decide(support, field)
+    assert cert.verdict == VERDICT_POWER and cert.power_r == r
+    det = vandermonde.vandermonde_determinant(VandermondeInstance(support, field.ring))
+    reduced_det = vandermonde.vandermonde_determinant(VandermondeInstance(cert.reduced_support, field.ring))
+    assert det.frobenius_root(r) == reduced_det
 
 
 def test_verify_collinear_falls_back_to_a_luckier_prime():

@@ -189,19 +189,6 @@ def test_frobenius_root_requires_divisible_exponents():
         SparsePoly(RXY_F2, {(2, 0): 1}).frobenius_root(0)
 
 
-@given(small_polys(ring=RXY_F2), st.integers(1, 2))
-def test_frobenius_power_is_generic_power_and_inverts_root(a, e):
-    assert a.frobenius_power(e) == a ** (2**e)
-    assert a.frobenius_power(e).frobenius_root(e) == a
-
-
-def test_frobenius_power_needs_a_prime_field():
-    with pytest.raises(RingMismatchError):
-        SparsePoly(RXY, {(1, 0): 1}).frobenius_power(1)
-    with pytest.raises(ValueError):
-        SparsePoly(RXY_F2, {(1, 0): 1}).frobenius_power(0)
-
-
 def test_frobenius_root_higher_order():
     p = SparsePoly(RXY_F2, {(4, 0): 1, (0, 4): 1})
     assert p.frobenius_root(2).term_map() == {(1, 0): 1, (0, 1): 1}
