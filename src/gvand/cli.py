@@ -2,10 +2,12 @@
 
 Subcommands: decide, expand, tropical, verify, oracle.  Input is a
 support as JSON ({"n": ..., "exponents": [[...], ...]}) from --input or
-stdin; field and seed come from flags.  JSON is the wire format; text
-output renders the same data and nothing more.  For a fixed input and
-seed every command prints byte-identical output across runs.  expand
-writes its document, in either format, in chunks straight from
+stdin; field and seed come from flags.  Each command takes --input,
+--char, --seed and --format, and oracle adds --check; the caps N <= 12
+and n <= 8 are fixed.  Payloads are plain JSON data, and text output
+renders the same data and nothing more.  For a fixed input and seed
+every command prints byte-identical output across runs.  expand writes
+its document, in either format, in chunks straight from
 gvand.vandermonde.text_terms, which joins each term from a prefix and a
 tail of the last rows built once per document: one chunk per top-row
 column of the determinant, and per first-row minor one per column of
@@ -22,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from gvand.errors import (
     CertificateMismatchError,
@@ -47,7 +48,7 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
-from gvand.poly import SparsePoly, grid_var
+from gvand.poly import grid_var
 from gvand.rings import CoefficientRing
 from gvand.tropical import TROPICAL_IRREDUCIBLE, decide_tropical_irreducibility
 from gvand.vandermonde import (
@@ -60,41 +61,29 @@ from gvand.vandermonde import (
 )
 
 MAX_SEED = 2**64 - 1
-DEFAULT_MAX_N = 12
+MAX_N = 12
+MAX_VARS = 8
 ORACLE_CHECKS = ("leibniz", "classical", "line", "jacobian", "polygon")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str  # file path, or "-" for stdin
-    characteristic: int = 0
-    seed: int = 0
-    fmt: str = "json"
-    max_n: int = DEFAULT_MAX_N
-    max_vars: int = 8
-    check: str = ""
-    trials: int = 3
-
-
-def _load_support(config: RunConfig) -> Support:
-    if config.input_path and config.input_path != "-":
+def _load_support(args: argparse.Namespace) -> Support:
+    if args.input_path and args.input_path != "-":
         try:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+            with open(args.input_path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise InputError(f"input: cannot read {config.input_path}: {exc.strerror}")
+            raise InputError(f"input: cannot read {args.input_path}: {exc.strerror}")
     else:
         raw = sys.stdin.read()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"input: invalid JSON: {exc}")
     support = Support.from_json(data)
-    if support.N > config.max_n:
-        raise InputError(f"support.exponents: N = {support.N} exceeds the cap {config.max_n}")
-    if support.n > config.max_vars:
-        raise InputError(f"support.n: n = {support.n} exceeds the cap {config.max_vars}")
+    if support.N > MAX_N:
+        raise InputError(f"support.exponents: N = {support.N} exceeds the cap {MAX_N}")
+    if support.n > MAX_VARS:
+        raise InputError(f"support.n: n = {support.n} exceeds the cap {MAX_VARS}")
     return support
 
 
@@ -108,8 +97,6 @@ def _render_text(data, indent: int = 0):
         return [f"{pad}{_scalar(data)}"]
     lines = []
     for label, val in entries:
-        if isinstance(val, SparsePoly):
-            val = val.to_terms_json()
         if isinstance(val, (dict, list)) and val:
             lines.append(label)
             lines.extend(_render_text(val, indent + 1))
@@ -128,32 +115,14 @@ def _scalar(val) -> str:
     return str(val)
 
 
-def _json_text(data) -> str:
-    """json.dumps(data), with SparsePoly values written as their term lists.
-
-    A container without a SparsePoly is one C-encoder call; only the
-    containers that hold one are walked.
-    """
-    if isinstance(data, SparsePoly):
-        return data.to_terms_json_text()
-    try:
-        return json.dumps(data)
-    except TypeError:
-        if isinstance(data, dict):
-            return "{" + ", ".join(f"{json.dumps(key)}: {_json_text(val)}" for key, val in data.items()) + "}"
-        if isinstance(data, list):
-            return "[" + ", ".join(map(_json_text, data)) + "]"
-        raise
-
-
-def _emit(config: RunConfig, payload):
-    """Print a payload; SparsePoly values inside it print as term lists.
+def _emit(args: argparse.Namespace, payload):
+    """Print a payload of plain JSON data.
 
     A payload that is not a dict is the document itself, as chunks of
     text already in the output format, written as they come.
     """
     if isinstance(payload, dict):
-        text = "\n".join(_render_text(payload)) if config.fmt == "text" else _json_text(payload)
+        text = "\n".join(_render_text(payload)) if args.fmt == "text" else json.dumps(payload)
         payload = (text + "\n",)
     write = sys.stdout.write
     for chunk in payload:
@@ -203,7 +172,7 @@ class _TermText:
             between = self.joiner
 
 
-def _expand_document(config: RunConfig, inst: VandermondeInstance):
+def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
     """expand's output in chunks: the determinant one top-row column at a
     time, then each first-row minor one column of its first row at a time.
     No term map and no whole document is ever built."""
@@ -211,13 +180,13 @@ def _expand_document(config: RunConfig, inst: VandermondeInstance):
     gammas, N = support.vectors, support.N
     head = {
         "command": "expand",
-        "seed": config.seed,
-        "characteristic": config.characteristic,
+        "seed": args.seed,
+        "characteristic": args.characteristic,
         "support": support.to_json(),
         "variables": list(inst.poly_ring().variables),
     }
     signs = [l % 2 for l in range(N)]
-    if config.fmt == "text":
+    if args.fmt == "text":
         terms = _TermText.text(gammas, 1)
         yield "\n".join(_render_text(head)) + "\ndeterminant:"
         after_det = "\n" + "\n".join(_render_text({"signs": signs})) + "\nminors:"
@@ -228,7 +197,7 @@ def _expand_document(config: RunConfig, inst: VandermondeInstance):
         after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
         minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
     yield from terms.chunks(ring, range(N))
-    if config.fmt == "text":
+    if args.fmt == "text":
         # the minors sit one level deeper.  Their table is built only once the
         # determinant's is freed, so one set of tails is held at a time, and
         # between chunks, where its strings leave no gaps among freed terms
@@ -242,15 +211,15 @@ def _expand_document(config: RunConfig, inst: VandermondeInstance):
     yield end
 
 
-def _cmd_decide(config: RunConfig) -> int:
-    support = _load_support(config)
-    cert = decide(support, FieldSpec(config.characteristic))
+def _cmd_decide(args: argparse.Namespace) -> int:
+    support = _load_support(args)
+    cert = decide(support, FieldSpec(args.characteristic))
     _emit(
-        config,
+        args,
         {
             "command": "decide",
-            "seed": config.seed,
-            "characteristic": config.characteristic,
+            "seed": args.seed,
+            "characteristic": args.characteristic,
             "support": support.to_json(),
             "certificate": cert.to_json(),
         },
@@ -258,22 +227,22 @@ def _cmd_decide(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_expand(config: RunConfig) -> int:
-    support = _load_support(config)
-    inst = VandermondeInstance(support, CoefficientRing(config.characteristic))
+def _cmd_expand(args: argparse.Namespace) -> int:
+    support = _load_support(args)
+    inst = VandermondeInstance(support, CoefficientRing(args.characteristic))
     require_expandable(support.N)
-    _emit(config, _expand_document(config, inst))
+    _emit(args, _expand_document(args, inst))
     return 0
 
 
-def _cmd_tropical(config: RunConfig) -> int:
-    support = _load_support(config)
-    cert = decide_tropical_irreducibility(support, seed=config.seed)
+def _cmd_tropical(args: argparse.Namespace) -> int:
+    support = _load_support(args)
+    cert = decide_tropical_irreducibility(support, seed=args.seed)
     _emit(
-        config,
+        args,
         {
             "command": "tropical",
-            "seed": config.seed,
+            "seed": args.seed,
             "support": support.to_json(),
             "certificate": cert.to_json(),
         },
@@ -281,23 +250,23 @@ def _cmd_tropical(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    support = _load_support(config)
-    field = FieldSpec(config.characteristic)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    support = _load_support(args)
+    field = FieldSpec(args.characteristic)
     cert = decide(support, field)
     inst = VandermondeInstance(support, field.ring)
     payload = {
         "command": "verify",
-        "seed": config.seed,
-        "characteristic": config.characteristic,
+        "seed": args.seed,
+        "characteristic": args.characteristic,
         "support": support.to_json(),
         "certificate": cert.to_json(),
     }
     # one tropical decision serves the certificate check and the agreement oracle
-    tropical_cert = decide_tropical_irreducibility(support, seed=config.seed)
+    tropical_cert = decide_tropical_irreducibility(support, seed=args.seed)
     failed = False
     try:
-        payload["verification"] = verify_certificate(inst, cert, seed=config.seed, tropical=tropical_cert)
+        payload["verification"] = verify_certificate(inst, cert, seed=args.seed, tropical=tropical_cert)
     except CertificateMismatchError as exc:
         payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
         failed = True
@@ -313,48 +282,48 @@ def _cmd_verify(config: RunConfig) -> int:
         }
     }
     payload["ok"] = not failed and agree
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if payload["ok"] else 1
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    support = _load_support(config)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    support = _load_support(args)
     payload = {
         "command": "oracle",
-        "check": config.check,
-        "seed": config.seed,
-        "characteristic": config.characteristic,
+        "check": args.check,
+        "seed": args.seed,
+        "characteristic": args.characteristic,
         "support": support.to_json(),
     }
     failed = False
-    if config.check == "leibniz":
-        inst = VandermondeInstance(support, CoefficientRing(config.characteristic))
+    if args.check == "leibniz":
+        inst = VandermondeInstance(support, CoefficientRing(args.characteristic))
         matrix = build_matrix(inst)
         agree = leibniz_determinant(matrix) == vandermonde_determinant(inst)
         payload["report"] = {"ok": agree}
         failed = not agree
-    elif config.check == "classical":
+    elif args.check == "classical":
         report = classical_divisibility_check(support)
         ok = report["divides"]
         payload["report"] = {
             "ok": ok,
             "quotient_terms": report["quotient_terms"],
-            "quotient": report["quotient"],
+            "quotient": report["quotient"].to_terms_json() if ok else None,
         }
         failed = not ok
-    elif config.check == "line":
-        report = line_case_factor(VandermondeInstance(support, CoefficientRing(config.characteristic)))
+    elif args.check == "line":
+        report = line_case_factor(VandermondeInstance(support, CoefficientRing(args.characteristic)))
         payload["report"] = dict(report.to_json(), ok=report.splits)
         failed = not report.splits
-    elif config.check == "jacobian":
-        report = jacobian_independence_evidence(support, trials=config.trials, seed=config.seed)
+    elif args.check == "jacobian":
+        report = jacobian_independence_evidence(support, seed=args.seed)
         payload["report"] = dict(report.to_json(), ok=True)
-    elif config.check == "polygon":
+    elif args.check == "polygon":
         report = polygon_indecomposability(support)
         payload["report"] = dict(report.to_json(), ok=True)
     else:
-        raise InputError(f"check: unknown oracle check {config.check!r}")
-    _emit(config, payload)
+        raise InputError(f"check: unknown oracle check {args.check!r}")
+    _emit(args, payload)
     return 1 if failed else 0
 
 
@@ -367,12 +336,14 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
-        return _COMMANDS[config.command](config)
-    except (InputError, SizeCapError, DegenerateSupportError, ValueError, KeyError) as exc:
-        # malformed input and caps: declined, not falsified
+        return _COMMANDS[args.command](args)
+    except (InputError, SizeCapError, DegenerateSupportError, ValueError) as exc:
+        # malformed input and caps: declined, not falsified.  ValueError stays until
+        # the tropical witness of an admitted support stops outgrowing int-to-str
+        # conversion.
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CertificateMismatchError, InvariantViolationError) as exc:
@@ -399,15 +370,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("oracle", "run one independent check by name"),
     ):
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--input", default="-", help="support JSON file, or - for stdin")
-        cmd.add_argument("--char", type=int, default=0, metavar="P", help="field characteristic (0 or a prime)")
+        cmd.add_argument("--input", default="-", dest="input_path", help="support JSON file, or - for stdin")
+        cmd.add_argument(
+            "--char", type=int, default=0, metavar="P", dest="characteristic", help="field characteristic (0 or a prime)"
+        )
         cmd.add_argument("--seed", type=int, default=0, help="seed for all randomized steps (echoed in output)")
         cmd.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-        cmd.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cap on N (at most 12)")
-        cmd.add_argument("--max-vars", type=int, default=8, help="cap on the ambient dimension n")
         if name == "oracle":
             cmd.add_argument("--check", required=True, choices=ORACLE_CHECKS)
-            cmd.add_argument("--trials", type=int, default=3, help="sample points for the jacobian check")
     return parser
 
 
@@ -416,32 +386,15 @@ def main(argv=None) -> int:
     try:
         if not 0 <= args.seed <= MAX_SEED:
             raise InputError("seed: must fit in an unsigned 64-bit integer")
-        if args.max_n > DEFAULT_MAX_N or args.max_n < 1:
-            raise InputError(f"max-n: must be between 1 and {DEFAULT_MAX_N}")
-        if args.max_vars < 1:
-            raise InputError("max-vars: must be positive")
-        if getattr(args, "trials", 1) < 1:
-            raise InputError("trials: must be positive")
         try:
-            CoefficientRing(args.char)
+            CoefficientRing(args.characteristic)
         except ValueError as exc:
             raise InputError(f"char: {exc}")
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            characteristic=args.char,
-            seed=args.seed,
-            fmt=args.fmt,
-            max_n=args.max_n,
-            max_vars=args.max_vars,
-            check=getattr(args, "check", ""),
-            trials=getattr(args, "trials", 3),
-        )
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        return run(config)
+        return run(args)
     except BrokenPipeError:
         # the reader closed stdout: stop, and send what is still buffered to
         # the null device so that the exit flush reports nothing either

@@ -102,7 +102,7 @@ def classical_divisibility_check(support: Support) -> dict:
     SizeCapError.
     """
     if support.n != 1:
-        raise ValueError("classical divisibility needs a single-coordinate support")
+        raise DegenerateSupportError("classical divisibility needs a single-coordinate support")
     if support.N > CLASSICAL_MAX_N:
         raise SizeCapError(f"N = {support.N} exceeds the classical cap {CLASSICAL_MAX_N}")
     g = sorted(v[0] for v in support.vectors)
@@ -164,7 +164,7 @@ def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
     positions k.  Nothing is expanded, so every admitted N runs.
     """
     if affine_dimension(inst.support) != 1:
-        raise ValueError("line-case factoring needs a support on an affine line")
+        raise DegenerateSupportError("line-case factoring needs a support on an affine line")
     return LineCaseReport(*collinear_witness(inst))
 
 

@@ -9,10 +9,9 @@ tuple, never alphabetical.
 """
 
 import heapq
-import json
 from fractions import Fraction
 from itertools import compress
-from operator import add, getitem, sub
+from operator import add, sub
 
 from gvand import kernels
 from gvand.errors import (
@@ -27,20 +26,6 @@ from gvand.rings import ZZ, CoefficientRing
 
 def graded_lex_key(exp):
     return (sum(exp), exp)
-
-
-class _Fragments(dict):
-    """Memo of the text prefix + str(key) + suffix, built on first lookup."""
-
-    __slots__ = ("prefix", "suffix")
-
-    def __init__(self, prefix: str, suffix: str = ""):
-        self.prefix = prefix
-        self.suffix = suffix
-
-    def __missing__(self, key):
-        text = self[key] = f"{self.prefix}{key}{self.suffix}"
-        return text
 
 
 class PolyRing:
@@ -102,22 +87,6 @@ class PolyRing:
         exps = [0] * self.nvars
         exps[self.var_index(name)] = 1
         return self.monomial(exps)
-
-    def from_terms(self, pairs) -> "SparsePoly":
-        """Build a polynomial from (exponent vector, coeff) pairs, merging."""
-        terms = {}
-        for exp, c in pairs:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != self.nvars:
-                raise RingMismatchError("exponent vector length does not match ring")
-            if any(e < 0 for e in exp):
-                raise NegativeExponentError(f"negative exponent in {exp}")
-            acc = self.coeff_ring.normalize(terms.get(exp, 0) + c)
-            if acc:
-                terms[exp] = acc
-            elif exp in terms:
-                del terms[exp]
-        return SparsePoly(self, terms, _canonical=True)
 
     def __eq__(self, other):
         return (
@@ -190,12 +159,6 @@ class SparsePoly:
         """Copy of the raw exponent -> coefficient dict."""
         return dict(self._terms)
 
-    def leading_term(self):
-        if not self._terms:
-            raise ZeroPolynomialError("the zero polynomial has no leading term")
-        exp = max(self._terms, key=graded_lex_key)
-        return exp, self._terms[exp]
-
     def total_degree(self) -> int:
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
@@ -204,11 +167,6 @@ class SparsePoly:
     def _used_positions(self) -> list:
         """Positions of the variables with a positive exponent somewhere."""
         return [k for k, column in enumerate(zip(*self._terms)) if any(column)]
-
-    def variables_used(self):
-        """Names of variables with a positive exponent somewhere."""
-        names = self.ring.variables
-        return {names[k] for k in self._used_positions()}
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -395,23 +353,6 @@ class SparsePoly:
             {"coeff": str(terms[exp]), "monomial": dict(compress(zip(names, exp), exp))}
             for exp in self._ordered_exponents()
         ]
-
-    def to_terms_json_text(self) -> str:
-        """json.dumps(self.to_terms_json()), built without the dicts.
-
-        One fragment table per variable maps an exponent to '"name": e'
-        and one head per distinct coefficient opens a term, so a term is
-        its head plus the fragments of its nonzero exponents.  A grid
-        variable of a Vandermonde determinant takes at most N distinct
-        exponents, so the tables stay tiny.
-        """
-        tables = [_Fragments(json.dumps(name) + ": ") for name in self.ring.variables]
-        heads = _Fragments('{"coeff": "', '", "monomial": {')
-        terms = self._terms
-        return "[" + ", ".join([
-            heads[terms[exp]] + ", ".join(compress(map(getitem, tables, exp), exp)) + "}}"
-            for exp in self._ordered_exponents()
-        ]) + "]"
 
     def __repr__(self):
         if not self._terms:

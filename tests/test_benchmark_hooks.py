@@ -8,10 +8,12 @@ change that moves one byte fails here too, not only in the benchmark's
 ok_rate.  The tropical certificate has the same guard: digests of
 `tropical` output over the benchmark's classify supports, recorded in
 tests/data/tropical_digests.json, and so does `verify` output over the
-benchmark's seed-1 verify corpus, in tests/data/verify_digests.json, and
+benchmark's seed-1 verify corpus, in tests/data/verify_digests.json,
 `oracle --check line` output over the classify supports on an affine
-line, in tests/data/line_digests.json.  The benchmark files are only
-read, never changed.
+line, in tests/data/line_digests.json, and `oracle --check classical`
+output, JSON and text, over the single-coordinate classify supports, in
+tests/data/classical_digests.json.  The benchmark files are only read,
+never changed.
 """
 
 import contextlib
@@ -27,6 +29,24 @@ from gvand import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run_digest(monkeypatch, argv, support, digest=_sha256):
+    """Run cli.main on argv with the support on stdin; returns
+    (exit code, stderr, digest of stdout)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(support)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue(), digest(out.getvalue())
+
+
+def _key(op) -> str:
+    return f"{op['char']}|{json.dumps(op['support'], separators=(',', ':'))}"
 
 
 def _load(name):
@@ -57,12 +77,10 @@ def test_expand_output_matches_the_recorded_digests(monkeypatch):
     ops = corpus.expand_ops(1)
     assert len(ops) == 109  # N = 8, n = 3, the largest expansion the benchmark runs, among them
     for op in ops:
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["expand", "--char", str(op["char"])])
-        assert rc == 0 and err.getvalue() == ""
-        assert checks.expand_digest(out.getvalue()) == digests[corpus.expand_key(op)], op
+        argv = ["expand", "--char", str(op["char"])]
+        rc, err, digest = _run_digest(monkeypatch, argv, op["support"], checks.expand_digest)
+        assert rc == 0 and err == ""
+        assert digest == digests[corpus.expand_key(op)], op
 
 
 def test_tropical_output_matches_the_recorded_digests(monkeypatch):
@@ -72,13 +90,10 @@ def test_tropical_output_matches_the_recorded_digests(monkeypatch):
     assert len(ops) > 100
     for seed in (0, 7):
         for op in ops:
-            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(["tropical", "--seed", str(seed)])
-            assert rc == 0 and err.getvalue() == ""
+            rc, err, digest = _run_digest(monkeypatch, ["tropical", "--seed", str(seed)], op["support"])
+            assert rc == 0 and err == ""
             key = f"{seed}|{json.dumps(op['support'], separators=(',', ':'))}"
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+            assert digest == digests[key], key
 
 
 def test_line_oracle_output_matches_the_recorded_digests(monkeypatch):
@@ -89,17 +104,38 @@ def test_line_oracle_output_matches_the_recorded_digests(monkeypatch):
     assert len(digests) == 38
     checked = 0
     for op in corpus.classify_ops(1):
-        key = f"{op['char']}|{json.dumps(op['support'], separators=(',', ':'))}"
+        key = _key(op)
         if op["command"] != "tropical" or key not in digests:
             continue
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["oracle", "--check", "line", "--char", str(op["char"])])
-        assert rc == 0 and err.getvalue() == ""
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+        argv = ["oracle", "--check", "line", "--char", str(op["char"])]
+        rc, err, digest = _run_digest(monkeypatch, argv, op["support"])
+        assert rc == 0 and err == ""
+        assert digest == digests[key], key
         checked += 1
     assert checked == len(digests)
+
+
+def test_classical_oracle_output_matches_the_recorded_digests(monkeypatch):
+    # recorded while the quotient still had an encoder of its own: the only payload
+    # whose JSON came from a second route.  The supports past the classical caps
+    # are refused with one line.
+    corpus = _load("corpus")
+    digests = json.loads((DATA / "classical_digests.json").read_text())
+    ops = {_key(op): op for op in corpus.classify_ops(1) if op["support"]["n"] == 1}
+    assert len(ops) == 34 and len(digests) == 2 * 13
+    refused = 0
+    for key, op in ops.items():
+        for fmt in ("json", "text"):
+            argv = ["oracle", "--check", "classical", "--char", str(op["char"]), "--format", fmt]
+            rc, err, digest = _run_digest(monkeypatch, argv, op["support"])
+            if f"{fmt}|{key}" in digests:
+                assert rc == 0 and err == ""
+                assert digest == digests[f"{fmt}|{key}"], (fmt, key)
+            else:
+                assert rc == 2 and digest == _sha256("")
+                assert err.startswith("error: ") and err.count("\n") == 1, (fmt, key)
+                refused += 1
+    assert refused == 2 * 21
 
 
 def test_verify_output_matches_the_recorded_digests(monkeypatch):
@@ -108,10 +144,6 @@ def test_verify_output_matches_the_recorded_digests(monkeypatch):
     ops = corpus.verify_ops(1)
     assert len(ops) == 173
     for op in ops:
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(op["support"])))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["verify", "--char", str(op["char"])])
-        assert rc == 0 and err.getvalue() == ""
-        key = f"{op['char']}|{json.dumps(op['support'], separators=(',', ':'))}"
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+        rc, err, digest = _run_digest(monkeypatch, ["verify", "--char", str(op["char"])], op["support"])
+        assert rc == 0 and err == ""
+        assert digest == digests[_key(op)], _key(op)

@@ -115,7 +115,7 @@ def test_expansion_cap_beyond_memory(support_file, command, exponents):
         assert "expansion cap" in done.stderr
 
 
-# the largest expand the caps admit: N = EXPAND_MAX_N = 9, n = --max-vars = 8, every exponent
+# the largest expand the caps admit: N = EXPAND_MAX_N = 9, n = MAX_VARS = 8, every exponent
 # nonzero; 2 * 9! = 725 760 terms
 CAP_EDGE = {"n": 8, "exponents": [[(7 * i + 3 * j) % 9 + 1 for j in range(8)] for i in range(9)]}
 # Streaming, expand runs on it in about 0.1 GB of address space in either format; a
@@ -154,7 +154,7 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
     assert coeffs == 2 * 362880
 
 
-# the largest shape oracle --check jacobian admits: N = 12, n = --max-vars = 8, exponents near 10**18
+# the largest shape oracle --check jacobian admits: N = 12, n = MAX_VARS = 8, exponents near 10**18
 JACOBIAN_CAP_EDGE = {"n": 8, "exponents": [[10**18 - (8 * i + j) ** 2 for j in range(8)] for i in range(12)]}
 # It and BENCH_N8 each take about 0.05 s and 17 MB on a 2-core host, interpreter start-up
 # included; the budget leaves a hundredfold margin for a loaded host.  The collinear rows
@@ -259,7 +259,6 @@ def test_expand_holds_no_document(support_file, monkeypatch):
 
     monkeypatch.setattr(vandermonde, "row_expansion", unreachable)
     monkeypatch.setattr(SparsePoly, "to_terms_json", unreachable)
-    monkeypatch.setattr(SparsePoly, "to_terms_json_text", unreachable)
     N = 7  # 5040 terms
     path = support_file({"n": 2, "exponents": [[0, 0], [1, 0], [0, 1], [2, 1], [1, 3], [3, 3], [4, 0]]})
     for fmt in ("json", "text"):
@@ -593,7 +592,7 @@ def test_oracle_line_splits_at_n8_over_gf3(support_file):
 def test_oracle_jacobian(support_file, capsys):
     code, out, _ = _run(
         capsys,
-        ["oracle", "--check", "jacobian", "--input", support_file(TRIANGLE), "--trials", "2"],
+        ["oracle", "--check", "jacobian", "--input", support_file(TRIANGLE)],
     )
     assert code == 0
     payload = json.loads(out)
@@ -641,6 +640,24 @@ def test_run_maps_library_errors_by_class(support_file, capsys, monkeypatch, exc
     assert (rc, out, err) == (code, "", f"{prefix}{exc}\n")
 
 
+def test_internal_key_error_is_not_an_input_error(support_file, monkeypatch):
+    # a KeyError inside a command is a defect: it propagates, it is not reported as exit 2
+    def fail(*args, **kwargs):
+        raise KeyError("no facet on vertices (0, 1)")
+
+    monkeypatch.setattr(cli, "decide", fail)
+    with pytest.raises(KeyError):
+        main(["decide", "--input", support_file(TRIANGLE)])
+
+
+@pytest.mark.parametrize("check", ["classical", "line"])
+def test_oracle_refuses_a_support_of_the_wrong_shape(support_file, capsys, check):
+    # TRIANGLE has two coordinates and affine dimension 2: a DegenerateSupportError
+    code, out, err = _run(capsys, ["oracle", "--check", check, "--input", support_file(TRIANGLE)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = _run(capsys, ["decide", "--input", "/nonexistent/support.json"])
     assert code == 2
@@ -654,6 +671,11 @@ def test_invalid_json_is_input_error(support_file, capsys, tmp_path):
     code, _, err = _run(capsys, ["decide", "--input", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+    # an integer past Python's digit limit for int conversion fails in the parser too
+    path.write_text('{"n": 1, "exponents": [[' + "1" * 5000 + "]]}")
+    code, out, err = _run(capsys, ["decide", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: input: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_schema_errors_name_the_field(support_file, capsys):
@@ -688,32 +710,42 @@ def test_composite_characteristic_rejected(support_file, capsys):
 
 
 def test_size_caps_are_input_errors(support_file, capsys):
+    # N <= MAX_N = 12 and n <= MAX_VARS = 8 hold for every command; no flag moves them
     big = {"n": 1, "exponents": [[k] for k in range(13)]}
-    code, _, err = _run(capsys, ["decide", "--input", support_file(big)])
-    assert code == 2
-    assert "exceeds the cap" in err
-    code, _, err = _run(
-        capsys, ["decide", "--input", support_file(STAIRCASE), "--max-n", "2"]
-    )
-    assert code == 2
     wide = {"n": 9, "exponents": [[0] * 8 + [1]]}
-    code, _, err = _run(capsys, ["decide", "--input", support_file(wide)])
-    assert code == 2
-    assert "support.n" in err
-
-
-def test_max_n_cannot_exceed_hard_cap(support_file, capsys):
-    code, _, err = _run(
-        capsys, ["decide", "--input", support_file(STAIRCASE), "--max-n", "20"]
+    refusals = (
+        (big, "error: support.exponents: N = 13 exceeds the cap 12\n"),
+        (wide, "error: support.n: n = 9 exceeds the cap 8\n"),
     )
-    assert code == 2
-    assert "max-n" in err
+    for data, message in refusals:
+        for command in (["decide"], ["expand"], ["tropical"], ["verify"], ["oracle", "--check", "jacobian"]):
+            assert _run(capsys, [*command, "--input", support_file(data)]) == (2, "", message)
 
 
-@pytest.mark.parametrize("trials", ["0", "-2"])
-def test_oracle_trials_must_be_positive(support_file, capsys, trials):
-    argv = ["oracle", "--check", "jacobian", "--input", support_file(TRIANGLE), "--trials", trials]
-    assert _run(capsys, argv) == (2, "", "error: trials: must be positive\n")
+@pytest.mark.parametrize("flag", ["--max-n", "--max-vars", "--trials"])
+def test_removed_knobs_are_unknown_flags(support_file, flag):
+    argv = ["oracle", "--check", "jacobian", "--input", support_file(TRIANGLE), flag, "3"]
+    code, out, err = _main_in_process(argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 3" in err
+
+
+# every residue is a root of x^(q-1) - 1 mod q = 2^61 - 1, so all three columns agree at
+# every point and the reference minor vanishes at every draw: 3 points, each redrawn 20
+# times, take about 0.05 s on a 2-core host, interpreter start-up included
+FERMAT_SINGULAR = {"n": 1, "exponents": [[0], [2305843009213693950], [4611686018427387900]]}
+
+
+def test_fermat_singular_jacobian_is_inconclusive_within_budget(support_file):
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "jacobian", "--input", support_file(FERMAT_SINGULAR)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("inconclusive: ") and done.stderr.count("\n") == 1
 
 
 def test_negative_seed_rejected(support_file, capsys):
@@ -829,9 +861,9 @@ _NONZERO = {
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("N", range(1, 8))
 def test_expand_terms_match_the_row_expansion_encoder(N, n):
-    """expand's term lists, byte for byte, against SparsePoly.to_terms_json_text
-    over row_expansion: exponent keys, a graded-lex sort and per-variable
-    fragments, a route that shares no text table with expand.  The zero vector
+    """expand's term lists, byte for byte, against json.dumps of
+    SparsePoly.to_terms_json over row_expansion: exponent keys, a graded-lex
+    sort and dicts, a route that shares no text table with expand.  The zero vector
     in each column position runs the empty prefix in the determinant and the
     minors; over GF(2) both signs have one head."""
     others = _NONZERO[n][: N - 1]
@@ -842,9 +874,9 @@ def test_expand_terms_match_the_row_expansion_encoder(N, n):
             assert code == 0 and err == ""
             inst = vandermonde.VandermondeInstance(Support.from_json(support), CoefficientRing(int(char)))
             exp = vandermonde.row_expansion(inst)
-            minors = ", ".join(minor.to_terms_json_text() for minor in exp.minors)
+            minors = ", ".join(json.dumps(minor.to_terms_json()) for minor in exp.minors)
             expected = (
-                f', "determinant": {exp.determinant.to_terms_json_text()}, '
+                f', "determinant": {json.dumps(exp.determinant.to_terms_json())}, '
                 f'"signs": {json.dumps(list(exp.signs))}, "minors": [{minors}]}}\n'
             )
             same = out[out.index(', "determinant": ') :] == expected  # no diff of megabytes on failure
