@@ -313,8 +313,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         failed = not ok
     elif args.check == "line":
         report = line_case_factor(VandermondeInstance(support, CoefficientRing(args.characteristic)))
-        payload["report"] = dict(report.to_json(), ok=report.splits)
-        failed = not report.splits
+        # the binomial divides whenever the support lies on its line; at N = 2 the
+        # quotient is a unit, and that is no falsification
+        divides = report.quotient_terms is not None
+        payload["report"] = dict(report.to_json(), ok=divides)
+        failed = not divides
     elif args.check == "jacobian":
         report = jacobian_independence_evidence(support, seed=args.seed)
         payload["report"] = dict(report.to_json(), ok=True)
@@ -342,8 +345,8 @@ def run(args: argparse.Namespace) -> int:
         return _COMMANDS[args.command](args)
     except (InputError, SizeCapError, DegenerateSupportError, ValueError) as exc:
         # malformed input and caps: declined, not falsified.  ValueError stays until
-        # the tropical witness of an admitted support stops outgrowing int-to-str
-        # conversion.
+        # the tropical witness of a rank-deficient admitted support stops outgrowing
+        # int-to-str conversion.
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CertificateMismatchError, InvariantViolationError) as exc:

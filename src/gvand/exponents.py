@@ -5,37 +5,40 @@ quantities that drive every decision downstream live here: the
 componentwise minimum (monomial content), the normalized support, the
 scale gcd d (gcd of all coordinates after normalization, equivalently
 of all pairwise differences), the affine dimension, and a coordinate
-reduction onto the difference lattice via Smith normal form.
+reduction onto the difference lattice: a translation when the support
+is full-dimensional, a Smith normal form otherwise.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from gvand.errors import DegenerateSupportError, InputError
 from gvand.linalg import identity, integer_rank, vec_mat
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(namedtuple("Support", "n vectors")):
     """Ordered exponent set: N distinct vectors in NN^n."""
 
-    n: int
-    vectors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, vectors):
+        if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
+        vecs = tuple(tuple(int(x) for x in v) for v in vectors)
         if not vecs:
             raise ValueError("a support needs at least one exponent vector")
         for v in vecs:
-            if len(v) != self.n:
-                raise ValueError(f"vector {v} does not have length {self.n}")
+            if len(v) != n:
+                raise ValueError(f"vector {v} does not have length {n}")
             if any(x < 0 for x in v):
                 raise ValueError(f"vector {v} has a negative entry")
         if len(set(vecs)) != len(vecs):
             raise ValueError("exponent vectors must be distinct")
+        return super().__new__(cls, n, vecs)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
     @property
     def N(self) -> int:
@@ -124,18 +127,14 @@ def affine_dimension(support: Support) -> int:
 #### Smith normal form ####
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(namedtuple("SNFResult", "U D V rank")):
     """Invertible U, V and diagonal D with U . M . V = D.
 
     Diagonal entries are non-negative and each divides the next; rank
     is the count of nonzero diagonal entries.
     """
 
-    U: tuple
-    D: tuple
-    V: tuple
-    rank: int
+    __slots__ = ()
 
 
 def _pick_pivot(a, t):
@@ -222,8 +221,7 @@ def smith_normal_form(matrix) -> SNFResult:
 #### span reduction ####
 
 
-@dataclass(frozen=True)
-class SpanReduction:
+class SpanReduction(namedtuple("SpanReduction", "base_point transform dims offset")):
     """Affine change of exponent coordinates onto the difference lattice.
 
     Maps v to ((v - base_point) . transform)[:dims] + offset.  The
@@ -231,10 +229,7 @@ class SpanReduction:
     lengths) are preserved.
     """
 
-    base_point: tuple
-    transform: tuple
-    dims: int
-    offset: tuple
+    __slots__ = ()
 
     def apply(self, vector) -> tuple:
         shifted = tuple(x - b for x, b in zip(vector, self.base_point))
@@ -251,12 +246,20 @@ def reduce_to_span_coordinates(support: Support):
 
     Returns (reduced support in NN^m with m the affine dimension, the
     SpanReduction that produced it).  Differences map through a
-    unimodular matrix, so all pairwise-difference gcds survive.
+    unimodular matrix, so all pairwise-difference gcds survive.  A
+    full-dimensional support (m = n) is only translated by its
+    componentwise minimum: the identity already serves, and the Smith
+    form's transform would grow the coordinates for nothing.
     """
     if support.N < 2:
         raise DegenerateSupportError("span reduction needs at least two vectors")
     base = support.vectors[0]
     diffs = [[x - b for x, b in zip(v, base)] for v in support.vectors[1:]]
+    n = support.n
+    if integer_rank(diffs) == n:
+        reduced, mins = normalize(support)
+        unit = tuple(map(tuple, identity(n)))
+        return reduced, SpanReduction(base_point=mins, transform=unit, dims=n, offset=(0,) * n)
     snf = smith_normal_form(diffs)
     m = snf.rank
     assert m >= 1, "distinct vectors give a nonzero difference"

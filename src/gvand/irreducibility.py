@@ -15,7 +15,7 @@ that reconstruction.  No check expands the determinant.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from gvand.errors import CertificateMismatchError
@@ -38,30 +38,32 @@ VERDICT_COLLINEAR = "collinear_split"
 VERDICT_SMALL_N = "small_n"
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "characteristic")):
     """Ground-field data: characteristic 0 or a prime."""
 
-    characteristic: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        CoefficientRing(self.characteristic)  # validates
+    def __new__(cls, characteristic: int):
+        CoefficientRing(characteristic)  # validates
+        return super().__new__(cls, characteristic)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
     @property
     def ring(self) -> CoefficientRing:
         return CoefficientRing(self.characteristic)
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
-    verdict: str
-    characteristic: int
-    gamma_bar: tuple
-    d_gamma: object  # int, or None for a single-vector support
-    affine_dim: int
-    power_r: int
-    reduced_support: Support
-    conditions: tuple
+class IrreducibilityCertificate(
+    namedtuple(
+        "IrreducibilityCertificate",
+        # d_gamma is an int, or None for a single-vector support
+        "verdict characteristic gamma_bar d_gamma affine_dim power_r reduced_support conditions",
+    )
+):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ collinear determinant that verify's line_split check proves.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
@@ -131,15 +131,19 @@ def classical_divisibility_check(support: Support) -> dict:
 #### collinear binomial split ####
 
 
-@dataclass(frozen=True)
-class LineCaseReport:
-    """The binomial split of a collinear-support determinant."""
+class LineCaseReport(
+    namedtuple("LineCaseReport", "w line_positions binomial quotient_terms quotient_degree")
+):
+    """The binomial split of a collinear-support determinant.
 
-    w: tuple  # primitive direction of the line
-    line_positions: tuple  # position of each support vector along the line
-    binomial: SparsePoly
-    quotient_terms: object  # terms of determinant / binomial, or None when the support is off the line
-    quotient_degree: object  # total degree of that quotient, or None likewise
+    ``w`` is the primitive direction of the line and ``line_positions``
+    the position of each support vector along it.  ``quotient_terms``
+    and ``quotient_degree`` are the term count and total degree of
+    determinant / ``binomial``, both None when the support is off the
+    line.
+    """
+
+    __slots__ = ()
 
     @property
     def splits(self) -> bool:
@@ -174,15 +178,14 @@ def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
 JACOBIAN_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class JacobianReport:
-    trials: int
-    achieved_rank: int
-    target_rank: int
-    sample_points: tuple  # one {X_i_j: residue mod JACOBIAN_PRIME} per point used
+class JacobianReport(namedtuple("JacobianReport", "trials achieved_rank target_rank sample_points")):
+    """``sample_points`` holds one {X_i_j: residue mod JACOBIAN_PRIME} per point used."""
 
-    def __post_init__(self):
-        assert self.achieved_rank <= self.target_rank
+    __slots__ = ()
+
+    def __new__(cls, trials: int, achieved_rank: int, target_rank: int, sample_points: tuple):
+        assert achieved_rank <= target_rank
+        return super().__new__(cls, trials, achieved_rank, target_rank, sample_points)
 
     @property
     def conclusive(self) -> bool:
@@ -228,7 +231,10 @@ def jacobian_independence_evidence(
     Rows 2..N at a point make M, M[i][c] = X_i^(gamma_c).  Its kernel
     vector v = (v', 1) holds the ratios up to sign, and one elimination
     of M' (M less its last column, det M' = Delta_N) finds it, or the
-    point is redrawn.  Differentiating M v = 0 in X_i_j gives
+    point is redrawn.  Two columns of M' whose exponents agree mod
+    q - 1 coincide at every point, by Fermat, so M' is singular whatever
+    the seed: that raises AllPointsSingularError before any sample.
+    Differentiating M v = 0 in X_i_j gives
     dv'/dX_i_j = -s_ij M'^-1 e_i, s_ij X_i_j = sum_c gamma_c_j M[i][c] v_c,
     so the rank is the number of rows i with some s_ij nonzero.  Rank
     N - 1 mod the prime at an integer point makes an (N-1)-minor of the
@@ -239,6 +245,14 @@ def jacobian_independence_evidence(
         raise DegenerateSupportError("independence evidence needs N >= 2")
     q = JACOBIAN_PRIME
     gammas = support.vectors
+    seen = {}
+    for g in gammas[:-1]:
+        twin = seen.setdefault(tuple(x % (q - 1) for x in g), g)
+        if twin != g:
+            raise AllPointsSingularError(
+                f"exponent vectors {list(twin)} and {list(g)} agree mod 2^61 - 2, so their "
+                "columns coincide at every point and the reference minor always vanishes"
+            )
     by_coordinate = list(zip(*gammas))  # gamma_c_j over c, one tuple per j
     rng = random.Random(seed)
     target = support.N - 1
@@ -288,11 +302,10 @@ POLYGON_MAX_PERIMETER = 128
 _ZERO, _FULL, _MIXED = 1, 2, 4
 
 
-@dataclass(frozen=True)
-class PolygonReport:
-    status: str
-    hull: tuple
-    edges: tuple  # (primitive vector, lattice length) pairs, counterclockwise
+class PolygonReport(namedtuple("PolygonReport", "status hull edges")):
+    """``edges`` holds (primitive vector, lattice length) pairs, counterclockwise."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

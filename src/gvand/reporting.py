@@ -1,16 +1,13 @@
 """Shared report primitives: named condition checks, rational strings."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(namedtuple("ConditionCheck", "name holds detail")):
     """One named yes/no condition with a human-readable detail line."""
 
-    name: str
-    holds: bool
-    detail: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}

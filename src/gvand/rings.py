@@ -5,7 +5,7 @@ representative is the residue in 0..p-1; over the integers every int is
 canonical.  Characteristic 0 means the integers throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_CHARACTERISTIC = 2**61
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,20 +37,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class CoefficientRing(namedtuple("CoefficientRing", "characteristic")):
     """The integers (characteristic 0) or the prime field GF(p)."""
 
-    characteristic: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.characteristic
-        if p == 0:
-            return
+    def __new__(cls, characteristic: int):
+        p = characteristic
         if p > MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {p} exceeds cap {MAX_CHARACTERISTIC}")
-        if not is_prime(p):
+        if p and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
     @property
     def is_field(self) -> bool:

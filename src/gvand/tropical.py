@@ -11,18 +11,20 @@ conditions all pass; the witness exhibits multiplicity gcd d in the
 reducible scaled case.
 
 Every rational quantity is exact.  The subdivision search and its
-re-check run on integers: the lifting is scaled to integers by the lcm
-of its denominators, each candidate plane is solved fraction-free as
-integer numerators over one denominator, and every above/on-plane test
-is an integer comparison.  Fractions are built only for the lifting
-values and the witness planes of the cells kept.  Given the same
-support and seed the whole construction is deterministic.
+re-check (verify_subdivision, which the tests run on the witnesses; the
+decision keeps only cells that pass it by construction) run on
+integers: the lifting is scaled to integers by the lcm of its
+denominators, each candidate plane is solved fraction-free as integer
+numerators over one denominator, and every above/on-plane test is an
+integer comparison.  Fractions are built only for the lifting values
+and the witness planes of the cells kept.  Given the same support and
+seed the whole construction is deterministic.
 """
 
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -50,13 +52,10 @@ TROPICAL_IRREDUCIBLE = "irreducible"
 TROPICAL_REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True)
-class Lifting:
+class Lifting(namedtuple("Lifting", "values seed attempts")):
     """Exact lifting values per support vector, plus provenance."""
 
-    values: tuple
-    seed: int
-    attempts: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -66,8 +65,7 @@ class Lifting:
         }
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(namedtuple("Cell", "vertices normal offset")):
     """One cell of a regular subdivision with its witness plane.
 
     The witness satisfies normal . point + offset <= lift everywhere,
@@ -75,9 +73,7 @@ class Cell:
     the support).
     """
 
-    vertices: tuple
-    normal: tuple
-    offset: Fraction
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +85,8 @@ class Cell:
         }
 
 
-@dataclass(frozen=True)
-class RegularSubdivision:
-    ambient_dim: int
-    cells: tuple
-    simplicial: bool
+class RegularSubdivision(namedtuple("RegularSubdivision", "ambient_dim cells simplicial")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -103,33 +96,28 @@ class RegularSubdivision:
         }
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(namedtuple("Facet", "vertices multiplicity")):
     """Dual facet: a subdivision edge with its lattice-length multiplicity."""
 
-    vertices: tuple
-    multiplicity: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "multiplicity": self.multiplicity}
 
 
-@dataclass(frozen=True)
-class Ridge:
-    """Dual ridge: a subdivision triangle linking its three facets."""
+class Ridge(namedtuple("Ridge", "vertices facets")):
+    """Dual ridge: a subdivision triangle linking its three facets (indices into the facet list)."""
 
-    vertices: tuple
-    facets: tuple  # indices into the facet list
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "facets": list(self.facets)}
 
 
-@dataclass(frozen=True)
-class TropicalCombinatorics:
-    facets: tuple
-    ridges: tuple
-    adjacency: tuple  # pairs of facet indices sharing a ridge
+class TropicalCombinatorics(namedtuple("TropicalCombinatorics", "facets ridges adjacency")):
+    """``adjacency`` holds the pairs of facet indices sharing a ridge."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -139,16 +127,16 @@ class TropicalCombinatorics:
         }
 
 
-@dataclass(frozen=True)
-class TropicalCertificate:
-    verdict: str
-    conditions: tuple
-    seed: int
-    multiplicity_gcd: object  # int, or None when no witness was built
-    ridge_connected: object  # bool, or None
-    lifting: object
-    subdivision: object
-    combinatorics: object
+class TropicalCertificate(
+    namedtuple(
+        "TropicalCertificate",
+        "verdict conditions seed multiplicity_gcd ridge_connected lifting subdivision combinatorics",
+    )
+):
+    """``multiplicity_gcd``, ``ridge_connected`` and the witness fields are
+    None when no witness was built (N = 1)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -423,8 +411,23 @@ def decide_tropical_irreducibility(
     exhibits its facet-multiplicity gcd.
     """
     gamma_bar = componentwise_min(support)
-    dim = affine_dimension(support)
-    d = d_gamma(support) if support.N >= 2 else None
+    dim = 0
+    d = lifting = sub = tc = mult_gcd = connected = None
+    if support.N >= 2:
+        # the span coordinates' dimension is the affine rank, computed once.  Every
+        # cell regular_subdivision keeps has its plane on the integer lifting, its
+        # equality set as its vertices and, as a simplex, the vertices solve_affine
+        # found independent, so verify_subdivision could not fail here
+        reduced, _ = reduce_to_span_coordinates(support)
+        dim, d = reduced.n, d_gamma(support)
+        lifting, sub = _witness(reduced, seed, max_retries)
+        tc = combinatorics(sub, reduced)
+        mult_gcd = multiplicity_gcd(tc)
+        connected = is_ridge_connected(tc)
+        if mult_gcd != d:
+            raise InvariantViolationError(
+                f"facet-multiplicity gcd {mult_gcd} differs from scale gcd {d}"
+            )
 
     span_ok = dim >= 2
     content_ok = not any(gamma_bar)
@@ -444,22 +447,6 @@ def decide_tropical_irreducibility(
             f"scale gcd d = {d}" if d is not None else "scale gcd undefined for N = 1",
         ),
     )
-
-    lifting = sub = tc = None
-    mult_gcd = connected = None
-    if support.N >= 2:
-        reduced, _ = reduce_to_span_coordinates(support)
-        lifting, sub = _witness(reduced, seed, max_retries)
-        tc = combinatorics(sub, reduced)
-        wreport = verify_subdivision(reduced, lifting, sub)
-        if not wreport["ok"]:
-            raise InvariantViolationError(f"witness re-check failed: {wreport['failures'][:3]}")
-        mult_gcd = multiplicity_gcd(tc)
-        connected = is_ridge_connected(tc)
-        if d is not None and mult_gcd != d:
-            raise InvariantViolationError(
-                f"facet-multiplicity gcd {mult_gcd} differs from scale gcd {d}"
-            )
 
     if span_ok and content_ok and scale_ok:
         if not connected:

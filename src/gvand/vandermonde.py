@@ -19,15 +19,14 @@ and builds the determinant from the minors' keys.  build_matrix serves
 the permutation-sum oracle, which takes its own route.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations, permutations
 from math import factorial
 from operator import add, getitem
 
 from gvand.errors import SizeCapError
-from gvand.exponents import Support
 from gvand.poly import PolyRing, SparsePoly, grid_ring
-from gvand.rings import ZZ, CoefficientRing
+from gvand.rings import ZZ
 
 # expand streams its output: at N = 9 it takes 0.24 s and peaks at 46 MB with
 # JSON, 53 MB with text at n = 3, and at most 0.62 s and 107 MB at n = 8 in
@@ -38,10 +37,10 @@ from gvand.rings import ZZ, CoefficientRing
 EXPAND_MAX_N = 9
 
 
-@dataclass(frozen=True)
-class VandermondeInstance:
-    support: Support
-    coeff_ring: CoefficientRing = ZZ
+class VandermondeInstance(namedtuple("VandermondeInstance", "support coeff_ring", defaults=(ZZ,))):
+    """A support with a coefficient ring, the integers unless given."""
+
+    __slots__ = ()
 
     @property
     def N(self) -> int:
@@ -195,17 +194,14 @@ def text_terms(table, gammas: tuple, cols, one, minus, tails: dict, drop: int):
         yield chain.from_iterable(run(first[c], order, coeffs))
 
 
-@dataclass(frozen=True)
-class RowExpansion:
+class RowExpansion(namedtuple("RowExpansion", "signs minors determinant")):
     """First-row cofactor data: V = sum_l (-1)^(1+l) X_1^(gamma_l) Delta_l.
 
     ``signs`` holds (1 + l) mod 2 per column (0 means +1), so the sign
     factor is (-1)^signs[l-1]; ``determinant`` is V itself.
     """
 
-    signs: tuple
-    minors: tuple
-    determinant: SparsePoly
+    __slots__ = ()
 
 
 def require_expandable(N: int):

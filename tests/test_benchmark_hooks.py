@@ -98,10 +98,11 @@ def test_tropical_output_matches_the_recorded_digests(monkeypatch):
 
 def test_line_oracle_output_matches_the_recorded_digests(monkeypatch):
     # recorded from the oracle that divided the expanded determinant, on the supports
-    # where it exited 0: N = 2..9 less the lines whose quotient has degree 0
+    # where it exited 0 (N = 2..9), and the three N = 2 lines whose quotient is a unit,
+    # recorded once the oracle stopped reading a unit quotient as a falsification
     corpus = _load("corpus")
     digests = json.loads((DATA / "line_digests.json").read_text())
-    assert len(digests) == 38
+    assert len(digests) == 41
     checked = 0
     for op in corpus.classify_ops(1):
         key = _key(op)

@@ -31,6 +31,10 @@ def test_support_validation():
         Support(0, ((),))
     with pytest.raises(ValueError):
         Support(2, ())
+    # a record copied with a field replaced is validated like a new one
+    assert s._replace(vectors=[[1, 1], [0, 3]]).vectors == ((1, 1), (0, 3))
+    with pytest.raises(ValueError):
+        s._replace(vectors=((0, 0), (0, 0)))
 
 
 def test_from_json_happy_path():
@@ -177,6 +181,16 @@ def test_span_reduction_preserves_difference_gcds():
         assert tuple(images) == reduced.vectors
         # injectivity on the support
         assert len(set(images)) == s.N
+
+
+def test_span_reduction_translates_a_full_dimensional_support():
+    # the identity serves: coordinates keep their size, even near 10**18
+    big = 10**18
+    for s in (Support(2, ((3, 1), (5, 2), (4, 7))), Support(2, ((big, 1), (1, big), (big - 7, big - 3)))):
+        reduced, reduction = reduce_to_span_coordinates(s)
+        assert reduced == normalize(s)[0]
+        assert reduction.transform == ((1, 0), (0, 1)) and reduction.base_point == componentwise_min(s)
+        assert tuple(map(reduction.apply, s.vectors)) == reduced.vectors
 
 
 def test_span_reduction_rejects_outside_points():

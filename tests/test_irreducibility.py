@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -33,6 +32,8 @@ def test_field_spec_validates():
     assert FieldSpec(7).ring == GF(7)
     with pytest.raises(ValueError):
         FieldSpec(4)
+    with pytest.raises(ValueError):
+        FieldSpec(7)._replace(characteristic=4)
 
 
 def test_verdict_small_n():
@@ -295,8 +296,7 @@ def test_verify_rejects_doctored_verdict():
 def test_verify_rejects_negative_content():
     # gamma_bar = (-1, 0) plus this reduced support reconstructs the unit triangle
     support = Support(2, ((0, 0), (1, 0), (0, 1)))
-    forged = dataclasses.replace(
-        decide(support, CHAR0),
+    forged = decide(support, CHAR0)._replace(
         verdict=VERDICT_MONOMIAL_FACTOR,
         gamma_bar=(-1, 0),
         reduced_support=Support(2, ((1, 0), (2, 0), (1, 1))),
@@ -346,7 +346,7 @@ def test_verify_refuses_every_swapped_verdict(vectors):
             if verdict == genuine.verdict:
                 continue
             try:
-                verify_certificate(inst, dataclasses.replace(genuine, verdict=verdict), seed=1)
+                verify_certificate(inst, genuine._replace(verdict=verdict), seed=1)
             except CertificateMismatchError as exc:
                 assert exc.report["ok"] is False
             else:

@@ -19,6 +19,8 @@ def test_ring_validation():
         CoefficientRing(-3)
     with pytest.raises(ValueError):
         GF(0)
+    with pytest.raises(ValueError):
+        GF(7)._replace(characteristic=9)
 
 
 def test_is_prime_small():

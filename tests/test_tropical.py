@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -268,3 +269,21 @@ def test_span_reduction_feeds_higher_dimensional_supports():
     cert = decide_tropical_irreducibility(support, seed=0)
     assert cert.verdict == TROPICAL_IRREDUCIBLE
     assert cert.subdivision.ambient_dim == 2
+
+
+def test_every_recorded_witness_passes_the_re_check():
+    # the decision keeps only cells that pass verify_subdivision by construction and
+    # does not run it; the witnesses whose bytes tests/data/tropical_digests.json pins
+    # are re-checked here, at both recorded seeds
+    table = json.loads((Path(__file__).resolve().parent / "data" / "tropical_digests.json").read_text())
+    assert len(table) == 284
+    for key in table:
+        seed, data = key.split("|", 1)
+        data = json.loads(data)
+        support = Support(data["n"], data["exponents"])
+        cert = decide_tropical_irreducibility(support, seed=int(seed))
+        if support.N < 2:  # no witness to re-check
+            assert cert.subdivision is None
+            continue
+        reduced, _ = reduce_to_span_coordinates(support)
+        assert verify_subdivision(reduced, cert.lifting, cert.subdivision) == {"ok": True, "failures": []}, key
