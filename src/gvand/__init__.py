@@ -9,7 +9,6 @@ characteristic-blind tropical construction plus independent oracles.
 
 from gvand.exponents import (
     SNFResult,
-    SpanReduction,
     Support,
     affine_dimension,
     componentwise_min,

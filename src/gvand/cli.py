@@ -3,10 +3,11 @@
 Subcommands: decide, expand, tropical, verify, oracle.  Input is a
 support as JSON ({"n": ..., "exponents": [[...], ...]}) from --input or
 stdin; field and seed come from flags.  Each command takes --input,
---char, --seed and --format, and oracle adds --check; the caps N <= 12
-and n <= 8 are fixed.  Payloads are plain JSON data, and text output
-renders the same data and nothing more.  For a fixed input and seed
-every command prints byte-identical output across runs.  expand writes
+--char, --seed and --format, and oracle adds --check; the caps N <= 12,
+n <= 8 and exponents <= 2^64 - 1 are fixed.  Payloads are plain JSON
+data, and text output renders the same data and nothing more.  For a
+fixed input and seed every command prints byte-identical output across
+runs.  expand writes
 its document, in either format, in chunks straight from
 gvand.vandermonde.text_terms, which joins each term from a prefix and a
 tail of the last rows built once per document: one chunk per top-row
@@ -63,6 +64,7 @@ from gvand.vandermonde import (
 MAX_SEED = 2**64 - 1
 MAX_N = 12
 MAX_VARS = 8
+MAX_EXPONENT = 2**64 - 1
 ORACLE_CHECKS = ("leibniz", "classical", "line", "jacobian", "polygon")
 
 
@@ -84,6 +86,10 @@ def _load_support(args: argparse.Namespace) -> Support:
         raise InputError(f"support.exponents: N = {support.N} exceeds the cap {MAX_N}")
     if support.n > MAX_VARS:
         raise InputError(f"support.n: n = {support.n} exceeds the cap {MAX_VARS}")
+    for i, v in enumerate(support.vectors):
+        for j, x in enumerate(v):
+            if x > MAX_EXPONENT:
+                raise InputError(f"support.exponents[{i}][{j}]: exceeds the cap {MAX_EXPONENT}")
     return support
 
 
@@ -343,10 +349,8 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, SizeCapError, DegenerateSupportError, ValueError) as exc:
-        # malformed input and caps: declined, not falsified.  ValueError stays until
-        # the tropical witness of a rank-deficient admitted support stops outgrowing
-        # int-to-str conversion.
+    except (InputError, SizeCapError, DegenerateSupportError) as exc:
+        # malformed input and caps: declined, not falsified
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CertificateMismatchError, InvariantViolationError) as exc:

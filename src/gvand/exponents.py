@@ -4,16 +4,17 @@ A support is an ordered tuple of N distinct vectors in NN^n.  The
 quantities that drive every decision downstream live here: the
 componentwise minimum (monomial content), the normalized support, the
 scale gcd d (gcd of all coordinates after normalization, equivalently
-of all pairwise differences), the affine dimension, and a coordinate
-reduction onto the difference lattice: a translation when the support
-is full-dimensional, a Smith normal form otherwise.
+of all pairwise differences), the affine dimension, and the span
+coordinates: the normalized support on its first coordinates of full
+affine rank.  smith_normal_form has no runtime caller: the tests keep
+it, and the benchmark's layer table names it.
 """
 
 import math
 from collections import namedtuple
 
 from gvand.errors import DegenerateSupportError, InputError
-from gvand.linalg import identity, integer_rank, vec_mat
+from gvand.linalg import identity, integer_rank, pivot_columns
 
 
 class Support(namedtuple("Support", "n vectors")):
@@ -218,57 +219,23 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(U=freeze(u), D=freeze(a), V=freeze(v), rank=rank)
 
 
-#### span reduction ####
+#### span coordinates ####
 
 
-class SpanReduction(namedtuple("SpanReduction", "base_point transform dims offset")):
-    """Affine change of exponent coordinates onto the difference lattice.
+def reduce_to_span_coordinates(support: Support) -> Support:
+    """The normalized support on the first m coordinates of full rank.
 
-    Maps v to ((v - base_point) . transform)[:dims] + offset.  The
-    transform is unimodular, so gcds of difference vectors (lattice
-    lengths) are preserved.
-    """
-
-    __slots__ = ()
-
-    def apply(self, vector) -> tuple:
-        shifted = tuple(x - b for x, b in zip(vector, self.base_point))
-        img = vec_mat(shifted, self.transform)
-        if any(img[self.dims :]):
-            raise DegenerateSupportError(
-                f"vector {tuple(vector)} lies outside the support's affine span"
-            )
-        return tuple(x + o for x, o in zip(img[: self.dims], self.offset))
-
-
-def reduce_to_span_coordinates(support: Support):
-    """Rewrite the support in coordinates of its own affine span.
-
-    Returns (reduced support in NN^m with m the affine dimension, the
-    SpanReduction that produced it).  Differences map through a
-    unimodular matrix, so all pairwise-difference gcds survive.  A
-    full-dimensional support (m = n) is only translated by its
-    componentwise minimum: the identity already serves, and the Smith
-    form's transform would grow the coordinates for nothing.
+    m is the affine dimension, and the kept coordinates are the first m
+    on which the difference vectors have rank m.  They are independent
+    on the affine span, so the result is full-dimensional in NN^m and
+    injective on the support, keeps the vectors' order, and has no
+    coordinate larger than the input's.  Lattice lengths in these
+    coordinates can differ from the support's; read those from the
+    support itself.
     """
     if support.N < 2:
         raise DegenerateSupportError("span reduction needs at least two vectors")
-    base = support.vectors[0]
-    diffs = [[x - b for x, b in zip(v, base)] for v in support.vectors[1:]]
-    n = support.n
-    if integer_rank(diffs) == n:
-        reduced, mins = normalize(support)
-        unit = tuple(map(tuple, identity(n)))
-        return reduced, SpanReduction(base_point=mins, transform=unit, dims=n, offset=(0,) * n)
-    snf = smith_normal_form(diffs)
-    m = snf.rank
-    assert m >= 1, "distinct vectors give a nonzero difference"
-    images = [(0,) * m]
-    for d in diffs:
-        img = vec_mat(d, snf.V)
-        assert not any(img[m:]), "difference escapes the span columns"
-        images.append(img[:m])
-    offset = tuple(-min(img[k] for img in images) for k in range(m))
-    reduced = tuple(tuple(x + o for x, o in zip(img, offset)) for img in images)
-    reduction = SpanReduction(base_point=base, transform=snf.V, dims=m, offset=offset)
-    return Support(m, reduced), reduction
+    norm, _ = normalize(support)
+    base = norm.vectors[0]
+    cols = pivot_columns([[x - b for x, b in zip(v, base)] for v in norm.vectors[1:]])
+    return Support(len(cols), tuple(tuple(v[j] for j in cols) for v in norm.vectors))

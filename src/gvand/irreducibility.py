@@ -269,23 +269,28 @@ def _check_power(cert, add):
 def collinear_witness(inst):
     """The binomial that splits a collinear determinant, and the quotient's size.
 
-    The support must have affine dimension 1: positions k_l come from its
-    span coordinates and w from its two ends, and the lattice condition
-    gamma_l = gamma_lo + k_l * w is checked for every l.  Then f =
-    X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) divides each 2x2 minor M_lm on
-    rows 1 and 2, leaving a geometric series of |k_l - k_m| monomials,
-    and rows 3..N fix the pair {l, m}: det / f has (N-2)! * sum_{l<m}
-    |k_l - k_m| terms, all +-1, and degree sum_l |gamma_l|_1 - |w|_1 in
-    every characteristic.  det = f * q with q of positive degree is a
-    split over every field.  Returns (w, positions, f, terms, degree),
-    the last two None when the lattice condition fails.
+    The support must have affine dimension 1.  Its one span coordinate,
+    coordinate j of the normalized support, orders it along the line: w
+    is the primitive vector from its lowest end gamma_lo to its highest,
+    so w_j > 0, each position k_l is that coordinate over w_j, and the
+    lattice condition gamma_l = gamma_lo + k_l * w is checked for every
+    l.  Then f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) divides each 2x2
+    minor M_lm on rows 1 and 2, leaving a geometric series of |k_l - k_m|
+    monomials, and rows 3..N fix the pair {l, m}: det / f has (N-2)! *
+    sum_{l<m} |k_l - k_m| terms, all +-1, and degree sum_l |gamma_l|_1 -
+    |w|_1 in every characteristic.  det = f * q with q of positive degree
+    is a split over every field.  Returns (w, positions, f, terms,
+    degree), the last two None when the lattice condition fails.
     """
     support = inst.support
-    reduced, _ = reduce_to_span_coordinates(support)
-    positions = tuple(v[0] for v in reduced.vectors)
-    lo, hi = positions.index(0), positions.index(max(positions))
+    coords = tuple(v[0] for v in reduce_to_span_coordinates(support).vectors)
+    lo, hi = coords.index(0), coords.index(max(coords))
     base = support.vectors[lo]
-    w = tuple((a - b) // positions[hi] for a, b in zip(support.vectors[hi], base))
+    step = tuple(a - b for a, b in zip(support.vectors[hi], base))
+    g = math.gcd(*step)
+    w = tuple(x // g for x in step)
+    w_j = next(x for x in w if x)
+    positions = tuple(c // w_j for c in coords)
     w_plus = tuple(max(x, 0) for x in w)
     w_minus = tuple(max(-x, 0) for x in w)
     rest = (0,) * (inst.n * (inst.N - 2))

@@ -1,12 +1,14 @@
 """Small exact linear-algebra helpers over the integers and rationals.
 
 Matrices are lists (or tuples) of equal-length rows.  Integer routines,
-including the affine solve behind the tropical witness search, use
-fraction-free Bareiss elimination and return rational results as integer
-numerators over one common denominator.  fraction_rank, plain Gaussian
-elimination over Fraction, has no runtime caller: the tests use it as an
-independent reference for integer_rank, and the benchmark's layer
-table names it.
+including the pivot columns behind the span coordinates and the affine
+solve behind the tropical witness search, use fraction-free Bareiss
+elimination and return rational results as integer numerators over one
+common denominator.  fraction_rank, plain Gaussian elimination over
+Fraction, has no runtime caller: the tests use it as an independent
+reference for integer_rank, and the benchmark's layer table names it.
+identity serves only exponents.smith_normal_form, which has no runtime
+caller either.
 """
 
 from fractions import Fraction
@@ -16,21 +18,20 @@ def identity(k: int):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = len(m[0])
-    return tuple(sum(v[k] * m[k][j] for k in range(len(v))) for j in range(cols))
+def pivot_columns(rows) -> tuple:
+    """Indices of the columns that raise the rank of the columns before them.
 
-
-def integer_rank(rows) -> int:
+    They are the first columns on which the rows reach their full rank,
+    so their count is the rank.
+    """
     a = [list(map(int, r)) for r in rows]
     if not a or not a[0]:
-        return 0
+        return ()
     nrows, ncols = len(a), len(a[0])
-    rank = 0
-    row = 0
+    pivots = []
     prev = 1
     for col in range(ncols):
+        row = len(pivots)
         piv = next((i for i in range(row, nrows) if a[i][col] != 0), None)
         if piv is None:
             continue
@@ -41,11 +42,14 @@ def integer_rank(rows) -> int:
                 a[i][j] = (a[row][col] * a[i][j] - a[i][col] * a[row][j]) // prev
             a[i][col] = 0
         prev = a[row][col]
-        row += 1
-        rank += 1
-        if row == nrows:
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return rank
+    return tuple(pivots)
+
+
+def integer_rank(rows) -> int:
+    return len(pivot_columns(rows))
 
 
 def fraction_rank(rows) -> int:

@@ -1,14 +1,15 @@
 """Tropical irreducibility via regular subdivisions of the support.
 
 The tropicalization of the determinant is decided combinatorially and
-characteristic-blind: the support (span-reduced to full affine
-dimension m) is lifted by a perturbed paraboloid, the induced regular
-subdivision is required to be simplicial, and the dual-hypersurface
-data is read off the subdivision: facets are subdivision edges weighted
-by lattice length, ridges are subdivision triangles.  Tropical
-irreducibility holds exactly when the span, content, and scale (d = 1)
-conditions all pass; the witness exhibits multiplicity gcd d in the
-reducible scaled case.
+characteristic-blind: the support, in its span coordinates (its first m
+coordinates of full affine rank, m the affine dimension), is lifted by
+a perturbed paraboloid, the induced regular subdivision is required to
+be simplicial, and the dual-hypersurface data is read off the
+subdivision: facets are subdivision edges weighted by the lattice
+length of the edge vector in the support itself, ridges are
+subdivision triangles.  Tropical irreducibility holds exactly when the
+span, content, and scale (d = 1) conditions all pass; the witness
+exhibits multiplicity gcd d in the reducible scaled case.
 
 Every rational quantity is exact.  The subdivision search and its
 re-check (verify_subdivision, which the tests run on the witnesses; the
@@ -46,7 +47,7 @@ from gvand.reporting import ConditionCheck, frac_str
 
 LIFT_DENOMINATOR = 2**32
 EPS_MAX_NUMERATOR = 2**16
-DEFAULT_MAX_RETRIES = 32
+MAX_RETRIES = 32
 
 TROPICAL_IRREDUCIBLE = "irreducible"
 TROPICAL_REDUCIBLE = "reducible"
@@ -174,7 +175,7 @@ def _covers_all_points(sub: RegularSubdivision, n_points: int) -> bool:
     return len(seen) == n_points
 
 
-def _witness(support: Support, seed: int, max_retries: int):
+def _witness(support: Support, seed: int):
     """Perturbed-paraboloid lifting with a simplicial all-vertex subdivision.
 
     The unperturbed paraboloid keeps every point on the lower hull, so
@@ -184,20 +185,20 @@ def _witness(support: Support, seed: int, max_retries: int):
     support's scale gcd.
     """
     rng = random.Random(seed)
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         eps = [[rng.randint(1, EPS_MAX_NUMERATOR) for _ in range(support.n)] for _ in range(support.N)]
         lifting = Lifting(values=_paraboloid_values(support, eps), seed=seed, attempts=attempt)
         sub = regular_subdivision(support, lifting)
         if sub.simplicial and _covers_all_points(sub, support.N):
             return lifting, sub
     raise PerturbationExhaustedError(
-        f"no simplicial all-vertex subdivision within {max_retries} perturbation attempts"
+        f"no simplicial all-vertex subdivision within {MAX_RETRIES} perturbation attempts"
     )
 
 
-def delaunay_lifting(support: Support, seed: int = 0, max_retries: int = DEFAULT_MAX_RETRIES) -> Lifting:
+def delaunay_lifting(support: Support, seed: int = 0) -> Lifting:
     """A perturbed-paraboloid lifting whose subdivision is simplicial."""
-    return _witness(support, seed, max_retries)[0]
+    return _witness(support, seed)[0]
 
 
 def _integer_lift(values):
@@ -303,7 +304,11 @@ def _edge_multiplicity(support: Support, u: int, v: int) -> int:
 
 
 def combinatorics(sub: RegularSubdivision, support: Support) -> TropicalCombinatorics:
-    """Dual facets (edges + lattice lengths), ridges (triangles), adjacency."""
+    """Dual facets (edges + lattice lengths), ridges (triangles), adjacency.
+
+    The lattice lengths are gcds of edge vectors of ``support``; the
+    subdivision may index the same vectors in their span coordinates.
+    """
     if not sub.simplicial:
         raise NotSimplicialError("dual combinatorics needs a simplicial subdivision")
     edge_set = set()
@@ -397,18 +402,16 @@ def is_ridge_connected(tc: TropicalCombinatorics) -> bool:
 #### decision ####
 
 
-def decide_tropical_irreducibility(
-    support: Support,
-    seed: int = 0,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> TropicalCertificate:
+def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalCertificate:
     """Characteristic-blind tropical decision with a combinatorial witness.
 
     Tropically irreducible exactly when the span (affine dimension
     >= 2), content (componentwise minimum zero), and scale (d = 1)
     conditions all hold.  A witness subdivision is built for every
     support with N >= 2 so that the reducible scaled case still
-    exhibits its facet-multiplicity gcd.
+    exhibits its facet-multiplicity gcd.  The subdivision is searched
+    in the span coordinates, and its edges, the same vertex pairs, take
+    their lattice lengths from the support.
     """
     gamma_bar = componentwise_min(support)
     dim = 0
@@ -418,10 +421,10 @@ def decide_tropical_irreducibility(
         # cell regular_subdivision keeps has its plane on the integer lifting, its
         # equality set as its vertices and, as a simplex, the vertices solve_affine
         # found independent, so verify_subdivision could not fail here
-        reduced, _ = reduce_to_span_coordinates(support)
+        reduced = reduce_to_span_coordinates(support)
         dim, d = reduced.n, d_gamma(support)
-        lifting, sub = _witness(reduced, seed, max_retries)
-        tc = combinatorics(sub, reduced)
+        lifting, sub = _witness(reduced, seed)
+        tc = combinatorics(sub, support)
         mult_gcd = multiplicity_gcd(tc)
         connected = is_ridge_connected(tc)
         if mult_gcd != d:

@@ -185,7 +185,7 @@ def test_criterion_08_tropical_witness_invariants(agreement_corpus):
     with criterion(8, "tropical witness invariants", bound=300.0):
         failures = []
         for support in agreement_corpus:
-            reduced, _ = reduce_to_span_coordinates(support)
+            reduced = reduce_to_span_coordinates(support)
             lifting = delaunay_lifting(reduced, seed=0)
             sub = regular_subdivision(reduced, lifting)
             report = verify_subdivision(reduced, lifting, sub)
@@ -198,8 +198,9 @@ def test_criterion_08_tropical_witness_invariants(agreement_corpus):
             if covered != set(range(reduced.N)):
                 failures.append((support.vectors, "vertex dropped from subdivision"))
                 continue
-            tc = combinatorics(sub, reduced)
-            balance = balancing_check(tc, reduced)
+            # multiplicities are lattice lengths of the support's own edge vectors
+            tc = combinatorics(sub, support)
+            balance = balancing_check(tc, support)
             if not balance["ok"]:
                 failures.append((support.vectors, balance["failures"][:2]))
                 continue

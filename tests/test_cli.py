@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gvand
-from gvand import cli, irreducibility, kernels, oracle, tropical, vandermonde
+from gvand import cli, exponents, irreducibility, kernels, oracle, tropical, vandermonde
 from gvand.cli import main
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support
@@ -30,6 +30,7 @@ LINE = {"n": 2, "exponents": [[0, 0], [1, 1], [2, 2]]}
 # the benchmark's N = 8, n = 3 expand operation: 20.6 MB of JSON
 BENCH_N8 = {"n": 3, "exponents": [[2, 4, 4], [1, 2, 1], [5, 3, 6], [0, 0, 0], [3, 6, 6], [3, 2, 6], [4, 7, 0], [1, 4, 3]]}
 SRC = str(Path(gvand.__file__).resolve().parents[1])
+EVERY_COMMAND = [["decide"], ["expand"], ["tropical"], ["verify"]] + [["oracle", "--check", c] for c in cli.ORACLE_CHECKS]
 
 
 @pytest.fixture
@@ -174,7 +175,31 @@ def _run_bounded(argv, support_path):
     )
 
 
-@pytest.mark.parametrize("support", [JACOBIAN_CAP_EDGE, BENCH_N8], ids=["N12-n8-1e18", "N8-n3"])
+# N = MAX_N = 12, n = MAX_VARS = 8 up to the exponent cap 2^64 - 1, a zero vector among them,
+# at affine rank 8 (with the largest admitted vector), 7 (x_8 = x_1 + x_2) and 4 (x_5..x_8 are
+# sums of two of x_1..x_4).  The span coordinates are columns of the support, so the tropical
+# witness stays near the input's size; tropical, verify and the Jacobian oracle each take
+# under 0.1 s on a 2-core host, interpreter start-up included.  A Smith form transform grew
+# the rank 7 coordinates to over a thousand digits: tropical then exited 2 at Python's
+# 4 300-digit int-to-str limit and verify took over 2 s.
+def _near_cap(free, extra):
+    draw = random.Random(0)
+    rows = [[draw.randrange(2**63) for _ in range(free)] for _ in range(11)]
+    return {"n": 8, "exponents": [[0] * 8] + [r + [r[a] + r[b] for a, b in extra] for r in rows]}
+
+
+EXPONENT_CAP_EDGE = {
+    "rank8": {"n": 8, "exponents": [[0] * 8, [2**64 - 1] * 8] + _near_cap(8, [])["exponents"][2:]},
+    "rank7": _near_cap(7, [(0, 1)]),
+    "rank4": _near_cap(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+}
+
+
+@pytest.mark.parametrize(
+    "support",
+    [JACOBIAN_CAP_EDGE, BENCH_N8, *EXPONENT_CAP_EDGE.values()],
+    ids=["N12-n8-1e18", "N8-n3", *(f"N12-n8-{rank}-2e64" for rank in EXPONENT_CAP_EDGE)],
+)
 def test_jacobian_oracle_at_the_cap_edge_ends_within_bounds(support_file, support):
     done = _run_bounded(["oracle", "--check", "jacobian"], support_file(support))
     assert done.returncode == 0 and done.stderr == ""
@@ -192,6 +217,16 @@ TROPICAL_CAP_EDGE = {"n": 8, "exponents": [[0] * 8] + [[_DRAW.randrange(10**18) 
 @pytest.mark.parametrize("command", ["tropical", "verify"])
 def test_full_dimensional_tropical_at_the_cap_edge_ends_within_bounds(support_file, command):
     done = _run_bounded([command], support_file(TROPICAL_CAP_EDGE))
+    assert done.returncode == 0 and done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert payload["certificate"]["verdict"] == "irreducible"
+    assert command == "tropical" or payload["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["tropical", "verify"])
+@pytest.mark.parametrize("support", list(EXPONENT_CAP_EDGE))
+def test_exponents_at_the_cap_edge_end_within_bounds(support_file, support, command):
+    done = _run_bounded([command], support_file(EXPONENT_CAP_EDGE[support]))
     assert done.returncode == 0 and done.stderr == ""
     payload = json.loads(done.stdout)
     assert payload["certificate"]["verdict"] == "irreducible"
@@ -486,9 +521,8 @@ def test_verify_collinear_refuses_an_off_line_support(support_file, capsys, monk
     original = irreducibility.reduce_to_span_coordinates
 
     def shifted(support):
-        reduced, reduction = original(support)
-        vectors = tuple((k + 1,) if k else (k,) for (k,) in reduced.vectors)
-        return gvand.Support(1, vectors), reduction
+        vectors = tuple((k + 1,) if k else (k,) for (k,) in original(support).vectors)
+        return gvand.Support(1, vectors)
 
     monkeypatch.setattr(irreducibility, "reduce_to_span_coordinates", shifted)
     code, out, err = _run(capsys, ["verify", "--input", support_file(LINE)])
@@ -498,7 +532,7 @@ def test_verify_collinear_refuses_an_off_line_support(support_file, capsys, monk
     checks = {c["name"]: c for c in payload["verification"]["checks"]}
     assert checks["line_split"]["holds"] is False
     assert checks["line_split"]["detail"] == (
-        "binomial X_1^w - X_2^w with w = [0, 0]: the support is not gamma_lo + k * w at positions [0, 2, 3]"
+        "binomial X_1^w - X_2^w with w = [1, 1]: the support is not gamma_lo + k * w at positions [0, 2, 3]"
     )
 
 
@@ -528,6 +562,27 @@ def test_verify_expands_nothing(monkeypatch):
         code, out, err = _main_in_process(["verify", "--char", str(op["char"])], json.dumps(op["support"]))
         assert code == 0 and err == "", op
         assert json.loads(out)["ok"] is True, op
+
+
+def test_no_command_takes_a_smith_normal_form(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("span coordinates are columns of the support, not a Smith form's")
+
+    for module in [m for name, m in sorted(sys.modules.items()) if name.startswith("gvand") and m]:
+        for key, val in list(vars(module).items()):
+            if val is exponents.smith_normal_form:
+                monkeypatch.setattr(module, key, unreachable)
+    corpus = _load_corpus()
+    supports = {(op["char"], json.dumps(op["support"])): op for op in corpus.classify_ops(1) + corpus.verify_ops(1)}
+    assert len(supports) == 314
+    for (char, text), op in supports.items():
+        for command in EVERY_COMMAND:
+            # expand and the Leibniz oracle only expand the determinant; past N = 6 they
+            # would take seconds of this sweep
+            if command[-1] in ("expand", "leibniz") and len(op["support"]["exponents"]) > 6:
+                continue
+            code, _, err = _main_in_process([*command, "--char", str(char)], text)
+            assert code in (0, 2) and err.count("\n") == (code != 0), (command, op)
 
 
 def test_verify_single_coordinate_runs_no_classical_oracle(support_file, capsys):
@@ -751,12 +806,15 @@ def test_composite_characteristic_rejected(support_file, capsys):
 
 
 def test_size_caps_are_input_errors(support_file, capsys):
-    # N <= MAX_N = 12 and n <= MAX_VARS = 8 hold for every command; no flag moves them
+    # N <= MAX_N = 12, n <= MAX_VARS = 8 and every exponent <= MAX_EXPONENT = 2^64 - 1 hold
+    # for every command; no flag moves them
     big = {"n": 1, "exponents": [[k] for k in range(13)]}
     wide = {"n": 9, "exponents": [[0] * 8 + [1]]}
+    over = {"n": 2, "exponents": [[0, 0], [1, 2**64], [2**64 - 1, 3]]}
     refusals = (
         (big, "error: support.exponents: N = 13 exceeds the cap 12\n"),
         (wide, "error: support.n: n = 9 exceeds the cap 8\n"),
+        (over, "error: support.exponents[1][1]: exceeds the cap 18446744073709551615\n"),
     )
     for data, message in refusals:
         for command in (["decide"], ["expand"], ["tropical"], ["verify"], ["oracle", "--check", "jacobian"]):
@@ -879,6 +937,31 @@ def test_expand_and_decide_end_cleanly_on_every_admitted_support(support, char):
         assert "Traceback" not in err and err.count("\n") == (code != 0)
         if command == "expand" and code == 0:
             _assert_text_renders_json([command, "--char", char], out, text)
+
+
+@st.composite
+def near_cap_supports(draw):
+    """Cheap shapes whose entries are small or up to the exponent cap 2^64 - 1.  Now and
+    then the last coordinate becomes the first plus the second-to-last, so the affine rank
+    falls below n."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, 4), st.integers(2**64 - 4, 2**64 - 1), st.integers(0, 2**63))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=N, max_size=N, unique_by=tuple))
+    if n >= 2 and draw(st.booleans()):
+        rows = [r[:-1] + [min(r[0] + r[-2], 2**64 - 1)] for r in rows]
+        rows = list({tuple(r): r for r in rows}.values())
+    return {"n": n, "exponents": rows}
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_cap_supports(), st.sampled_from(("0", "2", "3")))
+def test_every_command_ends_cleanly_up_to_the_exponent_cap(support, char):
+    text = json.dumps(support)
+    for command in EVERY_COMMAND:
+        code, _, err = _main_in_process([*command, "--char", char], text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") == (code != 0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -160,44 +161,54 @@ def test_snf_rejects_empty():
 
 def test_span_reduction_collinear_support():
     s = Support(2, ((1, 1), (3, 3), (7, 7)))
-    reduced, reduction = reduce_to_span_coordinates(s)
+    reduced = reduce_to_span_coordinates(s)
     assert reduced.n == 1
     assert reduced.N == 3
     # geometry along the line survives: gaps 0-2-6 with gcd 2
     coords = sorted(v[0] for v in reduced.vectors)
     assert coords == [0, 2, 6]
-    assert [reduction.apply(v) for v in s.vectors] == [(v[0],) for v in reduced.vectors]
+    # the one span coordinate is the normalized support's first, in the support's order
+    assert reduced.vectors == tuple((v[0],) for v in normalize(s)[0].vectors)
+
+
+def _pair_gcds(support):
+    return [math.gcd(*(a - b for a, b in zip(u, v))) for u, v in combinations(support.vectors, 2)]
 
 
 def test_span_reduction_preserves_difference_gcds():
+    # a full-dimensional support is only translated, so every difference gcd survives.
+    # Dropping coordinates can only coarsen one: (0, 0), (2, 1) has lattice length 1
+    # but span coordinate gap 2, so lattice lengths are read from the support itself
     rng = random.Random(123)
+    line = Support(2, ((0, 0), (2, 1), (4, 2)))
+    assert reduce_to_span_coordinates(line).vectors == ((0,), (2,), (4,))
+    assert (d_gamma(line), _pair_gcds(line)) == (1, [1, 2, 1])
     for _ in range(40):
         s = random_support(rng, rng.randint(1, 3), rng.randint(2, 6), 8)
-        reduced, reduction = reduce_to_span_coordinates(s)
+        reduced = reduce_to_span_coordinates(s)
         assert reduced.n == affine_dimension(s)
         assert componentwise_min(reduced) == (0,) * reduced.n
-        assert d_gamma(reduced) == d_gamma(s)
-        images = [reduction.apply(v) for v in s.vectors]
-        assert tuple(images) == reduced.vectors
+        if reduced.n == s.n:
+            assert d_gamma(reduced) == d_gamma(s)
+            assert _pair_gcds(reduced) == _pair_gcds(s)
+        else:
+            assert d_gamma(reduced) % d_gamma(s) == 0
+            assert all(r % g == 0 for r, g in zip(_pair_gcds(reduced), _pair_gcds(s)))
         # injectivity on the support
-        assert len(set(images)) == s.N
+        assert len(set(reduced.vectors)) == s.N
 
 
 def test_span_reduction_translates_a_full_dimensional_support():
-    # the identity serves: coordinates keep their size, even near 10**18
+    # coordinates keep their size, even near 10**18
     big = 10**18
     for s in (Support(2, ((3, 1), (5, 2), (4, 7))), Support(2, ((big, 1), (1, big), (big - 7, big - 3)))):
-        reduced, reduction = reduce_to_span_coordinates(s)
-        assert reduced == normalize(s)[0]
-        assert reduction.transform == ((1, 0), (0, 1)) and reduction.base_point == componentwise_min(s)
-        assert tuple(map(reduction.apply, s.vectors)) == reduced.vectors
+        assert reduce_to_span_coordinates(s) == normalize(s)[0]
 
 
 def test_span_reduction_rejects_outside_points():
-    s = Support(2, ((0, 0), (2, 2)))
-    _, reduction = reduce_to_span_coordinates(s)
-    with pytest.raises(DegenerateSupportError):
-        reduction.apply((1, 0))
+    # a point off the line is not folded into the line's one coordinate
+    assert reduce_to_span_coordinates(Support(2, ((0, 0), (2, 2)))).n == 1
+    assert reduce_to_span_coordinates(Support(2, ((0, 0), (2, 2), (1, 0)))).n == 2
     with pytest.raises(DegenerateSupportError):
         reduce_to_span_coordinates(Support(1, ((4,),)))
 
@@ -205,5 +216,35 @@ def test_span_reduction_rejects_outside_points():
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 5))
 def test_span_reduction_scaled_triangle(a, b, shift):
     s = Support(2, ((shift, shift), (shift + 2 * a, shift), (shift, shift + 2 * b)))
-    reduced, _ = reduce_to_span_coordinates(s)
+    reduced = reduce_to_span_coordinates(s)
     assert d_gamma(reduced) == d_gamma(s) == math.gcd(2 * a, 2 * b)
+
+
+@st.composite
+def _lower_dimensional_supports(draw):
+    """Supports in NN^k, k <= 3, with up to two appended coordinates that are sums of
+    earlier ones or copies of them, so the affine rank is often below n."""
+    k = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))
+    vecs = draw(st.lists(st.tuples(*[coord] * k), min_size=2, max_size=7, unique=True))
+    for _ in range(draw(st.integers(0, 2))):
+        cols = draw(st.lists(st.integers(0, len(vecs[0]) - 1), min_size=1, max_size=2))
+        vecs = [v + (sum(v[c] for c in cols),) for v in vecs]
+    if draw(st.booleans()):  # a constant coordinate
+        vecs = [v + (5,) for v in vecs]
+    return Support(len(vecs[0]), tuple(vecs))
+
+
+@given(_lower_dimensional_supports())
+def test_span_coordinates_are_columns_of_the_normalized_support(s):
+    reduced = reduce_to_span_coordinates(s)
+    assert reduced.n == affine_dimension(s) == affine_dimension(reduced)
+    norm, _ = normalize(s)
+    columns = list(zip(*norm.vectors))
+    kept = list(zip(*reduced.vectors))
+    # the kept columns appear in order, so no coordinate exceeds the input's
+    at = 0
+    for col in kept:
+        at = columns.index(col, at) + 1
+    assert max(map(max, reduced.vectors)) <= max(map(max, s.vectors))
+    assert len(set(reduced.vectors)) == s.N

@@ -284,10 +284,11 @@ def test_line_oracle_expands_nothing(monkeypatch):
                 if val is original:
                     monkeypatch.setattr(module, key, unreachable)
     monkeypatch.setattr(SparsePoly, "exact_divide", unreachable)
-    # N = 6, n = 3 on a line with direction +-(2, -1, 1): 4! * 69 quotient terms of degree 128 - 4
+    # N = 6, n = 3 on a line with direction (2, -1, 1), signed so that it climbs the first
+    # coordinate: 4! * 69 quotient terms of degree 128 - 4
     support = Support(3, tuple((1 + 2 * k, 11 - k, 1 + k) for k in (0, 1, 3, 4, 7, 10)))
     report = line_case_factor(VandermondeInstance(support, GF(5)))
-    assert report.splits and report.w == (-2, 1, -1)
+    assert report.splits and report.w == (2, -1, 1)
     assert (report.quotient_terms, report.quotient_degree) == (24 * 69, 124)
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(support.to_json()))), contextlib.redirect_stdout(out):

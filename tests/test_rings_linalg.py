@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fraction_solve_affine, integer_det, mat_mul
-from gvand.linalg import fraction_rank, identity, integer_rank, solve_affine, vec_mat
+from gvand.linalg import fraction_rank, identity, integer_rank, pivot_columns, solve_affine
 from gvand.rings import GF, ZZ, CoefficientRing, is_prime
 
 
@@ -85,6 +85,17 @@ def test_integer_rank_examples():
     assert integer_rank([[1, 2], [3, 4]]) == 2
     assert integer_rank([[0, 0], [0, 0]]) == 0
     assert integer_rank([[1, 1, 1]]) == 1
+    assert pivot_columns([[0, 2, 4, 1], [0, 1, 2, 3]]) == (1, 3)
+    assert pivot_columns([[0, 0], [0, 0]]) == ()
+
+
+def test_pivot_columns_are_the_first_that_raise_the_rank():
+    rng = random.Random(6)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        ranks = [fraction_rank([r[:c] for r in m]) if c else 0 for c in range(cols + 1)]
+        assert pivot_columns(m) == tuple(c for c in range(cols) if ranks[c + 1] > ranks[c])
 
 
 def test_rank_is_transpose_invariant():
@@ -99,7 +110,7 @@ def test_rank_is_transpose_invariant():
 def test_mat_mul_identity():
     m = [[1, 2, 3], [4, 5, 6]]
     assert mat_mul(m, identity(3)) == m
-    assert vec_mat((1, 1), m) == (5, 7, 9)
+    assert mat_mul([[1, 1]], m) == [[5, 7, 9]]
 
 
 def test_solve_linear_and_affine():

@@ -105,7 +105,7 @@ def _lifted_supports(draw):
     N = draw(st.integers(2, 8))
     coords = st.integers(0, 4 if n > 1 else 12)
     vecs = draw(st.lists(st.tuples(*[coords] * n), min_size=N, max_size=N, unique=True))
-    support, _ = reduce_to_span_coordinates(Support(n, tuple(vecs)))
+    support = reduce_to_span_coordinates(Support(n, tuple(vecs)))
     # small numerators make flat, non-simplicial cells common
     dens = st.sampled_from((1, 3, 7, 2**64))
     values = draw(
@@ -259,7 +259,6 @@ def test_multiplicity_gcd_matches_scale_gcd_on_random_supports():
     for support in corpus:
         cert = decide_tropical_irreducibility(support, seed=7)
         assert cert.multiplicity_gcd == d_gamma(support)
-        reduced, _ = reduce_to_span_coordinates(support)
         assert cert.ridge_connected in (True, False)
 
 
@@ -269,6 +268,35 @@ def test_span_reduction_feeds_higher_dimensional_supports():
     cert = decide_tropical_irreducibility(support, seed=0)
     assert cert.verdict == TROPICAL_IRREDUCIBLE
     assert cert.subdivision.ambient_dim == 2
+
+
+@st.composite
+def _supports_with_a_sum_coordinate(draw):
+    """(support in NN^k, the same support in NN^(k+1) with x_(k+1) = x_1 + x_2 - c).
+
+    c is the least x_1 + x_2 on the support, so the new coordinate adds no content.
+    """
+    k = draw(st.integers(2, 3))
+    coord = st.integers(0, 4) if k == 3 else st.one_of(st.integers(0, 6), st.integers(0, 2**64 - 1))
+    vecs = draw(st.lists(st.tuples(*[coord] * k), min_size=2, max_size=6, unique=True))
+    c = min(v[0] + v[1] for v in vecs)
+    embedded = [v + (v[0] + v[1] - c,) for v in vecs]
+    return Support(k, tuple(vecs)), Support(k + 1, tuple(embedded))
+
+
+@given(_supports_with_a_sum_coordinate(), st.sampled_from((0, 7)))
+@example((Support(2, ((0, 0), (2, 0), (0, 2))), Support(3, ((0, 0, 0), (2, 0, 2), (0, 2, 2)))), 0)
+@example((Support(2, ((0, 0), (2, 1), (4, 2))), Support(3, ((0, 0, 0), (2, 1, 3), (4, 2, 6)))), 0)
+@example((Support(2, ((0, 1), (1, 0), (1, 1))), Support(3, ((0, 1, 0), (1, 0, 0), (1, 1, 1)))), 0)
+def test_a_sum_coordinate_keeps_the_verdict_and_multiplicity_gcd(case, seed):
+    # the embedded support has rank below its n; the multiplicities come from its own
+    # edge vectors, whose gcds are those of the original's
+    support, embedded = case
+    cert = decide_tropical_irreducibility(support, seed=seed)
+    lifted = decide_tropical_irreducibility(embedded, seed=seed)
+    assert lifted.verdict == cert.verdict
+    assert lifted.multiplicity_gcd == cert.multiplicity_gcd == d_gamma(embedded) == d_gamma(support)
+    assert [c.holds for c in lifted.conditions] == [c.holds for c in cert.conditions]
 
 
 def test_every_recorded_witness_passes_the_re_check():
@@ -285,5 +313,5 @@ def test_every_recorded_witness_passes_the_re_check():
         if support.N < 2:  # no witness to re-check
             assert cert.subdivision is None
             continue
-        reduced, _ = reduce_to_span_coordinates(support)
+        reduced = reduce_to_span_coordinates(support)
         assert verify_subdivision(reduced, cert.lifting, cert.subdivision) == {"ok": True, "failures": []}, key
