@@ -8,12 +8,12 @@ n <= 8 and exponents <= 2^64 - 1 are fixed.  Payloads are plain JSON
 data, and text output renders the same data and nothing more.  For a
 fixed input and seed every command prints byte-identical output across
 runs.  expand writes
-its document, in either format, in chunks straight from
-gvand.vandermonde.text_terms, which joins each term from a prefix and a
-tail of the last rows built once per document: one chunk per top-row
-column of the determinant, and per first-row minor one per column of
-its own first row.  A reader that closes stdout early ends the command
-with exit 0 and nothing on stderr.
+its document, in either format, one block of 24 terms at a time, as
+gvand.vandermonde.text_terms joins it: the terms of a block share every
+row above the last four, and the block is their text joined once between
+pieces built once per document.  So it holds no more than the pieces and
+one block, at most 23 MB at N = 9.  A reader that closes stdout early ends
+the command with exit 0 and nothing on stderr.
 
 Exit codes: 0 success, 1 falsified invariant or certificate mismatch
 (also inconclusive randomized checks), 2 malformed input or cap
@@ -125,15 +125,13 @@ def _emit(args: argparse.Namespace, payload):
     """Print a payload of plain JSON data.
 
     A payload that is not a dict is the document itself, as chunks of
-    text already in the output format, written as they come.
+    text already in the output format, each written as it comes and freed
+    before the next is built.
     """
     if isinstance(payload, dict):
         text = "\n".join(_render_text(payload)) if args.fmt == "text" else json.dumps(payload)
         payload = (text + "\n",)
-    write = sys.stdout.write
-    for chunk in payload:
-        write(chunk)
-        del chunk  # not held while the next chunk is built
+    sys.stdout.writelines(payload)
 
 
 class _TermText:
@@ -142,46 +140,50 @@ class _TermText:
     A term is a head, then one fragment per nonzero exponent; ``joiner``
     goes between terms.  ``table[r][c]`` holds row r's fragments when it
     takes column c, each led by ``sep``, which the first fragment of a
-    term drops.  A term with no variables has ``blank`` after its head.
-    ``tails`` holds the texts of the bottom rows, built once with the
-    table, before the first term; vandermonde.text_terms puts each term
-    together from a prefix and one of them.
+    term drops.  A term with no variables has ``blank`` after its head;
+    only a determinant on no column or on the zero vector's alone has one.
+    ``pieces`` holds the texts of the bottom four rows with the heads and
+    joiners between them, for both signs, built once with the table,
+    before the first term: vandermonde.text_tails.  text_terms joins each
+    block of 24 terms from a prefix and one list of them, and chunks
+    yields the blocks as they come.
     """
 
-    def __init__(self, gammas, head, fragment, sep, joiner, blank):
-        self.gammas, self.head, self.sep, self.joiner, self.blank = gammas, head, sep, joiner, blank
+    def __init__(self, gammas, ring: CoefficientRing, head, fragment, sep, joiner, blank):
+        self.gammas, self.drop, self.joiner = gammas, len(sep), joiner
+        one, minus = head.format(ring.normalize(1)), head.format(ring.normalize(-1))
+        self.constant = one + blank  # the one term with no variables
         self.table = [
             ["".join(sep + fragment.format(grid_var(r, j), e) for j, e in enumerate(g, 1) if e) for g in gammas]
             for r in range(1, len(gammas) + 1)
         ]
-        self.tails = text_tails(self.table, gammas)
+        self.pieces = text_tails(self.table, gammas, one, minus, joiner)
 
     @classmethod
-    def json(cls, gammas):
-        return cls(gammas, '{{"coeff": "{}", "monomial": {{', '"{}": {}', ", ", "}}, ", "")
+    def json(cls, gammas, ring):
+        return cls(gammas, ring, '{{"coeff": "{}", "monomial": {{', '"{}": {}', ", ", "}}, ", "")
 
     @classmethod
-    def text(cls, gammas, indent):
+    def text(cls, gammas, ring, indent):
         pad = "  " * indent
-        return cls(gammas, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: {{}}", "", "", " {}")
+        return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: {{}}", "", "", " {}")
 
-    def chunks(self, ring: CoefficientRing, cols):
-        """The terms on columns ``cols`` and the last len(cols) rows as text:
-        one chunk per run of text_terms, that is per column the first of
-        those rows takes, with ``joiner`` between."""
-        blank = "" if any(map(any, map(self.gammas.__getitem__, cols))) else self.blank
-        heads = (self.head.format(ring.normalize(1)) + blank, self.head.format(ring.normalize(-1)) + blank)
-        between = ""
-        for run in text_terms(self.table, self.gammas, cols, *heads, self.tails, len(self.sep)):
-            yield between
-            yield self.joiner.join(run)
-            between = self.joiner
+    def chunks(self, cols):
+        """The terms on columns ``cols`` and the last len(cols) rows as text,
+        one chunk per block of text_terms, with ``joiner`` between: every
+        block opens with it but the first."""
+        if not any(map(any, map(self.gammas.__getitem__, cols))):  # no columns, or the zero vector's alone
+            yield self.constant
+            return
+        blocks = text_terms(self.table, self.gammas, cols, self.pieces, self.drop)
+        yield next(blocks)[len(self.joiner) :]
+        yield from blocks
 
 
 def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
-    """expand's output in chunks: the determinant one top-row column at a
-    time, then each first-row minor one column of its first row at a time.
-    No term map and no whole document is ever built."""
+    """expand's output in chunks: the determinant, then each first-row
+    minor, one block of 24 terms at a time.  No term map, no run of terms
+    and no whole document is ever built."""
     support, ring = inst.support, inst.coeff_ring
     gammas, N = support.vectors, support.N
     head = {
@@ -193,26 +195,26 @@ def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
     }
     signs = [l % 2 for l in range(N)]
     if args.fmt == "text":
-        terms = _TermText.text(gammas, 1)
+        terms = _TermText.text(gammas, ring, 1)
         yield "\n".join(_render_text(head)) + "\ndeterminant:"
         after_det = "\n" + "\n".join(_render_text({"signs": signs})) + "\nminors:"
         minor_open, minor_close, minor_sep, end = "\n  -", "", "", "\n"
     else:
-        terms = _TermText.json(gammas)
+        terms = _TermText.json(gammas, ring)
         yield json.dumps(head)[:-1] + ', "determinant": ['
         after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
         minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
-    yield from terms.chunks(ring, range(N))
+    yield from terms.chunks(range(N))
     if args.fmt == "text":
         # the minors sit one level deeper.  Their table is built only once the
-        # determinant's is freed, so one set of tails is held at a time, and
-        # between chunks, where its strings leave no gaps among freed terms
+        # determinant's is freed, so one set of pieces is held at a time, and
+        # between chunks, where its strings leave no gaps among freed blocks
         del terms
-        terms = _TermText.text(gammas, 2)
+        terms = _TermText.text(gammas, ring, 2)
     yield after_det
     for l in range(N):
         yield (minor_sep if l else "") + minor_open
-        yield from terms.chunks(ring, [c for c in range(N) if c != l])
+        yield from terms.chunks([c for c in range(N) if c != l])
         yield minor_close
     yield end
 

@@ -74,7 +74,8 @@ class Support(namedtuple("Support", "n vectors")):
             vectors.append(tuple(row))
         if len(set(vectors)) != len(vectors):
             raise InputError("support.exponents: vectors must be distinct")
-        return cls(n, tuple(vectors))
+        # checked above, field by field: the record is built without __new__'s checks
+        return super().__new__(cls, n, tuple(vectors))
 
 
 def componentwise_min(support: Support) -> tuple:

@@ -9,14 +9,17 @@ prod_i X_i^(gamma_sigma(i)) with coefficient sign(sigma), and nothing
 cancels.  Terms come straight from itertools.permutations of the
 columns taken by descending gamma, and the signs come as one list in
 lex order.  As an exponent key a term is the concatenation of the gammas
-a permutation takes.  As text, a term of expand's output, it is joined
-from a table of what each row contributes in each column: the rows above
-the last four make a prefix, joined once per prefix, and the last four
-rows' texts on each set of four columns are joined once per table, so no
-row is looked up per term.  The determinant alone is one enumeration
-over all N columns; the first-row expansion enumerates each minor once
-and builds the determinant from the minors' keys.  build_matrix serves
-the permutation-sum oracle, which takes its own route.
+a permutation takes.  As text, expand's output, the terms come from a
+table of what each row contributes in each column, in blocks of 4! = 24:
+the terms of a block share the rows above the last four, their prefix,
+and the block is that prefix joined once between pieces built once per
+table, the last four rows' texts on each set of four columns with the
+terms' heads and joiners folded in.  No row and no head is looked up
+per term, and no term is a string of its own.  The determinant alone is
+one enumeration over all N columns; the first-row expansion enumerates
+each minor once and builds the determinant from the minors' keys.
+build_matrix serves the permutation-sum oracle, which takes its own
+route.
 """
 
 from collections import namedtuple
@@ -28,12 +31,13 @@ from gvand.errors import SizeCapError
 from gvand.poly import PolyRing, SparsePoly, grid_ring
 from gvand.rings import ZZ
 
-# expand streams its output: at N = 9 it takes 0.24 s and peaks at 46 MB with
-# JSON, 53 MB with text at n = 3, and at most 0.62 s and 107 MB at n = 8 in
-# either format, so output size, not memory, bounds it.  The expanding
-# oracles and library callers hold the N! terms as tuples: about 0.35 GB at
-# N = 9 (Python 3.11, n = 2 and 3, measured in a child process), and N = 10
-# would need about ten times that.  verify expands nothing.
+# expand streams its output one block of 24 terms at a time: at N = 9 and n = 8 it
+# peaks at 20 MB and takes under 0.2 s, and with exponents near 2^64 (1.55 GB of
+# JSON, 1.75 GB of text) 23 MB and 0.3 s, start-up included, so output size, not
+# memory, bounds it; admitting N = 10 by the predicted output size is a later step.
+# The expanding oracles and library callers hold the N! terms as tuples: about
+# 0.35 GB at N = 9 (Python 3.11, n = 2 and 3, measured in a child process), and
+# N = 10 would need about ten times that.  verify expands nothing.
 EXPAND_MAX_N = 9
 
 
@@ -138,60 +142,62 @@ def _keys(gammas: tuple, order) -> map:
 def _tail_rows(table) -> int:
     """k, the bottom rows of ``table`` that text_terms joins once per set of k columns.
 
-    Four: with three the prefixes are too many and each costs Python
-    work; five is no faster at N = 7 and holds up to five times the
-    strings.  The tail stays below a minor's first row, so k is at most
-    N - 2.
+    Four: with three the blocks are too many and each costs Python work,
+    and with five the table holds up to five times the strings.  Hot, in
+    process on a 2-core host, the benchmark's median N = 7, n = 2
+    operation takes 1.6 ms with three, 1.0 ms with four and 1.3 ms with
+    five.  The tail stays below a minor's first row, so k is at most N - 2.
     """
     return max(0, min(len(table) - 2, 4))
 
 
-def text_tails(table, gammas: tuple) -> dict:
-    """The tails text_terms reads: for each set of k = _tail_rows(table)
-    columns, the text of the last k rows on it, one string per permutation
-    of the set by descending gamma, in lex order.  C(N, k)*k! strings."""
+def text_tails(table, gammas: tuple, one: str, minus: str, joiner: str) -> dict:
+    """The pieces text_terms joins its blocks of k! terms from, for
+    k = _tail_rows(table): for each of the C(N, k) sets of k columns, two
+    lists of k! + 1 strings.
+
+    A block's terms share their rows above the last k and take the lex
+    signs of S_k times one sign.  With ``one`` and ``minus`` opening a
+    term of each sign, h_i the i-th term's, t_i the text of the last k
+    rows on the i-th permutation of the set by descending gamma, and J
+    the ``joiner`` between terms, the block is the shared text joined
+    between the pieces [J + h_0, t_0 + J + h_1, ..., t_(k!-1)].  The first
+    list serves a block whose signs start with +1, the second one with -1.
+    """
     k = _tail_rows(table)
     last = table[len(table) - k :]
-    return {
-        frozenset(cols): ["".join(map(getitem, last, p)) for p in permutations(cols)]
-        for cols in combinations(_descending(gammas, range(len(gammas))), k)
-    }
+    opens = [[joiner + h for h in heads] for heads in _lex_signs(k, one, minus)]
+    blocks = {}
+    for cols in combinations(_descending(gammas, range(len(gammas))), k):
+        tails = ["".join(map(getitem, last, p)) for p in permutations(cols)]
+        blocks[frozenset(cols)] = [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens]
+    return blocks
 
 
-def text_terms(table, gammas: tuple, cols, one, minus, tails: dict, drop: int):
+def text_terms(table, gammas: tuple, cols, pieces: dict, drop: int):
     """The determinant on columns ``cols``, all N or all but one, and the
-    last m = len(cols) rows, as text.
+    last m = len(cols) rows, as text: one string per block of k! terms,
+    each opening with the joiner.
 
     ``table[r][c]`` is the text row r contributes in column c, led by a
-    separator of ``drop`` characters, which a term's first text drops;
-    ``one`` and ``minus`` open a term of each sign, and ``tails`` is
-    text_tails(table, gammas).  Yields one run of terms per column the
-    first row takes, from _first_row, so the terms come in the lex order
-    of the permutations.  The rows between the first and the last k are a
-    prefix: each prefix is joined once, after either head, and each of
-    its k! terms is that plus one of the tails on the columns it leaves.
+    separator of ``drop`` characters, which a term's first text drops, and
+    ``pieces`` is text_tails of the same table.  The blocks come by the
+    column the first row takes, from _first_row, so the terms come in the
+    lex order of the permutations.  The rows between the first and the
+    last k are a prefix, joined once per block; the block is that prefix
+    joined between the pieces on the columns it leaves.
     """
-    m = len(cols)
-    if not m:
-        yield [one]
-        return
     k = _tail_rows(table)
     block = factorial(k)
-    first, mid = table[-m], table[len(table) - m + 1 : len(table) - k]
-
-    def run(lead, order, coeffs):
-        columns = frozenset(order)
+    first, mid = table[-len(cols)], table[len(table) - len(cols) + 1 : len(table) - k]
+    for c, order, _, signs in _first_row(gammas, cols, 0, 1):  # a sign picks its list of pieces
+        columns, lead = frozenset(order), first[c]
         for at, p in enumerate(permutations(order, len(mid))):
-            tail = tails[columns.difference(p)]
             prefix = lead + "".join(map(getitem, mid, p))
-            if not prefix:  # the zero vector's column with no row between: its tails open the term
-                tail = [t[drop:] for t in tail]
-            body = prefix[drop:]
-            heads = {one: one + body, minus: minus + body}
-            yield map(add, map(heads.__getitem__, coeffs[at * block : (at + 1) * block]), tail)
-
-    for c, order, _, coeffs in _first_row(gammas, cols, one, minus):
-        yield chain.from_iterable(run(first[c], order, coeffs))
+            between = pieces[columns.difference(p)][signs[at * block]]
+            if not prefix:  # the zero vector's column with no row between: each tail opens its term
+                between = [between[0], *(t[drop:] for t in between[1:])]
+            yield prefix[drop:].join(between)
 
 
 class RowExpansion(namedtuple("RowExpansion", "signs minors determinant")):

@@ -9,6 +9,8 @@ ok_rate.  The tropical certificate has the same guard: digests of
 `tropical` output over the benchmark's classify supports, recorded in
 tests/data/tropical_digests.json, and so does `verify` output over the
 benchmark's seed-1 verify corpus, in tests/data/verify_digests.json,
+`expand --format text` output over its seed-1 expand corpus, in
+tests/data/expand_text_digests.json,
 `oracle --check line` output over the classify supports on an affine
 line, in tests/data/line_digests.json, and `oracle --check classical`
 output, JSON and text, over the single-coordinate classify supports, in
@@ -81,6 +83,20 @@ def test_expand_output_matches_the_recorded_digests(monkeypatch):
         rc, err, digest = _run_digest(monkeypatch, argv, op["support"], checks.expand_digest)
         assert rc == 0 and err == ""
         assert digest == digests[corpus.expand_key(op)], op
+
+
+def test_expand_text_matches_the_recorded_digests(monkeypatch):
+    # sha256 of the whole text document, recorded while expand still joined (N - 1)! terms
+    # per write: the benchmark checks JSON only
+    corpus = _load("corpus")
+    digests = json.loads((DATA / "expand_text_digests.json").read_text())
+    ops = corpus.expand_ops(1)
+    assert len(ops) == len(digests) == 109
+    for op in ops:
+        argv = ["expand", "--char", str(op["char"]), "--format", "text"]
+        rc, err, digest = _run_digest(monkeypatch, argv, op["support"])
+        assert rc == 0 and err == ""
+        assert digest == digests[_key(op)], _key(op)
 
 
 def test_tropical_output_matches_the_recorded_digests(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -117,34 +118,48 @@ def test_expansion_cap_beyond_memory(support_file, command, exponents):
         assert "expansion cap" in done.stderr
 
 
-# the largest expand the caps admit: N = EXPAND_MAX_N = 9, n = MAX_VARS = 8, every exponent
-# nonzero; 2 * 9! = 725 760 terms
+# the largest expands the caps admit: N = EXPAND_MAX_N = 9, n = MAX_VARS = 8, every exponent
+# nonzero; 2 * 9! = 725 760 terms.  CAP_EDGE writes 0.61 GB of JSON or 0.81 GB of text, and
+# CAP_EDGE_2E64, with 20-digit exponents, 1.55 GB or 1.75 GB.
 CAP_EDGE = {"n": 8, "exponents": [[(7 * i + 3 * j) % 9 + 1 for j in range(8)] for i in range(9)]}
-# Streaming, expand runs on it in about 0.1 GB of address space in either format; a
-# document held whole would need more than its 0.61 GB (JSON) or 0.81 GB (text).  The
-# budget sits four times above the first and below the second.
+CAP_EDGE_2E64 = {"n": 8, "exponents": [[2**64 - 1 - (8 * i + j) for j in range(8)] for i in range(9)]}
+# sha256 of each whole stream, recorded while expand still joined (N - 1)! terms per write
+EXPAND_CAP_EDGE = {
+    "json": (CAP_EDGE, "83eb55d96c7214c8f51379bb11df20fbc277a0581aec27315a8d72a6858ba5cc"),
+    "text": (CAP_EDGE, "63a83bca6d5d434fee3bd0e838270fcf0ef2d9099adf409d77320a57fb07e642"),
+    "json-2e64": (CAP_EDGE_2E64, "fd01a437ac146b92d76816f25d8ee08e42cfd2fc99f63c1dce2518306b4c210b"),
+    "text-2e64": (CAP_EDGE_2E64, "eda1146d1df29095c352a1439644565f624ba000fd146fd995da888cf32efb67"),
+}
+# Writing one block of 24 terms at a time, expand peaks at 20-23 MB on each row and takes at
+# most 0.3 s on a 2-core host, interpreter start-up included; read, counted and hashed here,
+# the slowest row takes about 1.7 s.  Joining 8! terms per write, it peaked at 89-213 MB.
+# The time budget is over ten times expand's own and about three times this reader's.
+EXPAND_ADDRESS_SPACE = 64 * 2**20
+CAP_EDGE_SECONDS = 5
+# the address space of the bounded rows below
 CAP_EDGE_ADDRESS_SPACE = 512 * 2**20
-CAP_EDGE_SECONDS = 30  # it takes under 1 s on a 2-core host
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (CAP_EDGE_ADDRESS_SPACE, CAP_EDGE_ADDRESS_SPACE))
+def _limit_address_space(limit=CAP_EDGE_ADDRESS_SPACE):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
+@pytest.mark.parametrize("row", list(EXPAND_CAP_EDGE))
+def test_expand_at_the_cap_edge_ends_within_bounds(support_file, row):
+    support, digest = EXPAND_CAP_EDGE[row]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gvand.cli", "expand", "--input", support_file(CAP_EDGE), "--format", fmt],
+        [sys.executable, "-m", "gvand.cli", "expand", "--input", support_file(support), "--format", row[:4]],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=SRC),
-        preexec_fn=_limit_address_space,
+        preexec_fn=lambda: _limit_address_space(EXPAND_ADDRESS_SPACE),
     )
     timer = threading.Timer(CAP_EDGE_SECONDS, proc.kill)
     timer.start()
-    coeffs, carry = 0, b""
+    coeffs, carry, stream = 0, b"", hashlib.sha256()
     try:
         while chunk := proc.stdout.read(1 << 20):
+            stream.update(chunk)
             coeffs += (carry + chunk).count(b"coeff")
             carry = chunk[-4:]  # too short to hold a whole "coeff" twice
         err = proc.stderr.read()
@@ -154,6 +169,7 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, fmt):
         proc.stderr.close()
     assert proc.wait() == 0 and err == b""
     assert coeffs == 2 * 362880
+    assert stream.hexdigest() == digest
 
 
 # the largest shape oracle --check jacobian admits: N = 12, n = MAX_VARS = 8, exponents near 10**18
@@ -296,13 +312,13 @@ def test_verify_at_the_cap_edge_ends_within_bounds(support_file, support):
     assert json.loads(done.stdout)["ok"] is True
 
 
-class _WriteSizes(io.StringIO):
+class _WriteTerms(io.StringIO):
     def __init__(self):
         super().__init__()
-        self.sizes = []
+        self.terms = []
 
     def write(self, text):
-        self.sizes.append(len(text))
+        self.terms.append(text.count("coeff"))
         return super().write(text)
 
 
@@ -312,17 +328,15 @@ def test_expand_holds_no_document(support_file, monkeypatch):
 
     monkeypatch.setattr(vandermonde, "row_expansion", unreachable)
     monkeypatch.setattr(SparsePoly, "to_terms_json", unreachable)
-    N = 7  # 5040 terms
+    # N = 7: 5040 terms
     path = support_file({"n": 2, "exponents": [[0, 0], [1, 0], [0, 1], [2, 1], [1, 3], [3, 3], [4, 0]]})
     for fmt in ("json", "text"):
-        out = _WriteSizes()
+        out = _WriteTerms()
         with contextlib.redirect_stdout(out):
             assert main(["expand", "--input", path, "--format", fmt]) == 0
-        text = out.getvalue()
-        header = text[: text.index("determinant")]
-        # each top-row column owns one determinant chunk and one minor
-        assert max(out.sizes) <= len(header) + len(text) // N, fmt
-        assert text.count("coeff") == 2 * 5040
+        # the header holds no term, and each later write at most one block of 4! terms
+        assert out.terms[0] == 0 and max(out.terms) <= 24, fmt
+        assert sum(out.terms) == 2 * 5040
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

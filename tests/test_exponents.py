@@ -66,6 +66,43 @@ def test_from_json_field_diagnostics(data, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "support: expected an object"),
+        ({"exponents": [[1]]}, "support.n: missing"),
+        ({"n": 1}, "support.exponents: missing"),
+        ({"n": 0, "exponents": [[1]]}, "support.n: must be a positive integer"),
+        ({"n": 1.0, "exponents": [[1]]}, "support.n: must be a positive integer"),
+        ({"n": True, "exponents": [[1]]}, "support.n: must be a positive integer"),
+        ({"n": 1, "exponents": []}, "support.exponents: must be a nonempty list"),
+        ({"n": 1, "exponents": {"0": [1]}}, "support.exponents: must be a nonempty list"),
+        ({"n": 2, "exponents": [[1]]}, "support.exponents[0]: must be a list of length 2"),
+        ({"n": 1, "exponents": [[0], (1,)]}, "support.exponents[1]: must be a list of length 1"),
+        ({"n": 1, "exponents": [[1], ["x"]]}, "support.exponents[1][0]: must be a non-negative integer"),
+        ({"n": 1, "exponents": [[1], [-1]]}, "support.exponents[1][0]: must be a non-negative integer"),
+        ({"n": 2, "exponents": [[0, 1.5]]}, "support.exponents[0][1]: must be a non-negative integer"),
+        ({"n": 1, "exponents": [[False]]}, "support.exponents[0][0]: must be a non-negative integer"),
+        ({"n": 1, "exponents": [[1], [1]]}, "support.exponents: vectors must be distinct"),
+    ],
+)
+def test_from_json_messages_are_pinned(data, message):
+    # from_json checks each field once and builds the record without Support's own checks
+    with pytest.raises(InputError) as exc:
+        Support.from_json(data)
+    assert str(exc.value) == message
+
+
+def test_from_json_builds_the_record_a_direct_call_builds():
+    data = {"n": 2, "exponents": [[3, 0], [0, 2**64 - 1], [1, 1]]}
+    s = Support.from_json(data)
+    assert type(s) is Support and s == Support(2, data["exponents"])
+    assert all(type(x) is int for v in s.vectors for x in v)
+    # a direct call keeps its checks
+    with pytest.raises(ValueError, match="distinct"):
+        Support(2, [[1, 1], [1, 1]])
+
+
 def test_normalize_and_min():
     s = Support(2, ((2, 3), (4, 3), (2, 7)))
     assert componentwise_min(s) == (2, 3)
