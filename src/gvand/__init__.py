@@ -23,7 +23,6 @@ from gvand.irreducibility import (
     VERDICT_MONOMIAL_FACTOR,
     VERDICT_POWER,
     VERDICT_SMALL_N,
-    FieldSpec,
     IrreducibilityCertificate,
     decide,
     verify_certificate,

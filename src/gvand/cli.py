@@ -38,7 +38,6 @@ from gvand.exponents import Support
 from gvand.irreducibility import (
     VERDICT_IRREDUCIBLE,
     VERDICT_POWER,
-    FieldSpec,
     decide,
     verify_certificate,
 )
@@ -221,7 +220,7 @@ def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     support = _load_support(args)
-    cert = decide(support, FieldSpec(args.characteristic))
+    cert = decide(support, args.characteristic)
     _emit(
         args,
         {
@@ -260,9 +259,7 @@ def _cmd_tropical(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     support = _load_support(args)
-    field = FieldSpec(args.characteristic)
-    cert = decide(support, field)
-    inst = VandermondeInstance(support, field.ring)
+    cert = decide(support, args.characteristic)
     payload = {
         "command": "verify",
         "seed": args.seed,
@@ -274,7 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tropical_cert = decide_tropical_irreducibility(support, seed=args.seed)
     failed = False
     try:
-        payload["verification"] = verify_certificate(inst, cert, seed=args.seed, tropical=tropical_cert)
+        payload["verification"] = verify_certificate(support, cert, tropical_cert)
     except CertificateMismatchError as exc:
         payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
         failed = True

@@ -6,12 +6,14 @@ span of the exponent set has dimension >= 2, the componentwise minimum
 is zero (no monomial content), and p does not divide the scale gcd d.
 Each failure mode names its witness: a monomial content factor, a
 collinear support whose determinant a binomial divides, or a p-th power
-structure coming from the Frobenius.  A certificate is re-checked from
-its own data and the support: once gamma_bar + p^r * reduced support
-reconstructs the instance, the small_n and monomial_factor verdicts need
-nothing more, the collinear check reads its binomial and the quotient's
-size off the line, and the power check reads the Frobenius identity off
-that reconstruction.  No check expands the determinant.
+structure coming from the Frobenius.  Every input is a support and a
+characteristic.  A certificate, which carries the characteristic, is
+re-checked against the support: once gamma_bar + p^r * reduced support
+reconstructs it, the small_n and monomial_factor verdicts need nothing
+more, the collinear check reads the line's direction and the quotient's
+size off the support, the power check reads the Frobenius identity off
+that reconstruction, and the irreducible check reads the caller's
+tropical decision.  No check builds a polynomial.
 """
 
 import math
@@ -29,31 +31,12 @@ from gvand.exponents import (
 )
 from gvand.reporting import ConditionCheck
 from gvand.rings import CoefficientRing
-from gvand.vandermonde import VandermondeInstance
 
 VERDICT_IRREDUCIBLE = "irreducible"
 VERDICT_MONOMIAL_FACTOR = "monomial_factor"
 VERDICT_POWER = "power_of_irreducible"
 VERDICT_COLLINEAR = "collinear_split"
 VERDICT_SMALL_N = "small_n"
-
-
-class FieldSpec(namedtuple("FieldSpec", "characteristic")):
-    """Ground-field data: characteristic 0 or a prime."""
-
-    __slots__ = ()
-
-    def __new__(cls, characteristic: int):
-        CoefficientRing(characteristic)  # validates
-        return super().__new__(cls, characteristic)
-
-    @classmethod
-    def _make(cls, fields):  # _replace builds through _make, so it validates too
-        return cls(*fields)
-
-    @property
-    def ring(self) -> CoefficientRing:
-        return CoefficientRing(self.characteristic)
 
 
 class IrreducibilityCertificate(
@@ -86,9 +69,10 @@ def _p_adic_valuation(d: int, p: int) -> int:
     return r
 
 
-def decide(support: Support, field: FieldSpec) -> IrreducibilityCertificate:
-    """Classify the determinant of the given support over the given field."""
-    p = field.characteristic
+def decide(support: Support, characteristic: int) -> IrreducibilityCertificate:
+    """Classify the determinant of the support over the field of this
+    characteristic, 0 or a prime; any other raises ValueError."""
+    p = CoefficientRing(characteristic).characteristic
     gamma_bar = componentwise_min(support)
     norm, _ = normalize(support)
     dim = affine_dimension(support)
@@ -157,59 +141,43 @@ def _reconstruct_support(cert: IrreducibilityCertificate) -> Support:
     return Support(len(cert.gamma_bar), vectors)
 
 
-def verify_certificate(
-    inst: VandermondeInstance,
-    cert: IrreducibilityCertificate,
-    seed: int = 0,
-    tropical=None,
-) -> dict:
+def verify_certificate(support: Support, cert: IrreducibilityCertificate, tropical) -> dict:
     """Re-check a certificate against the support it claims to describe.
 
-    Returns a report of named checks when everything passes; raises
+    ``tropical`` is decide_tropical_irreducibility(support, seed) for the
+    caller's seed; only the irreducible branch reads it.  Returns a
+    report of named checks when everything passes; raises
     CertificateMismatchError (report attached) when any check fails.
-    Each check tests only what can fail and expands nothing: the
-    branches read the certificate, the support and the tropical
-    decision, and the collinear branch checks that the support lies on
-    its line.  A caller that already holds
-    decide_tropical_irreducibility(inst.support, seed) passes it as
-    ``tropical``; otherwise it is computed when needed.
+    Each check tests only what can fail and builds no polynomial: the
+    support check reconstructs the support from the certificate, and
+    only when it holds does the verdict's branch run, reading the
+    certificate, the support or the tropical decision.
     """
     checks = []
 
     def add(name, ok, detail):
         checks.append(ConditionCheck(name, bool(ok), detail))
-        return ok
-
-    if inst.coeff_ring.characteristic != cert.characteristic:
-        add(
-            "field",
-            False,
-            f"instance char {inst.coeff_ring.characteristic} vs certificate {cert.characteristic}",
-        )
-        _finish(cert, checks, "field characteristic mismatch")
-    reconstructed = _reconstruct_support(cert)
-    if reconstructed != inst.support:
-        add("support", False, "certificate does not reconstruct this support")
-        _finish(cert, checks, "support mismatch")
-    add("support", True, "gamma_bar + p^r-scaled reduced support reconstructs the instance")
 
     verdict = cert.verdict
-
-    # N < 3 is small_n whatever else holds; every other verdict needs N >= 3
-    if (inst.N < 3) != (verdict == VERDICT_SMALL_N):
-        add("small_n", False, f"{verdict} verdict with N = {inst.N}")
-    elif verdict == VERDICT_SMALL_N:
-        add("small_n", True, f"N = {inst.N} < 3 decides small_n whatever else holds")
-    elif verdict == VERDICT_MONOMIAL_FACTOR:
-        _check_monomial_factor(cert, add)
-    elif verdict == VERDICT_POWER:
-        _check_power(cert, add)
-    elif verdict == VERDICT_COLLINEAR:
-        _check_collinear(inst, add)
-    elif verdict == VERDICT_IRREDUCIBLE:
-        _check_irreducible(inst, cert, seed, add, tropical)
+    if _reconstruct_support(cert) != support:
+        add("support", False, "certificate does not reconstruct this support")
     else:
-        add("verdict", False, f"unknown verdict {verdict!r}")
+        add("support", True, "gamma_bar + p^r-scaled reduced support reconstructs the instance")
+        # N < 3 is small_n whatever else holds; every other verdict needs N >= 3
+        if (support.N < 3) != (verdict == VERDICT_SMALL_N):
+            add("small_n", False, f"{verdict} verdict with N = {support.N}")
+        elif verdict == VERDICT_SMALL_N:
+            add("small_n", True, f"N = {support.N} < 3 decides small_n whatever else holds")
+        elif verdict == VERDICT_MONOMIAL_FACTOR:
+            _check_monomial_factor(cert, add)
+        elif verdict == VERDICT_POWER:
+            _check_power(cert, add)
+        elif verdict == VERDICT_COLLINEAR:
+            _check_collinear(support, add)
+        elif verdict == VERDICT_IRREDUCIBLE:
+            _check_irreducible(cert, tropical, add)
+        else:
+            add("verdict", False, f"unknown verdict {verdict!r}")
 
     report = {
         "verdict": verdict,
@@ -220,15 +188,6 @@ def verify_certificate(
         failing = next(c for c in checks if not c.holds)
         raise CertificateMismatchError(f"check {failing.name!r} failed: {failing.detail}", report)
     return report
-
-
-def _finish(cert, checks, message):
-    report = {
-        "verdict": cert.verdict,
-        "ok": False,
-        "checks": [c.to_json() for c in checks],
-    }
-    raise CertificateMismatchError(message, report)
 
 
 def _check_monomial_factor(cert, add):
@@ -258,7 +217,7 @@ def _check_power(cert, add):
         not any(cert.gamma_bar),
         "root equals the determinant of the reduced support",
     )
-    sub = decide(cert.reduced_support, FieldSpec(p))
+    sub = decide(cert.reduced_support, p)
     add(
         "reduced_verdict",
         sub.verdict == VERDICT_IRREDUCIBLE,
@@ -266,8 +225,8 @@ def _check_power(cert, add):
     )
 
 
-def collinear_witness(inst):
-    """The binomial that splits a collinear determinant, and the quotient's size.
+def collinear_witness(support: Support):
+    """The line that splits a collinear determinant, and the quotient's size.
 
     The support must have affine dimension 1.  Its one span coordinate,
     coordinate j of the normalized support, orders it along the line: w
@@ -279,10 +238,10 @@ def collinear_witness(inst):
     monomials, and rows 3..N fix the pair {l, m}: det / f has (N-2)! *
     sum_{l<m} |k_l - k_m| terms, all +-1, and degree sum_l |gamma_l|_1 -
     |w|_1 in every characteristic.  det = f * q with q of positive degree
-    is a split over every field.  Returns (w, positions, f, terms,
-    degree), the last two None when the lattice condition fails.
+    is a split over every field.  Returns (w, positions, terms, degree),
+    the last two None when the lattice condition fails; f itself is
+    built only by oracle.line_case_factor.
     """
-    support = inst.support
     coords = tuple(v[0] for v in reduce_to_span_coordinates(support).vectors)
     lo, hi = coords.index(0), coords.index(max(coords))
     base = support.vectors[lo]
@@ -291,28 +250,23 @@ def collinear_witness(inst):
     w = tuple(x // g for x in step)
     w_j = next(x for x in w if x)
     positions = tuple(c // w_j for c in coords)
-    w_plus = tuple(max(x, 0) for x in w)
-    w_minus = tuple(max(-x, 0) for x in w)
-    rest = (0,) * (inst.n * (inst.N - 2))
-    ring = inst.poly_ring()
-    f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
     on_line = all(
         v == tuple(b + k * x for b, x in zip(base, w)) for k, v in zip(positions, support.vectors)
     )
     if not on_line:
-        return w, positions, f, None, None
-    terms = math.factorial(inst.N - 2) * sum(abs(a - b) for a, b in combinations(positions, 2))
+        return w, positions, None, None
+    terms = math.factorial(support.N - 2) * sum(abs(a - b) for a, b in combinations(positions, 2))
     degree = sum(map(sum, support.vectors)) - sum(map(abs, w))
-    return w, positions, f, terms, degree
+    return w, positions, terms, degree
 
 
-def _check_collinear(inst, add):
-    dim, gamma_min = affine_dimension(inst.support), componentwise_min(inst.support)
+def _check_collinear(support, add):
+    dim, gamma_min = affine_dimension(support), componentwise_min(support)
     if dim != 1 or any(gamma_min):
         detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
         add("line_split", False, detail)
         return
-    w, positions, _, terms, degree = collinear_witness(inst)
+    w, positions, terms, degree = collinear_witness(support)
     binomial = f"binomial X_1^w - X_2^w with w = {list(w)}"
     if terms is None:
         add("line_split", False, f"{binomial}: the support is not gamma_lo + k * w at positions {list(positions)}")
@@ -320,11 +274,7 @@ def _check_collinear(inst, add):
     add("line_split", degree > 0, f"{binomial} divides the determinant, quotient of {terms} terms")
 
 
-def _check_irreducible(inst, cert, seed, add, tcert):
-    if tcert is None:
-        from gvand.tropical import decide_tropical_irreducibility
-
-        tcert = decide_tropical_irreducibility(inst.support, seed=seed)
+def _check_irreducible(cert, tcert, add):
     span_ok, content_ok = (c.holds for c in tcert.conditions[:2])
     # the tropical route raises unless its multiplicity gcd equals d_gamma
     g, d, p = tcert.multiplicity_gcd, cert.d_gamma, cert.characteristic

@@ -5,8 +5,9 @@ a Jacobian rank mod a prime that proves the minor ratios independent
 with nothing expanded, and a lattice-polygon indecomposability
 certificate.  These avoid the decision logic, so agreement between
 routes means something.  The line check is not an independent route:
-it reads off the line, with nothing expanded, the binomial split of a
-collinear determinant that verify's line_split check proves.
+it shows the witness that verify's line_split check reads,
+irreducibility.collinear_witness, with the binomial it names written
+out.  Nothing is expanded.
 """
 
 import math
@@ -161,21 +162,28 @@ class LineCaseReport(
 def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
     """The binomial that divides a collinear support's determinant.
 
-    The same witness that verify's line_split check reads: the support
-    lies on the line gamma_lo + k * w, so the binomial divides the
-    determinant in every characteristic and whatever the monomial
-    content, and the quotient's term count and degree follow from the
-    positions k.  Nothing is expanded, so every admitted N runs.
+    collinear_witness, the witness that verify's line_split check reads,
+    gives the direction w, the positions k and the quotient's size; this
+    builds f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) over the instance's
+    ring from w.  The support lies on the line gamma_lo + k * w, so f
+    divides the determinant in every characteristic and whatever the
+    monomial content.  Nothing is expanded, so every admitted N runs.
     """
     if affine_dimension(inst.support) != 1:
         raise DegenerateSupportError("line-case factoring needs a support on an affine line")
-    return LineCaseReport(*collinear_witness(inst))
+    w, positions, terms, degree = collinear_witness(inst.support)
+    w_plus, w_minus = tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w)
+    rest, ring = (0,) * (inst.n * (inst.N - 2)), inst.poly_ring()
+    f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
+    return LineCaseReport(w, positions, f, terms, degree)
 
 
 #### algebraic-independence evidence ####
 
 
 JACOBIAN_PRIME = 2**61 - 1
+# the most points at which the rank is evaluated before it is called inconclusive
+JACOBIAN_TRIALS = 3
 
 
 class JacobianReport(namedtuple("JacobianReport", "trials achieved_rank target_rank sample_points")):
@@ -222,11 +230,10 @@ def _kernel_vector(rows, q: int):
     return [row[-1] for row in a] + [1]
 
 
-def jacobian_independence_evidence(
-    support: Support, trials: int = 3, seed: int = 0
-) -> JacobianReport:
+def jacobian_independence_evidence(support: Support, seed: int = 0) -> JacobianReport:
     """Rank of the Jacobian of the minor ratios Delta_l / Delta_N (l < N)
-    at random points mod JACOBIAN_PRIME, with nothing expanded.
+    at up to JACOBIAN_TRIALS random points mod JACOBIAN_PRIME, with
+    nothing expanded.
 
     Rows 2..N at a point make M, M[i][c] = X_i^(gamma_c).  Its kernel
     vector v = (v', 1) holds the ratios up to sign, and one elimination
@@ -258,7 +265,7 @@ def jacobian_independence_evidence(
     target = support.N - 1
     best = 0
     used_points = []
-    for _ in range(trials):
+    for _ in range(JACOBIAN_TRIALS):
         for _ in range(20):
             point = [[rng.randint(1, q - 1) for _ in range(support.n)] for _ in range(target)]
             matrix = [

@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from unittest import mock
@@ -106,13 +107,7 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
 def test_expansion_cap_beyond_memory(support_file, command, exponents):
     big = {"n": len(exponents[0]), "exponents": exponents}
     for fmt in ("json", "text"):  # the cap refuses before the first byte of either format
-        done = subprocess.run(
-            [sys.executable, "-m", "gvand.cli", command, "--input", support_file(big), "--format", fmt],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
+        done = _run_bounded([command, "--format", fmt], support_file(big))
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "expansion cap" in done.stderr
@@ -133,8 +128,10 @@ EXPAND_CAP_EDGE = {
 # Writing one block of 24 terms at a time, expand peaks at 20-23 MB on each row and takes at
 # most 0.3 s on a 2-core host, interpreter start-up included; read, counted and hashed here,
 # the slowest row takes about 1.7 s.  Joining 8! terms per write, it peaked at 89-213 MB.
-# The time budget is over ten times expand's own and about three times this reader's.
+# The child itself uses 0.17-0.38 s of CPU.  Its budget, about five times that, is on its own
+# CPU time, so the reader's share does not count against expand; the wall timer ends a hang.
 EXPAND_ADDRESS_SPACE = 64 * 2**20
+CAP_EDGE_CPU_SECONDS = 2
 CAP_EDGE_SECONDS = 5
 # the address space of the bounded rows below
 CAP_EDGE_ADDRESS_SPACE = 512 * 2**20
@@ -142,6 +139,13 @@ CAP_EDGE_ADDRESS_SPACE = 512 * 2**20
 
 def _limit_address_space(limit=CAP_EDGE_ADDRESS_SPACE):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _reap(proc):
+    """Wait for the child: its exit code and the CPU seconds it used, from its own rusage."""
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_utime + usage.ru_stime
 
 
 @pytest.mark.parametrize("row", list(EXPAND_CAP_EDGE))
@@ -163,32 +167,48 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, row):
             coeffs += (carry + chunk).count(b"coeff")
             carry = chunk[-4:]  # too short to hold a whole "coeff" twice
         err = proc.stderr.read()
+        code, cpu = _reap(proc)
     finally:
         timer.cancel()
         proc.stdout.close()
         proc.stderr.close()
-    assert proc.wait() == 0 and err == b""
+    assert code == 0 and err == b""
+    assert cpu <= CAP_EDGE_CPU_SECONDS, f"expand used {cpu:.2f} s of CPU"
     assert coeffs == 2 * 362880
     assert stream.hexdigest() == digest
 
 
 # the largest shape oracle --check jacobian admits: N = 12, n = MAX_VARS = 8, exponents near 10**18
 JACOBIAN_CAP_EDGE = {"n": 8, "exponents": [[10**18 - (8 * i + j) ** 2 for j in range(8)] for i in range(12)]}
-# It and BENCH_N8 each take about 0.05 s and 17 MB on a 2-core host, interpreter start-up
-# included; the budget leaves a hundredfold margin for a loaded host.  The collinear rows
-# below share it.
-BOUNDED_SECONDS = 5
+# It and BENCH_N8 each take about 0.05 s of CPU and 32 MB on a 2-core host, interpreter
+# start-up included.  A bounded row's budget is on the child's own CPU time: ten times the
+# slowest of three measured runs, rounded up to a whole second.  Every row below that names
+# no budget of its own takes 0.03-0.08 s, so it gets 1 s, and a slowdown like the 2.2 s the
+# rank 7 verify row took on Smith form coordinates fails it.  A child still running after
+# HANG_FACTOR times its budget in wall time is killed.
+BOUNDED_CPU_SECONDS = 1
+HANG_FACTOR = 5
 
 
-def _run_bounded(argv, support_path):
-    return subprocess.run(
-        [sys.executable, "-m", "gvand.cli", *argv, "--input", support_path],
-        capture_output=True,
-        text=True,
-        timeout=BOUNDED_SECONDS,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        preexec_fn=_limit_address_space,
-    )
+def _run_bounded(argv, support_path, cpu_seconds=BOUNDED_CPU_SECONDS):
+    """Run the CLI in a child under CAP_EDGE_ADDRESS_SPACE; fail if it uses more than
+    ``cpu_seconds`` of CPU."""
+    args = [sys.executable, "-m", "gvand.cli", *argv, "--input", support_path]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            args, stdout=out, stderr=err, env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space
+        )
+        timer = threading.Timer(HANG_FACTOR * cpu_seconds, proc.kill)
+        timer.start()
+        try:
+            code, cpu = _reap(proc)
+        finally:
+            timer.cancel()
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(args, code, out.read().decode(), err.read().decode())
+    assert cpu <= cpu_seconds, f"{argv}: {cpu:.2f} s of CPU against a budget of {cpu_seconds} s"
+    return done
 
 
 # N = MAX_N = 12, n = MAX_VARS = 8 up to the exponent cap 2^64 - 1, a zero vector among them,
@@ -312,6 +332,32 @@ def test_verify_at_the_cap_edge_ends_within_bounds(support_file, support):
     assert json.loads(done.stdout)["ok"] is True
 
 
+# The contract table's other rows: the largest admitted input of each kind for decide and the
+# oracle checks that the rows above leave out.  Each must end with exit 0, 1 or 2 and at most
+# one line on stderr, within a budget set like the bounded rows'.  The slowest of three runs
+# on a 2-core host, interpreter start-up included: decide 0.04 s of CPU on the near-2^64
+# supports; Leibniz 1.26 s (181 MB) at N = LEIBNIZ_MAX_N = 8 with n = 8 and 20-digit
+# exponents; classical 0.21 s at CLASSICAL_MAX_WORK (N = 6, bound 896) and 0.44 s at
+# N = CLASSICAL_MAX_N = 7 (bound 112, the most N = 7 admits); polygon 0.11 s on a 12-gon of
+# lattice perimeter POLYGON_MAX_PERIMETER = 128.
+_POLYGON_12 = [[11, 0], [22, 0], [44, 11], [54, 21], [64, 41], [64, 52], [53, 63], [42, 63], [20, 52], [10, 42], [0, 22], [0, 11]]
+CONTRACT_ROWS = {
+    **{f"decide-N12-n8-{rank}-2e64": (["decide"], data, 1) for rank, data in EXPONENT_CAP_EDGE.items()},
+    "leibniz-N8-n8-2e64": (["oracle", "--check", "leibniz"], {"n": 8, "exponents": CAP_EDGE_2E64["exponents"][:8]}, 13),
+    "classical-work-cap-N6": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [4], [6], [8]]}, 3),
+    "classical-N7": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [3], [4], [6], [8]]}, 5),
+    "polygon-perimeter128": (["oracle", "--check", "polygon"], {"n": 2, "exponents": _POLYGON_12}, 2),
+}
+
+
+@pytest.mark.parametrize("row", list(CONTRACT_ROWS))
+def test_contract_rows_end_cleanly_within_bounds(support_file, row):
+    argv, data, cpu_seconds = CONTRACT_ROWS[row]
+    done = _run_bounded(argv, support_file(data), cpu_seconds)
+    assert done.returncode in (0, 1, 2)
+    assert done.stderr.count("\n") <= 1
+
+
 class _WriteTerms(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -412,9 +458,9 @@ def test_verify_decides_once(support_file, capsys, monkeypatch):
     calls = []
     original = cli.decide
 
-    def counting(support, field):
-        calls.append(field.characteristic)
-        return original(support, field)
+    def counting(support, characteristic):
+        calls.append(characteristic)
+        return original(support, characteristic)
 
     monkeypatch.setattr(cli, "decide", counting)
     code, _, _ = _run(capsys, ["verify", "--input", support_file(TRIANGLE), "--char", "3"])
@@ -463,13 +509,7 @@ def test_verify_runs_no_jacobian_oracle_or_division(
 )
 def test_verify_wide_exponents_finish(support_file, exponents):
     wide = {"n": 2, "exponents": exponents}
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(wide)],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["verify"], support_file(wide))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["ok"] is True
 
@@ -477,13 +517,7 @@ def test_verify_wide_exponents_finish(support_file, exponents):
 def test_verify_power_at_n6_finishes(support_file):
     # 3 x {(0,0), (1,0), (0,1), (1,1), (2,0), (0,2)}: a power of an irreducible over GF(3)
     scaled = {"n": 2, "exponents": [[0, 0], [3, 0], [0, 3], [3, 3], [6, 0], [0, 6]]}
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(scaled), "--char", "3"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["verify", "--char", "3"], support_file(scaled))
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["certificate"]["verdict"] == "power_of_irreducible"
@@ -516,13 +550,7 @@ def test_verify_runs_tropical_once(support_file, capsys, monkeypatch):
 )
 def test_verify_collinear_finishes(support_file, exponents, char):
     line = {"n": 2, "exponents": exponents}
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "verify", "--input", support_file(line), "--char", str(char)],
-        capture_output=True,
-        text=True,
-        timeout=15,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["verify", "--char", str(char)], support_file(line))
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["certificate"]["verdict"] == "collinear_split"
@@ -687,13 +715,7 @@ def test_oracle_line_splits_at_n8_over_gf3(support_file):
     # seven rows and two nonzero residues in GF(3): no evaluation point could
     # exhibit this split, and the witness, read off the line, needs none
     line = {"n": 2, "exponents": [[k, 2 * k] for k in range(8)]}
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "line", "--input", support_file(line), "--char", "3"],
-        capture_output=True,
-        text=True,
-        timeout=15,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["oracle", "--check", "line", "--char", "3"], support_file(line))
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)["report"]
     assert report["ok"] is True and report["w"] == [1, 2]
@@ -801,14 +823,7 @@ def test_schema_errors_name_the_field(support_file, capsys):
 
 def test_largest_admitted_prime_characteristic(support_file):
     # 2^61 - 1 is prime and below the characteristic cap
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "decide", "--input", support_file(TRIANGLE),
-         "--char", str(2**61 - 1)],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["decide", "--char", str(2**61 - 1)], support_file(TRIANGLE))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["certificate"]["verdict"] == "irreducible"
 
@@ -851,13 +866,7 @@ FERMAT_SINGULAR = {"n": 1, "exponents": [[0], [2305843009213693950], [4611686018
 
 
 def test_fermat_singular_jacobian_is_inconclusive_within_budget(support_file):
-    done = subprocess.run(
-        [sys.executable, "-m", "gvand.cli", "oracle", "--check", "jacobian", "--input", support_file(FERMAT_SINGULAR)],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = _run_bounded(["oracle", "--check", "jacobian"], support_file(FERMAT_SINGULAR))
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == (
         "inconclusive: exponent vectors [0] and [2305843009213693950] agree mod 2^61 - 2, so their "

@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -15,87 +17,99 @@ from gvand.irreducibility import (
     VERDICT_MONOMIAL_FACTOR,
     VERDICT_POWER,
     VERDICT_SMALL_N,
-    FieldSpec,
     IrreducibilityCertificate,
     decide,
     verify_certificate,
 )
 from gvand.poly import SparsePoly
-from gvand.rings import GF, ZZ
+from gvand.rings import GF
+from gvand.tropical import decide_tropical_irreducibility
 from gvand.vandermonde import VandermondeInstance
 
-CHAR0 = FieldSpec(0)
+
+def test_decide_validates_the_characteristic():
+    support = Support(2, ((0, 0), (1, 0), (0, 1)))
+    assert decide(support, 0).characteristic == 0
+    assert decide(support, 7).characteristic == 7
+    for char in (4, -3):
+        with pytest.raises(ValueError):
+            decide(support, char)
 
 
-def test_field_spec_validates():
-    assert FieldSpec(0).ring == ZZ
-    assert FieldSpec(7).ring == GF(7)
-    with pytest.raises(ValueError):
-        FieldSpec(4)
-    with pytest.raises(ValueError):
-        FieldSpec(7)._replace(characteristic=4)
+def test_decision_layer_imports_no_polynomial_or_tropical_module():
+    # gvand/__init__ loads every module, so only the source can show what this one imports
+    tree = ast.parse(Path(irreducibility.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "gvand.exponents" in imported
+    assert imported.isdisjoint({"gvand.vandermonde", "gvand.poly", "gvand.tropical"})
 
 
 def test_verdict_small_n():
-    cert = decide(Support(1, ((3,),)), CHAR0)
+    cert = decide(Support(1, ((3,),)), 0)
     assert cert.verdict == VERDICT_SMALL_N
     assert cert.d_gamma is None
     assert cert.affine_dim == 0
-    cert2 = decide(Support(2, ((0, 0), (2, 2))), CHAR0)
+    cert2 = decide(Support(2, ((0, 0), (2, 2))), 0)
     assert cert2.verdict == VERDICT_SMALL_N
     assert cert2.d_gamma == 2
 
 
 def test_verdict_irreducible():
-    cert = decide(Support(2, ((0, 0), (1, 0), (0, 1))), CHAR0)
+    cert = decide(Support(2, ((0, 0), (1, 0), (0, 1))), 0)
     assert cert.verdict == VERDICT_IRREDUCIBLE
     assert cert.power_r == 0
     assert all(c.holds for c in cert.conditions)
 
 
 def test_verdict_monomial_factor():
-    cert = decide(Support(2, ((1, 1), (3, 1), (1, 3))), CHAR0)
+    cert = decide(Support(2, ((1, 1), (3, 1), (1, 3))), 0)
     assert cert.verdict == VERDICT_MONOMIAL_FACTOR
     assert cert.gamma_bar == (1, 1)
     assert cert.reduced_support.vectors == ((0, 0), (2, 0), (0, 2))
 
 
 def test_verdict_collinear():
-    cert = decide(Support(2, ((0, 0), (1, 1), (3, 3))), CHAR0)
+    cert = decide(Support(2, ((0, 0), (1, 1), (3, 3))), 0)
     assert cert.verdict == VERDICT_COLLINEAR
     assert cert.affine_dim == 1
 
 
 def test_verdict_power():
-    cert = decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), FieldSpec(2))
+    cert = decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), 2)
     assert cert.verdict == VERDICT_POWER
     assert cert.power_r == 1
     assert cert.reduced_support.vectors == ((0, 0), (1, 0), (0, 1), (1, 1))
     # same support in characteristic 0 or 3 is irreducible
-    assert decide(cert.reduced_support, FieldSpec(2)).verdict == VERDICT_IRREDUCIBLE
-    assert decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), CHAR0).verdict == VERDICT_IRREDUCIBLE
-    assert decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), FieldSpec(3)).verdict == VERDICT_IRREDUCIBLE
+    assert decide(cert.reduced_support, 2).verdict == VERDICT_IRREDUCIBLE
+    assert decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), 0).verdict == VERDICT_IRREDUCIBLE
+    assert decide(Support(2, ((0, 0), (2, 0), (0, 2), (2, 2))), 3).verdict == VERDICT_IRREDUCIBLE
 
 
 def test_power_r_is_p_adic_valuation():
     support = Support(1, ((0,), (12,), (24,)))  # d = 12 = 2^2 * 3
-    assert decide(support, FieldSpec(2)).power_r == 2
-    assert decide(support, FieldSpec(3)).power_r == 1
-    assert decide(support, FieldSpec(5)).power_r == 0
-    assert decide(support, FieldSpec(2)).reduced_support.vectors == ((0,), (3,), (6,))
+    assert decide(support, 2).power_r == 2
+    assert decide(support, 3).power_r == 1
+    assert decide(support, 5).power_r == 0
+    assert decide(support, 2).reduced_support.vectors == ((0,), (3,), (6,))
 
 
 def test_verdict_priority():
     # content beats collinearity and the characteristic condition
     shifted_line = Support(2, ((1, 1), (2, 2), (3, 3)))
-    assert decide(shifted_line, CHAR0).verdict == VERDICT_MONOMIAL_FACTOR
+    assert decide(shifted_line, 0).verdict == VERDICT_MONOMIAL_FACTOR
     shifted_even = Support(2, ((1, 1), (3, 1), (1, 3)))
-    assert decide(shifted_even, FieldSpec(2)).verdict == VERDICT_MONOMIAL_FACTOR
+    assert decide(shifted_even, 2).verdict == VERDICT_MONOMIAL_FACTOR
     # collinearity beats the characteristic condition
     even_line = Support(1, ((0,), (2,), (4,)))
-    assert decide(even_line, FieldSpec(2)).verdict == VERDICT_COLLINEAR
+    assert decide(even_line, 2).verdict == VERDICT_COLLINEAR
     # small N beats everything
-    assert decide(Support(2, ((1, 1), (3, 3))), FieldSpec(2)).verdict == VERDICT_SMALL_N
+    assert decide(Support(2, ((1, 1), (3, 3))), 2).verdict == VERDICT_SMALL_N
 
 
 def test_verdict_iff_three_conditions():
@@ -103,7 +117,7 @@ def test_verdict_iff_three_conditions():
     for _ in range(120):
         s = random_support(rng, rng.randint(1, 3), rng.randint(1, 6), 6)
         for p in (0, 2, 3, 5):
-            cert = decide(s, FieldSpec(p))
+            cert = decide(s, p)
             d = d_gamma(s) if s.N >= 2 else None
             expected = (
                 s.N >= 3
@@ -118,7 +132,7 @@ def test_verdict_iff_three_conditions():
 
 
 def test_certificate_json_serializable():
-    cert = decide(Support(2, ((0, 0), (2, 0), (0, 2))), FieldSpec(2))
+    cert = decide(Support(2, ((0, 0), (2, 0), (0, 2))), 2)
     blob = cert.to_json()
     text = json.dumps(blob)
     assert '"power_of_irreducible"' in text
@@ -132,10 +146,8 @@ def test_certificate_json_serializable():
 
 def _verify(vectors, n, char, seed=0):
     support = Support(n, tuple(vectors))
-    field = FieldSpec(char)
-    cert = decide(support, field)
-    inst = VandermondeInstance(support, field.ring)
-    return cert, verify_certificate(inst, cert, seed=seed)
+    cert = decide(support, char)
+    return cert, verify_certificate(support, cert, decide_tropical_irreducibility(support, seed=seed))
 
 
 def test_verify_irreducible():
@@ -212,11 +224,10 @@ def test_power_determinant_is_a_frobenius_power_of_the_reduced_one(reduced, p, r
     # makes det_Gamma = det_reduced^(p^r), so its Frobenius root is det_reduced
     q = p**r
     support = Support(reduced.n, tuple(tuple(q * x for x in v) for v in reduced.vectors))
-    field = FieldSpec(p)
-    cert = decide(support, field)
+    cert = decide(support, p)
     assert cert.verdict == VERDICT_POWER and cert.power_r == r
-    det = vandermonde.vandermonde_determinant(VandermondeInstance(support, field.ring))
-    reduced_det = vandermonde.vandermonde_determinant(VandermondeInstance(cert.reduced_support, field.ring))
+    det = vandermonde.vandermonde_determinant(VandermondeInstance(support, GF(p)))
+    reduced_det = vandermonde.vandermonde_determinant(VandermondeInstance(cert.reduced_support, GF(p)))
     assert det.frobenius_root(r) == reduced_det
 
 
@@ -256,27 +267,17 @@ def test_verify_small_n():
     assert report1["ok"] is True
 
 
-def test_verify_rejects_wrong_field():
-    support = Support(2, ((0, 0), (1, 0), (0, 1)))
-    cert = decide(support, CHAR0)
-    inst = VandermondeInstance(support, GF(3))
-    with pytest.raises(CertificateMismatchError) as exc:
-        verify_certificate(inst, cert)
-    assert exc.value.report["ok"] is False
-
-
 def test_verify_rejects_wrong_support():
     support = Support(2, ((0, 0), (1, 0), (0, 1)))
     other = Support(2, ((0, 0), (2, 0), (0, 1)))
-    cert = decide(support, CHAR0)
-    inst = VandermondeInstance(other, ZZ)
+    cert = decide(support, 0)
     with pytest.raises(CertificateMismatchError):
-        verify_certificate(inst, cert)
+        verify_certificate(other, cert, decide_tropical_irreducibility(other, seed=0))
 
 
 def test_verify_rejects_doctored_verdict():
     support = Support(2, ((1, 1), (3, 1), (1, 3)))
-    genuine = decide(support, CHAR0)
+    genuine = decide(support, 0)
     doctored = IrreducibilityCertificate(
         verdict=VERDICT_POWER,
         characteristic=genuine.characteristic,
@@ -287,22 +288,21 @@ def test_verify_rejects_doctored_verdict():
         reduced_support=genuine.reduced_support,
         conditions=genuine.conditions,
     )
-    inst = VandermondeInstance(support, ZZ)
     with pytest.raises(CertificateMismatchError) as exc:
-        verify_certificate(inst, doctored)
+        verify_certificate(support, doctored, decide_tropical_irreducibility(support, seed=0))
     assert exc.value.report["verdict"] == VERDICT_POWER
 
 
 def test_verify_rejects_negative_content():
     # gamma_bar = (-1, 0) plus this reduced support reconstructs the unit triangle
     support = Support(2, ((0, 0), (1, 0), (0, 1)))
-    forged = decide(support, CHAR0)._replace(
+    forged = decide(support, 0)._replace(
         verdict=VERDICT_MONOMIAL_FACTOR,
         gamma_bar=(-1, 0),
         reduced_support=Support(2, ((1, 0), (2, 0), (1, 1))),
     )
     with pytest.raises(CertificateMismatchError) as exc:
-        verify_certificate(VandermondeInstance(support, ZZ), forged)
+        verify_certificate(support, forged, decide_tropical_irreducibility(support, seed=0))
     checks = {c["name"]: c["holds"] for c in exc.value.report["checks"]}
     assert checks == {"support": True, "content_divides": False}
 
@@ -336,17 +336,16 @@ VERDICTS = (
 def test_verify_refuses_every_swapped_verdict(vectors):
     # each verdict's check must fail on a support of another class
     support = Support(len(vectors[0]), vectors)
+    tropical = decide_tropical_irreducibility(support, seed=1)  # characteristic-blind
     passed = []
     for char in (0, 2, 3):
-        field = FieldSpec(char)
-        genuine = decide(support, field)
-        inst = VandermondeInstance(support, field.ring)
-        assert verify_certificate(inst, genuine, seed=1)["ok"] is True
+        genuine = decide(support, char)
+        assert verify_certificate(support, genuine, tropical)["ok"] is True
         for verdict in VERDICTS:
             if verdict == genuine.verdict:
                 continue
             try:
-                verify_certificate(inst, genuine._replace(verdict=verdict), seed=1)
+                verify_certificate(support, genuine._replace(verdict=verdict), tropical)
             except CertificateMismatchError as exc:
                 assert exc.report["ok"] is False
             else:

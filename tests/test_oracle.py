@@ -306,7 +306,7 @@ class _EqualRows(random.Random):
 def test_jacobian_singular_at_every_draw(monkeypatch):
     monkeypatch.setattr(oracle, "random", types.SimpleNamespace(Random=_EqualRows))
     with pytest.raises(AllPointsSingularError):
-        jacobian_independence_evidence(_JACOBIAN_N6, trials=2, seed=0)
+        jacobian_independence_evidence(_JACOBIAN_N6, seed=0)
     out, err = io.StringIO(), io.StringIO()
     stdin = io.StringIO(json.dumps(_JACOBIAN_N6.to_json()))
     with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
