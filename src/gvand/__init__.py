@@ -34,7 +34,6 @@ from gvand.tropical import (
     TROPICAL_REDUCIBLE,
     TropicalCertificate,
     decide_tropical_irreducibility,
-    delaunay_lifting,
     regular_subdivision,
 )
 from gvand.vandermonde import (

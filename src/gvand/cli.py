@@ -4,7 +4,12 @@ Subcommands: decide, expand, tropical, verify, oracle.  Input is a
 support as JSON ({"n": ..., "exponents": [[...], ...]}) from --input or
 stdin; field and seed come from flags.  Each command takes --input,
 --char, --seed and --format, and oracle adds --check; the caps N <= 12,
-n <= 8 and exponents <= 2^64 - 1 are fixed.  Payloads are plain JSON
+n <= 8 and exponents <= 2^64 - 1 are fixed.  A command followed by
+pairs of an exact flag and a value that does not start with "-" is read
+directly (_read_argv), without importing argparse.  Every other argv
+(help, --flag=value, abbreviations, unknown flags, bad values) goes to
+argparse, which prints the help or the usage error or parses it; an
+argv read either way gives the same arguments.  Payloads are plain JSON
 data, and text output renders the same data and nothing more.  For a
 fixed input and seed every command prints byte-identical output across
 runs.  expand writes
@@ -20,11 +25,11 @@ Exit codes: 0 success, 1 falsified invariant or certificate mismatch
 violation.
 """
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from gvand.errors import (
     CertificateMismatchError,
@@ -67,7 +72,7 @@ MAX_EXPONENT = 2**64 - 1
 ORACLE_CHECKS = ("leibniz", "classical", "line", "jacobian", "polygon")
 
 
-def _load_support(args: argparse.Namespace) -> Support:
+def _load_support(args) -> Support:
     if args.input_path and args.input_path != "-":
         try:
             with open(args.input_path, "r", encoding="utf-8") as fh:
@@ -120,7 +125,7 @@ def _scalar(val) -> str:
     return str(val)
 
 
-def _emit(args: argparse.Namespace, payload):
+def _emit(args, payload):
     """Print a payload of plain JSON data.
 
     A payload that is not a dict is the document itself, as chunks of
@@ -179,7 +184,7 @@ class _TermText:
         yield from blocks
 
 
-def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
+def _expand_document(args, inst: VandermondeInstance):
     """expand's output in chunks: the determinant, then each first-row
     minor, one block of 24 terms at a time.  No term map, no run of terms
     and no whole document is ever built."""
@@ -218,7 +223,7 @@ def _expand_document(args: argparse.Namespace, inst: VandermondeInstance):
     yield end
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
+def _cmd_decide(args) -> int:
     support = _load_support(args)
     cert = decide(support, args.characteristic)
     _emit(
@@ -234,7 +239,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args) -> int:
     support = _load_support(args)
     inst = VandermondeInstance(support, CoefficientRing(args.characteristic))
     require_expandable(support.N)
@@ -242,7 +247,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tropical(args: argparse.Namespace) -> int:
+def _cmd_tropical(args) -> int:
     support = _load_support(args)
     cert = decide_tropical_irreducibility(support, seed=args.seed)
     _emit(
@@ -257,7 +262,7 @@ def _cmd_tropical(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args) -> int:
     support = _load_support(args)
     cert = decide(support, args.characteristic)
     payload = {
@@ -291,7 +296,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if payload["ok"] else 1
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args) -> int:
     support = _load_support(args)
     payload = {
         "command": "oracle",
@@ -344,7 +349,7 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
         return _COMMANDS[args.command](args)
@@ -362,7 +367,11 @@ def run(args: argparse.Namespace) -> int:
 
 
 @functools.cache  # argparse parsers are reusable; in-process callers build one
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The full parser, built only for the argv that _read_argv declines:
+    help, usage errors and every spelling but the plain one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gvand",
         description="Exact generalized Vandermonde determinants: decisions, expansions, tropical cross-checks.",
@@ -387,8 +396,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLAGS = {"--input": "input_path", "--char": "characteristic", "--seed": "seed", "--format": "fmt"}
+_ORACLE_FLAGS = {**_FLAGS, "--check": "check"}
+_CHOICES = {"fmt": ("json", "text"), "check": ORACLE_CHECKS}
+
+
+def _read_argv(argv):
+    """The arguments _build_parser().parse_args(argv) returns, read without it,
+    or None when argv is anything but COMMAND followed by pairs of an exact
+    flag and a value that does not start with "-".  Integers convert as
+    argparse's type=int does, choices are checked the same, the last of a
+    repeated flag wins, and oracle needs --check.  What it declines goes to
+    argparse, so help, usage errors and their exit codes come from argparse."""
+    if not argv or len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    flags = _ORACLE_FLAGS if argv[0] == "oracle" else _FLAGS
+    args = {"command": argv[0], "input_path": "-", "characteristic": 0, "seed": 0, "fmt": "json"}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest = flags.get(flag)
+        if dest is None or value.startswith("-"):
+            return None
+        if dest in ("characteristic", "seed"):
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif dest in _CHOICES and value not in _CHOICES[dest]:
+            return None
+        args[dest] = value
+    if flags is _ORACLE_FLAGS and "check" not in args:
+        return None
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         if not 0 <= args.seed <= MAX_SEED:
             raise InputError("seed: must fit in an unsigned 64-bit integer")

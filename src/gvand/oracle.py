@@ -146,10 +146,6 @@ class LineCaseReport(
 
     __slots__ = ()
 
-    @property
-    def splits(self) -> bool:
-        return self.quotient_terms is not None and self.quotient_degree > 0
-
     def to_json(self) -> dict:
         return {
             "w": list(self.w),

@@ -11,13 +11,12 @@ subdivision triangles.  Tropical irreducibility holds exactly when the
 span, content, and scale (d = 1) conditions all pass; the witness
 exhibits multiplicity gcd d in the reducible scaled case.
 
-Every rational quantity is exact.  The subdivision search and its
-re-check (verify_subdivision, which the tests run on the witnesses; the
-decision keeps only cells that pass it by construction) run on
+Every rational quantity is exact.  The subdivision search runs on
 integers: the lifting is scaled to integers by the lcm of its
 denominators, each candidate plane is solved fraction-free as integer
 numerators over one denominator, and every above/on-plane test is an
-integer comparison.  Fractions are built only for the lifting values
+integer comparison.  The tests re-check the witnesses the same way;
+the decision keeps only cells that pass that re-check by construction.  Fractions are built only for the lifting values
 and the witness planes of the cells kept.  Given the same support and
 seed the whole construction is deterministic.
 """
@@ -42,7 +41,7 @@ from gvand.exponents import (
     d_gamma,
     reduce_to_span_coordinates,
 )
-from gvand.linalg import integer_rank, solve_affine
+from gvand.linalg import solve_affine
 from gvand.reporting import ConditionCheck, frac_str
 
 LIFT_DENOMINATOR = 2**32
@@ -196,11 +195,6 @@ def _witness(support: Support, seed: int):
     )
 
 
-def delaunay_lifting(support: Support, seed: int = 0) -> Lifting:
-    """A perturbed-paraboloid lifting whose subdivision is simplicial."""
-    return _witness(support, seed)[0]
-
-
 def _integer_lift(values):
     """(scale, ints): scale is the lcm of the denominators, ints[t] = values[t] * scale."""
     scale = math.lcm(*(v.denominator for v in values))
@@ -260,41 +254,6 @@ def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivisio
     return RegularSubdivision(ambient_dim=m, cells=cells, simplicial=simplicial)
 
 
-def verify_subdivision(support: Support, lifting: Lifting, sub: RegularSubdivision) -> dict:
-    """Re-check every cell witness; returns {'ok': bool, 'failures': [...]}.
-
-    Each cell's plane and the lifting are compared as integers over
-    their common denominator.
-    """
-    failures = []
-    m = sub.ambient_dim
-    points = support.vectors
-    scale, lifted = _integer_lift(lifting.values)
-    for idx, cell in enumerate(sub.cells):
-        coeffs = (*cell.normal, cell.offset)
-        den = math.lcm(scale, *(c.denominator for c in coeffs))
-        *normal, offset = (c.numerator * (den // c.denominator) for c in coeffs)
-        k = den // scale
-        on_plane = []
-        for t, pt in enumerate(points):
-            val = sum(map(operator.mul, normal, pt)) + offset
-            bound = k * lifted[t]
-            if val > bound:
-                failures.append(f"cell {idx}: witness plane is above lifted point {t}")
-            elif val == bound:
-                on_plane.append(t)
-        if tuple(on_plane) != cell.vertices:
-            failures.append(f"cell {idx}: equality set {on_plane} != vertices {list(cell.vertices)}")
-        if len(cell.vertices) == m + 1:
-            base = points[cell.vertices[0]]
-            diffs = [
-                [points[v][j] - base[j] for j in range(m)] for v in cell.vertices[1:]
-            ]
-            if integer_rank(diffs) != m:
-                failures.append(f"cell {idx}: simplex vertices are affinely dependent")
-    return {"ok": not failures, "failures": failures}
-
-
 #### dual combinatorics ####
 
 
@@ -343,42 +302,6 @@ def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
     return g
 
 
-def balancing_check(tc: TropicalCombinatorics, support: Support) -> dict:
-    """Oriented multiplicity-weighted edge vectors around each ridge sum to zero.
-
-    This always holds, so the decision does not run it: a triangle's three
-    oriented edge vectors telescope to zero, and each stored multiplicity
-    is the same gcd of the edge vector recomputed here.
-    """
-    failures = []
-    for ridge in tc.ridges:
-        u, v, w = ridge.vertices
-        total = [0] * support.n
-        for s, t in ((u, v), (v, w), (w, u)):
-            vec = [a - b for a, b in zip(support.vectors[t], support.vectors[s])]
-            mult = tc.facets[_facet_of(tc, s, t)].multiplicity
-            g = math.gcd(*vec) if len(vec) > 1 else abs(vec[0])
-            if g != mult:
-                failures.append(
-                    f"ridge {ridge.vertices}: edge ({s},{t}) lattice length {g} != stored {mult}"
-                )
-                continue
-            prim = [x // g for x in vec]
-            for k in range(support.n):
-                total[k] += mult * prim[k]
-        if any(total):
-            failures.append(f"ridge {ridge.vertices}: boundary sum {total} is nonzero")
-    return {"ok": not failures, "n_ridges": len(tc.ridges), "failures": failures}
-
-
-def _facet_of(tc: TropicalCombinatorics, s: int, t: int) -> int:
-    key = (s, t) if s < t else (t, s)
-    for i, f in enumerate(tc.facets):
-        if f.vertices == key:
-            return i
-    raise KeyError(f"no facet on vertices {key}")
-
-
 def is_ridge_connected(tc: TropicalCombinatorics) -> bool:
     """Whether the facet graph (adjacency through shared ridges) is connected."""
     n = len(tc.facets)
@@ -420,7 +343,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
         # the span coordinates' dimension is the affine rank, computed once.  Every
         # cell regular_subdivision keeps has its plane on the integer lifting, its
         # equality set as its vertices and, as a simplex, the vertices solve_affine
-        # found independent, so verify_subdivision could not fail here
+        # found independent, so the tests' re-check of the witness could not fail here
         reduced = reduce_to_span_coordinates(support)
         dim, d = reduced.n, d_gamma(support)
         lifting, sub = _witness(reduced, seed)

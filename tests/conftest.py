@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,8 +13,10 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 from gvand.exponents import Support, affine_dimension, normalize
+from gvand.linalg import integer_rank
 from gvand.poly import grid_var
 from gvand.rings import ZZ
+from gvand.tropical import Lifting, RegularSubdivision, TropicalCombinatorics, _integer_lift, _witness
 from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
 
 
@@ -92,6 +96,90 @@ def classical_reassembles(support: Support, quotient) -> bool:
         for j in range(i + 1, inst.N + 1):
             product = product * (ring.variable(grid_var(i, 1)) - ring.variable(grid_var(j, 1)))
     return product == vandermonde_determinant(inst)
+
+
+#### reference checks of the tropical witness and the line split ####
+
+
+def delaunay_lifting(support: Support, seed: int = 0) -> Lifting:
+    """A perturbed-paraboloid lifting whose subdivision is simplicial."""
+    return _witness(support, seed)[0]
+
+
+def verify_subdivision(support: Support, lifting: Lifting, sub: RegularSubdivision) -> dict:
+    """Re-check every cell witness; returns {'ok': bool, 'failures': [...]}.
+
+    Each cell's plane and the lifting are compared as integers over
+    their common denominator.
+    """
+    failures = []
+    m = sub.ambient_dim
+    points = support.vectors
+    scale, lifted = _integer_lift(lifting.values)
+    for idx, cell in enumerate(sub.cells):
+        coeffs = (*cell.normal, cell.offset)
+        den = math.lcm(scale, *(c.denominator for c in coeffs))
+        *normal, offset = (c.numerator * (den // c.denominator) for c in coeffs)
+        k = den // scale
+        on_plane = []
+        for t, pt in enumerate(points):
+            val = sum(map(operator.mul, normal, pt)) + offset
+            bound = k * lifted[t]
+            if val > bound:
+                failures.append(f"cell {idx}: witness plane is above lifted point {t}")
+            elif val == bound:
+                on_plane.append(t)
+        if tuple(on_plane) != cell.vertices:
+            failures.append(f"cell {idx}: equality set {on_plane} != vertices {list(cell.vertices)}")
+        if len(cell.vertices) == m + 1:
+            base = points[cell.vertices[0]]
+            diffs = [
+                [points[v][j] - base[j] for j in range(m)] for v in cell.vertices[1:]
+            ]
+            if integer_rank(diffs) != m:
+                failures.append(f"cell {idx}: simplex vertices are affinely dependent")
+    return {"ok": not failures, "failures": failures}
+
+
+def balancing_check(tc: TropicalCombinatorics, support: Support) -> dict:
+    """Oriented multiplicity-weighted edge vectors around each ridge sum to zero.
+
+    This always holds, so the decision does not run it: a triangle's three
+    oriented edge vectors telescope to zero, and each stored multiplicity
+    is the same gcd of the edge vector recomputed here.
+    """
+    failures = []
+    for ridge in tc.ridges:
+        u, v, w = ridge.vertices
+        total = [0] * support.n
+        for s, t in ((u, v), (v, w), (w, u)):
+            vec = [a - b for a, b in zip(support.vectors[t], support.vectors[s])]
+            mult = tc.facets[_facet_of(tc, s, t)].multiplicity
+            g = math.gcd(*vec) if len(vec) > 1 else abs(vec[0])
+            if g != mult:
+                failures.append(
+                    f"ridge {ridge.vertices}: edge ({s},{t}) lattice length {g} != stored {mult}"
+                )
+                continue
+            prim = [x // g for x in vec]
+            for k in range(support.n):
+                total[k] += mult * prim[k]
+        if any(total):
+            failures.append(f"ridge {ridge.vertices}: boundary sum {total} is nonzero")
+    return {"ok": not failures, "n_ridges": len(tc.ridges), "failures": failures}
+
+
+def _facet_of(tc: TropicalCombinatorics, s: int, t: int) -> int:
+    key = (s, t) if s < t else (t, s)
+    for i, f in enumerate(tc.facets):
+        if f.vertices == key:
+            return i
+    raise KeyError(f"no facet on vertices {key}")
+
+
+def line_splits(report) -> bool:
+    """Whether a LineCaseReport's binomial divides with a quotient of positive degree."""
+    return report.quotient_terms is not None and report.quotient_degree > 0
 
 
 def random_support(rng: random.Random, n: int, N: int, exp_max: int) -> Support:

@@ -15,7 +15,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import classical_reassembles, random_support, row_support
+from conftest import (
+    balancing_check,
+    classical_reassembles,
+    delaunay_lifting,
+    random_support,
+    row_support,
+    verify_subdivision,
+)
 from gvand.exponents import (
     Support,
     affine_dimension,
@@ -43,14 +50,11 @@ from gvand.rings import GF, ZZ, CoefficientRing
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
     TROPICAL_REDUCIBLE,
-    balancing_check,
     combinatorics,
     decide_tropical_irreducibility,
-    delaunay_lifting,
     is_ridge_connected,
     multiplicity_gcd,
     regular_subdivision,
-    verify_subdivision,
 )
 from gvand.vandermonde import (
     VandermondeInstance,

@@ -904,12 +904,16 @@ def test_one_parser_serves_every_call_in_a_process(support_file, monkeypatch):
         ["decide", "--input", path],
         ["decide", "--input", path, "--char", "x"],  # argparse usage error
         ["expand", "--input", path],
+        ["decide", f"--input={path}"],  # argparse spellings the direct read declines
+        ["decide", "--inp", path],
     )
     cli._build_parser.cache_clear()
     in_process = [_main_in_process(argv) for argv in runs]
+    # only the declined argv build the parser, and they share one
     assert cli._build_parser.cache_info().misses == 1
-    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0]
     assert "invalid int value: 'x'" in in_process[1][2]
+    assert in_process[3] == in_process[4] == in_process[0]
     for argv, (code, out, err) in zip(runs, in_process):
         fresh = subprocess.run(
             [sys.executable, "-m", "gvand.cli", *argv],
@@ -918,6 +922,93 @@ def test_one_parser_serves_every_call_in_a_process(support_file, monkeypatch):
             env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_well_formed_commands_import_no_argparse(support_file):
+    path = support_file(TRIANGLE)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from gvand import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main([c, '--input', {path!r}, '--char', '2']) for c in ('decide', 'verify', 'expand')]\n"
+        "print(*codes, *sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    ).stdout.split()
+    assert loaded == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["decide"], True),
+        (["verify", "--input", "s.json", "--char", "2", "--seed", "7", "--format", "text"], True),
+        (["oracle", "--check", "line", "--check", "polygon"], True),
+        (["decide", "--input", ""], True),
+        (["oracle", "--input", "s.json"], False),  # --check is required
+        (["decide", "--check", "line"], False),
+        (["decide", "-h"], False),
+        (["decide", "--input=s.json"], False),
+        (["decide", "--inp", "s.json"], False),
+        (["decide", "--input", "-"], False),
+        (["decide", "--seed", "-1"], False),
+        (["decide", "--char", "x"], False),
+        (["decide", "--format", "yaml"], False),
+        (["decide", "--input"], False),
+        ([], False),
+    ],
+)
+def test_direct_read_takes_only_the_plain_spelling(argv, read):
+    assert (cli._read_argv(argv) is not None) == read
+
+
+# values of each flag that argparse takes, and tokens it reads otherwise or refuses
+ARGV_VALUES = {
+    "--input": ["s.json", "", "decide"],
+    "--char": ["2", " 3", "3_0", "\u0663"],
+    "--seed": ["0", "+7", "3_0", "\u0663"],
+    "--format": ["json", "text"],
+    "--check": list(cli.ORACLE_CHECKS),
+}
+ARGV_ODD = ["--inp", "--char=2", "-h", "--", "-", "-1", "x", "", "yaml"]
+ARGV_TOKENS = [*cli._COMMANDS, *ARGV_VALUES, *ARGV_ODD, *(v for vs in ARGV_VALUES.values() for v in vs)]
+
+
+@st.composite
+def argv_lists(draw):
+    """A command and well-formed flag-value pairs, repeated flags among them, then
+    up to two tokens replaced, inserted or deleted: odd lengths, misplaced and
+    malformed flags, and values argparse reads but the direct read declines."""
+    argv = [draw(st.sampled_from([*cli._COMMANDS, "-h", "--"]))]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(list(ARGV_VALUES)))
+        argv += [flag, draw(st.sampled_from(ARGV_VALUES[flag]))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit != "insert" and at < len(argv):
+            del argv[at]
+        if edit != "delete":
+            argv.insert(at, draw(st.sampled_from(ARGV_TOKENS)))
+    return argv
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argv_lists())
+def test_direct_read_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or vars(read) == vars(parsed)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import fraction_solve_affine, zero_min_wide_corpus
+from conftest import balancing_check, delaunay_lifting, fraction_solve_affine, verify_subdivision, zero_min_wide_corpus
 from gvand.errors import DegenerateSupportError, NotSimplicialError
 from gvand.exponents import Support, affine_dimension, d_gamma, reduce_to_span_coordinates
 from gvand.tropical import (
@@ -17,14 +17,11 @@ from gvand.tropical import (
     Cell,
     Lifting,
     RegularSubdivision,
-    balancing_check,
     combinatorics,
     decide_tropical_irreducibility,
-    delaunay_lifting,
     is_ridge_connected,
     multiplicity_gcd,
     regular_subdivision,
-    verify_subdivision,
 )
 
 UNIT_TRIANGLE = Support(2, ((0, 0), (1, 0), (0, 1)))
