@@ -37,7 +37,6 @@ from gvand.tropical import (
     regular_subdivision,
 )
 from gvand.vandermonde import (
-    VandermondeInstance,
     build_matrix,
     row_expansion,
     vandermonde_determinant,

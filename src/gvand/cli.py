@@ -53,11 +53,10 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
-from gvand.poly import grid_var
+from gvand.poly import grid_ring, grid_var
 from gvand.rings import CoefficientRing
 from gvand.tropical import TROPICAL_IRREDUCIBLE, decide_tropical_irreducibility
 from gvand.vandermonde import (
-    VandermondeInstance,
     build_matrix,
     require_expandable,
     text_tails,
@@ -184,18 +183,17 @@ class _TermText:
         yield from blocks
 
 
-def _expand_document(args, inst: VandermondeInstance):
+def _expand_document(args, support: Support, ring: CoefficientRing):
     """expand's output in chunks: the determinant, then each first-row
     minor, one block of 24 terms at a time.  No term map, no run of terms
     and no whole document is ever built."""
-    support, ring = inst.support, inst.coeff_ring
     gammas, N = support.vectors, support.N
     head = {
         "command": "expand",
         "seed": args.seed,
         "characteristic": args.characteristic,
         "support": support.to_json(),
-        "variables": list(inst.poly_ring().variables),
+        "variables": list(grid_ring(ring, N, support.n).variables),
     }
     signs = [l % 2 for l in range(N)]
     if args.fmt == "text":
@@ -241,9 +239,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_expand(args) -> int:
     support = _load_support(args)
-    inst = VandermondeInstance(support, CoefficientRing(args.characteristic))
     require_expandable(support.N)
-    _emit(args, _expand_document(args, inst))
+    _emit(args, _expand_document(args, support, CoefficientRing(args.characteristic)))
     return 0
 
 
@@ -307,9 +304,8 @@ def _cmd_oracle(args) -> int:
     }
     failed = False
     if args.check == "leibniz":
-        inst = VandermondeInstance(support, CoefficientRing(args.characteristic))
-        matrix = build_matrix(inst)
-        agree = leibniz_determinant(matrix) == vandermonde_determinant(inst)
+        ring = CoefficientRing(args.characteristic)
+        agree = leibniz_determinant(build_matrix(support, ring)) == vandermonde_determinant(support, ring)
         payload["report"] = {"ok": agree}
         failed = not agree
     elif args.check == "classical":
@@ -322,7 +318,7 @@ def _cmd_oracle(args) -> int:
         }
         failed = not ok
     elif args.check == "line":
-        report = line_case_factor(VandermondeInstance(support, CoefficientRing(args.characteristic)))
+        report = line_case_factor(support, CoefficientRing(args.characteristic))
         # the binomial divides whenever the support lies on its line; at N = 2 the
         # quotient is a unit, and that is no falsification
         divides = report.quotient_terms is not None
@@ -331,11 +327,9 @@ def _cmd_oracle(args) -> int:
     elif args.check == "jacobian":
         report = jacobian_independence_evidence(support, seed=args.seed)
         payload["report"] = dict(report.to_json(), ok=True)
-    elif args.check == "polygon":
+    else:  # polygon: both argv readers admit only ORACLE_CHECKS
         report = polygon_indecomposability(support)
         payload["report"] = dict(report.to_json(), ok=True)
-    else:
-        raise InputError(f"check: unknown oracle check {args.check!r}")
     _emit(args, payload)
     return 1 if failed else 0
 
@@ -366,6 +360,17 @@ def run(args) -> int:
         return 1
 
 
+# flag -> (dest, default, argparse options): what _build_parser adds and _read_argv reads
+_FLAGS = {
+    "--input": ("input_path", "-", {"help": "support JSON file, or - for stdin"}),
+    "--char": ("characteristic", 0, {"type": int, "metavar": "P", "help": "field characteristic (0 or a prime)"}),
+    "--seed": ("seed", 0, {"type": int, "help": "seed for all randomized steps (echoed in output)"}),
+    "--format": ("fmt", "json", {"choices": ("json", "text")}),
+}
+_ORACLE_FLAGS = {**_FLAGS, "--check": ("check", None, {"required": True, "choices": ORACLE_CHECKS})}
+_DEFAULTS = {dest: default for dest, default, _ in _FLAGS.values()}  # --check is required: no default
+
+
 @functools.cache  # argparse parsers are reusable; in-process callers build one
 def _build_parser():
     """The full parser, built only for the argv that _read_argv declines:
@@ -385,20 +390,9 @@ def _build_parser():
         ("oracle", "run one independent check by name"),
     ):
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--input", default="-", dest="input_path", help="support JSON file, or - for stdin")
-        cmd.add_argument(
-            "--char", type=int, default=0, metavar="P", dest="characteristic", help="field characteristic (0 or a prime)"
-        )
-        cmd.add_argument("--seed", type=int, default=0, help="seed for all randomized steps (echoed in output)")
-        cmd.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-        if name == "oracle":
-            cmd.add_argument("--check", required=True, choices=ORACLE_CHECKS)
+        for flag, (dest, default, options) in (_ORACLE_FLAGS if name == "oracle" else _FLAGS).items():
+            cmd.add_argument(flag, dest=dest, default=default, **options)
     return parser
-
-
-_FLAGS = {"--input": "input_path", "--char": "characteristic", "--seed": "seed", "--format": "fmt"}
-_ORACLE_FLAGS = {**_FLAGS, "--check": "check"}
-_CHOICES = {"fmt": ("json", "text"), "check": ORACLE_CHECKS}
 
 
 def _read_argv(argv):
@@ -411,17 +405,18 @@ def _read_argv(argv):
     if not argv or len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
     flags = _ORACLE_FLAGS if argv[0] == "oracle" else _FLAGS
-    args = {"command": argv[0], "input_path": "-", "characteristic": 0, "seed": 0, "fmt": "json"}
+    args = {"command": argv[0], **_DEFAULTS}
     for flag, value in zip(argv[1::2], argv[2::2]):
-        dest = flags.get(flag)
-        if dest is None or value.startswith("-"):
+        spec = flags.get(flag)
+        if spec is None or value.startswith("-"):
             return None
-        if dest in ("characteristic", "seed"):
+        dest, _, options = spec
+        if "type" in options:
             try:
-                value = int(value)
+                value = options["type"](value)
             except ValueError:
                 return None
-        elif dest in _CHOICES and value not in _CHOICES[dest]:
+        elif "choices" in options and value not in options["choices"]:
             return None
         args[dest] = value
     if flags is _ORACLE_FLAGS and "check" not in args:

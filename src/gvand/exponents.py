@@ -87,16 +87,13 @@ def componentwise_min(support: Support) -> tuple:
     return tuple(mins)
 
 
-def normalize(support: Support):
-    """Translate so the componentwise minimum is zero.
-
-    Returns (normalized support, the subtracted vector).
-    """
+def normalize(support: Support) -> Support:
+    """Translate so the componentwise minimum is zero."""
     mins = componentwise_min(support)
     if not any(mins):
-        return support, mins
+        return support
     shifted = tuple(tuple(x - m for x, m in zip(v, mins)) for v in support.vectors)
-    return Support(support.n, shifted), mins
+    return Support(support.n, shifted)
 
 
 def d_gamma(support: Support) -> int:
@@ -108,7 +105,7 @@ def d_gamma(support: Support) -> int:
     """
     if support.N < 2:
         raise DegenerateSupportError("d_gamma needs at least two exponent vectors")
-    norm, _ = normalize(support)
+    norm = normalize(support)
     g = 0
     for v in norm.vectors:
         for x in v:
@@ -236,7 +233,7 @@ def reduce_to_span_coordinates(support: Support) -> Support:
     """
     if support.N < 2:
         raise DegenerateSupportError("span reduction needs at least two vectors")
-    norm, _ = normalize(support)
+    norm = normalize(support)
     base = norm.vectors[0]
     cols = pivot_columns([[x - b for x, b in zip(v, base)] for v in norm.vectors[1:]])
     return Support(len(cols), tuple(tuple(v[j] for j in cols) for v in norm.vectors))

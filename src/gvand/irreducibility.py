@@ -74,7 +74,7 @@ def decide(support: Support, characteristic: int) -> IrreducibilityCertificate:
     characteristic, 0 or a prime; any other raises ValueError."""
     p = CoefficientRing(characteristic).characteristic
     gamma_bar = componentwise_min(support)
-    norm, _ = normalize(support)
+    norm = normalize(support)
     dim = affine_dimension(support)
     d = d_gamma(support) if support.N >= 2 else None
 

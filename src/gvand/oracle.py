@@ -18,9 +18,9 @@ from itertools import combinations, permutations
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support, affine_dimension
 from gvand.irreducibility import collinear_witness
-from gvand.poly import SparsePoly, grid_var
-from gvand.rings import ZZ
-from gvand.vandermonde import VandermondeInstance, vandermonde_determinant
+from gvand.poly import SparsePoly, grid_ring, grid_var
+from gvand.rings import ZZ, CoefficientRing
+from gvand.vandermonde import vandermonde_determinant
 
 LEIBNIZ_MAX_N = 8
 # The classical division forms up to N! * bound term products, where
@@ -113,11 +113,10 @@ def classical_divisibility_check(support: Support) -> dict:
         raise SizeCapError(
             f"classical quotient bound {bound} times N! exceeds the cap {CLASSICAL_MAX_WORK}"
         )
-    inst = VandermondeInstance(support, ZZ)
-    ring = inst.poly_ring()
-    det = vandermonde_determinant(inst)
+    det = vandermonde_determinant(support)
+    ring = det.ring
     alternant = ring.one()
-    for i, j in combinations(range(1, inst.N + 1), 2):
+    for i, j in combinations(range(1, support.N + 1), 2):
         alternant = alternant * (ring.variable(grid_var(i, 1)) - ring.variable(grid_var(j, 1)))
     quotient = det.exact_divide(alternant)
     divides = quotient is not None
@@ -155,21 +154,21 @@ class LineCaseReport(
         }
 
 
-def line_case_factor(inst: VandermondeInstance) -> LineCaseReport:
+def line_case_factor(support: Support, coeff_ring: CoefficientRing = ZZ) -> LineCaseReport:
     """The binomial that divides a collinear support's determinant.
 
     collinear_witness, the witness that verify's line_split check reads,
     gives the direction w, the positions k and the quotient's size; this
-    builds f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) over the instance's
-    ring from w.  The support lies on the line gamma_lo + k * w, so f
+    builds f = X_1^(w+) X_2^(w-) - X_1^(w-) X_2^(w+) over ``coeff_ring``
+    from w.  The support lies on the line gamma_lo + k * w, so f
     divides the determinant in every characteristic and whatever the
     monomial content.  Nothing is expanded, so every admitted N runs.
     """
-    if affine_dimension(inst.support) != 1:
+    if affine_dimension(support) != 1:
         raise DegenerateSupportError("line-case factoring needs a support on an affine line")
-    w, positions, terms, degree = collinear_witness(inst.support)
+    w, positions, terms, degree = collinear_witness(support)
     w_plus, w_minus = tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w)
-    rest, ring = (0,) * (inst.n * (inst.N - 2)), inst.poly_ring()
+    rest, ring = (0,) * (support.n * (support.N - 2)), grid_ring(coeff_ring, support.N, support.n)
     f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)
     return LineCaseReport(w, positions, f, terms, degree)
 

@@ -9,6 +9,7 @@ tuple, never alphabetical.
 """
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from operator import add, sub
@@ -28,23 +29,22 @@ def graded_lex_key(exp):
     return (sum(exp), exp)
 
 
-class PolyRing:
+class PolyRing(namedtuple("PolyRing", "coeff_ring variables")):
     """A coefficient ring together with an ordered tuple of variable names."""
 
-    __slots__ = ("coeff_ring", "variables", "_index")
+    __slots__ = ()
 
-    def __init__(self, coeff_ring: CoefficientRing, variables):
+    def __new__(cls, coeff_ring: CoefficientRing, variables):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
         if not all(isinstance(v, str) and v for v in variables):
             raise ValueError("variable names must be nonempty strings")
-        object.__setattr__(self, "coeff_ring", coeff_ring)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
+        return super().__new__(cls, coeff_ring, variables)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRing is immutable")
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
     @property
     def characteristic(self) -> int:
@@ -53,12 +53,6 @@ class PolyRing:
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def var_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise RingMismatchError(f"unknown variable {name!r}") from None
 
     def zero(self) -> "SparsePoly":
         return SparsePoly(self, {})
@@ -84,22 +78,9 @@ class PolyRing:
         return SparsePoly(self, {exponents: coeff}, _canonical=True)
 
     def variable(self, name: str) -> "SparsePoly":
-        exps = [0] * self.nvars
-        exps[self.var_index(name)] = 1
-        return self.monomial(exps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.coeff_ring == other.coeff_ring
-            and self.variables == other.variables
-        )
-
-    def __hash__(self):
-        return hash((self.coeff_ring, self.variables))
-
-    def __repr__(self):
-        return f"PolyRing({self.coeff_ring}, {list(self.variables)})"
+        if name not in self.variables:
+            raise RingMismatchError(f"unknown variable {name!r}")
+        return self.monomial([v == name for v in self.variables])
 
 
 def grid_var(i: int, j: int) -> str:

@@ -216,8 +216,6 @@ def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivisio
             "lifting needs a span-reduced support (affine dimension = ambient dimension)"
         )
     m = support.n
-    if m < 1:
-        raise DegenerateSupportError("subdivision needs ambient dimension >= 1")
     points = support.vectors
     values = lifting.values
     assert len(values) == len(points), "one lifting value per support vector"

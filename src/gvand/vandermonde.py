@@ -1,6 +1,6 @@
 """Generalized Vandermonde matrices and their exact determinants.
 
-An instance pairs a support (N exponent vectors in NN^n) with a
+Each function takes a support (N exponent vectors in NN^n) and a
 coefficient ring.  The matrix is N x N over the grid variables X_i_j:
 row i is the point X_i = (X_i_1 .. X_i_n) and column l is the monomial
 X_i^(gamma_l).  Rows use disjoint variables and the gamma are distinct,
@@ -28,8 +28,9 @@ from math import factorial
 from operator import add, getitem
 
 from gvand.errors import SizeCapError
-from gvand.poly import PolyRing, SparsePoly, grid_ring
-from gvand.rings import ZZ
+from gvand.exponents import Support
+from gvand.poly import SparsePoly, grid_ring
+from gvand.rings import ZZ, CoefficientRing
 
 # expand streams its output one block of 24 terms at a time: at N = 9 and n = 8 it
 # peaks at 20 MB and takes under 0.2 s, and with exponents near 2^64 (1.55 GB of
@@ -41,38 +42,21 @@ from gvand.rings import ZZ
 EXPAND_MAX_N = 9
 
 
-class VandermondeInstance(namedtuple("VandermondeInstance", "support coeff_ring", defaults=(ZZ,))):
-    """A support with a coefficient ring, the integers unless given."""
-
-    __slots__ = ()
-
-    @property
-    def N(self) -> int:
-        return self.support.N
-
-    @property
-    def n(self) -> int:
-        return self.support.n
-
-    def poly_ring(self) -> PolyRing:
-        return grid_ring(self.coeff_ring, self.N, self.n)
-
-
-def _entry_exponents(inst: VandermondeInstance, row: int, col: int) -> tuple:
+def _entry_exponents(support: Support, row: int, col: int) -> tuple:
     """Exponent vector of the (row, col) entry over the full grid (0-based)."""
-    return (0,) * (row * inst.n) + inst.support.vectors[col] + (0,) * ((inst.N - 1 - row) * inst.n)
+    return (0,) * (row * support.n) + support.vectors[col] + (0,) * ((support.N - 1 - row) * support.n)
 
 
-def build_matrix(inst: VandermondeInstance):
-    """The N x N matrix of monomial entries X_i^(gamma_l)."""
-    ring = inst.poly_ring()
-    one = ring.coeff_ring.normalize(1)
+def build_matrix(support: Support, coeff_ring: CoefficientRing = ZZ):
+    """The N x N matrix of monomial entries X_i^(gamma_l) over ``coeff_ring``."""
+    ring = grid_ring(coeff_ring, support.N, support.n)
+    one = coeff_ring.normalize(1)
     return [
         [
-            SparsePoly(ring, {_entry_exponents(inst, i, l): one}, _canonical=True)
-            for l in range(inst.N)
+            SparsePoly(ring, {_entry_exponents(support, i, l): one}, _canonical=True)
+            for l in range(support.N)
         ]
-        for i in range(inst.N)
+        for i in range(support.N)
     ]
 
 
@@ -218,25 +202,20 @@ def require_expandable(N: int):
         )
 
 
-def _units(inst: VandermondeInstance) -> tuple:
-    """The coefficients 1 and -1 in the instance's coefficient ring."""
-    return inst.coeff_ring.normalize(1), inst.coeff_ring.normalize(-1)
-
-
-def row_expansion(inst: VandermondeInstance) -> RowExpansion:
+def row_expansion(support: Support, coeff_ring: CoefficientRing = ZZ) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
     Each minor is one permutation enumeration over rows 2..N; the
     determinant is assembled from the minors' raw keys by one top-row
     step.  N above EXPAND_MAX_N raises SizeCapError.
     """
-    N, gammas = inst.N, inst.support.vectors
+    N, gammas = support.N, support.vectors
     require_expandable(N)
-    ring = inst.poly_ring()
+    ring = grid_ring(coeff_ring, N, support.n)
     # minor l covers rows 2..N; row 1's exponents are zero
-    row1 = (0,) * inst.n
+    row1 = (0,) * support.n
     minors, det = [None] * N, {}
-    for l, order, pos, det_coeffs in _first_row(gammas, range(N), *_units(inst)):
+    for l, order, pos, det_coeffs in _first_row(gammas, range(N), coeff_ring.normalize(1), coeff_ring.normalize(-1)):
         keys = list(_keys(gammas, order))
         minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
         det.update(zip(map(gammas[l].__add__, keys), det_coeffs))
@@ -244,9 +223,10 @@ def row_expansion(inst: VandermondeInstance) -> RowExpansion:
     return RowExpansion(signs=signs, minors=tuple(minors), determinant=SparsePoly(ring, det, _canonical=True))
 
 
-def vandermonde_determinant(inst: VandermondeInstance) -> SparsePoly:
-    """The determinant alone, from one enumeration over all N columns; no minors."""
-    N, gammas = inst.N, inst.support.vectors
+def vandermonde_determinant(support: Support, coeff_ring: CoefficientRing = ZZ) -> SparsePoly:
+    """The determinant alone over ``coeff_ring``, from one enumeration over all N columns; no minors."""
+    N, gammas = support.N, support.vectors
     require_expandable(N)
-    order, pos, _ = _column_order(gammas, range(N), _lex_signs(N, *_units(inst)))
-    return SparsePoly(inst.poly_ring(), dict(zip(_keys(gammas, order), pos)), _canonical=True)
+    signs = _lex_signs(N, coeff_ring.normalize(1), coeff_ring.normalize(-1))
+    order, pos, _ = _column_order(gammas, range(N), signs)
+    return SparsePoly(grid_ring(coeff_ring, N, support.n), dict(zip(_keys(gammas, order), pos)), _canonical=True)

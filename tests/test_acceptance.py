@@ -57,7 +57,6 @@ from gvand.tropical import (
     regular_subdivision,
 )
 from gvand.vandermonde import (
-    VandermondeInstance,
     build_matrix,
     row_expansion,
     vandermonde_determinant,
@@ -83,7 +82,7 @@ def criterion(num, name, bound=None):
 
 def test_criterion_01_square_support_expansion():
     with criterion(1, "square-support expansion", bound=1.0):
-        det = vandermonde_determinant(VandermondeInstance(SQUARE_SUPPORT, ZZ))
+        det = vandermonde_determinant(SQUARE_SUPPORT, ZZ)
         assert det.to_terms_json() == [
             {"coeff": "1", "monomial": {"X_1_1": 2, "X_1_2": 2, "X_2_1": 2, "X_3_2": 2}},
             {"coeff": "-1", "monomial": {"X_1_1": 2, "X_1_2": 2, "X_2_2": 2, "X_3_1": 2}},
@@ -96,11 +95,10 @@ def test_criterion_01_square_support_expansion():
 
 def test_criterion_02_char2_squaring():
     with criterion(2, "char-2 squaring", bound=1.0):
-        inst = VandermondeInstance(SQUARE_SUPPORT, GF(2))
-        det = vandermonde_determinant(inst)
+        det = vandermonde_determinant(SQUARE_SUPPORT, GF(2))
         root = det.frobenius_root(1)
         for row in (1, 2, 3):
-            assert row_support(root, inst, row=row) == set(HALF_SQUARE)
+            assert row_support(root, SQUARE_SUPPORT.n, row=row) == set(HALF_SQUARE)
         assert (root * root).term_map() == det.term_map()
 
 
@@ -108,9 +106,8 @@ def test_criterion_03_classical_product():
     with criterion(3, "classical-product determinants", bound=2.0):
         for size in (3, 4, 5):
             support = Support(1, tuple((k,) for k in range(size)))
-            inst = VandermondeInstance(support, ZZ)
-            det = vandermonde_determinant(inst)
-            ring = inst.poly_ring()
+            det = vandermonde_determinant(support, ZZ)
+            ring = det.ring
             product = ring.one()
             for i in range(1, size + 1):
                 for j in range(i + 1, size + 1):
@@ -138,9 +135,9 @@ def test_criterion_05_determinant_route_agreement(determinant_corpus):
     with criterion(5, "memoized vs permutation-sum determinants", bound=60.0):
         chars = (0, 0, 2, 3, 5)
         for k, support in enumerate(determinant_corpus):
-            inst = VandermondeInstance(support, CoefficientRing(chars[k % len(chars)]))
-            matrix = build_matrix(inst)
-            assert leibniz_determinant(matrix) == vandermonde_determinant(inst), (
+            ring = CoefficientRing(chars[k % len(chars)])
+            matrix = build_matrix(support, ring)
+            assert leibniz_determinant(matrix) == vandermonde_determinant(support, ring), (
                 f"route disagreement on {support.vectors} char {chars[k % len(chars)]}"
             )
 
@@ -148,10 +145,9 @@ def test_criterion_05_determinant_route_agreement(determinant_corpus):
 def test_criterion_06_repeated_row_vanishing(determinant_corpus):
     with criterion(6, "repeated-row substitution vanishes", bound=120.0):
         for support in determinant_corpus:
-            inst = VandermondeInstance(support, ZZ)
-            expansion = row_expansion(inst)
-            ring = inst.poly_ring()
-            N, n = inst.N, inst.n
+            expansion = row_expansion(support, ZZ)
+            ring = expansion.determinant.ring
+            N, n = support.N, support.n
             for ell in range(2, N + 1):
                 total = ring.zero()
                 for l in range(N):
@@ -221,7 +217,7 @@ def _scaled_support_corpus(count, seed):
     while len(out) < count:
         p = 2 if len(out) % 2 == 0 else 3
         s = random_support(rng, rng.choice((2, 3)), rng.randint(3, 5), 3)
-        s, _ = normalize(s)
+        s = normalize(s)
         if affine_dimension(s) < 2 or d_gamma(s) != 1:
             continue
         scaled = Support(s.n, tuple(tuple(p * x for x in v) for v in s.vectors))
@@ -240,12 +236,11 @@ def test_criterion_09_power_structure():
                 d //= p
                 r += 1
             assert cert.power_r == r, f"power exponent mismatch on {support.vectors}"
-            inst = VandermondeInstance(support, GF(p))
             report = verify_certificate(support, cert, decide_tropical_irreducibility(support, seed=0))
             assert report["ok"], f"certificate re-check failed on {support.vectors}"
             # the Frobenius identity verify reads off the certificate, checked on the expansions
-            root = vandermonde_determinant(inst).frobenius_root(cert.power_r)
-            reduced = vandermonde_determinant(VandermondeInstance(cert.reduced_support, GF(p)))
+            root = vandermonde_determinant(support, GF(p)).frobenius_root(cert.power_r)
+            reduced = vandermonde_determinant(cert.reduced_support, GF(p))
             assert root == reduced, f"p^r-th root is not the reduced determinant on {support.vectors}"
 
 

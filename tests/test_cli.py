@@ -126,13 +126,13 @@ EXPAND_CAP_EDGE = {
     "text-2e64": (CAP_EDGE_2E64, "eda1146d1df29095c352a1439644565f624ba000fd146fd995da888cf32efb67"),
 }
 # Writing one block of 24 terms at a time, expand peaks at 20-23 MB on each row and takes at
-# most 0.3 s on a 2-core host, interpreter start-up included; read, counted and hashed here,
-# the slowest row takes about 1.7 s.  Joining 8! terms per write, it peaked at 89-213 MB.
-# The child itself uses 0.17-0.38 s of CPU.  Its budget, about five times that, is on its own
-# CPU time, so the reader's share does not count against expand; the wall timer ends a hang.
+# most 0.5 s on a 2-core host, interpreter start-up included; read, counted and hashed here,
+# the slowest row (text-2e64) takes 4.3-4.7 s under pytest.  Joining 8! terms per write, it
+# peaked at 89-213 MB.  The child itself uses 0.17-0.38 s of CPU.  Its budget, about five
+# times that, is on its own CPU time, so the reader's share does not count against expand.
+# As on the bounded rows below, the wall timer ends a hang at HANG_FACTOR times the budget.
 EXPAND_ADDRESS_SPACE = 64 * 2**20
 CAP_EDGE_CPU_SECONDS = 2
-CAP_EDGE_SECONDS = 5
 # the address space of the bounded rows below
 CAP_EDGE_ADDRESS_SPACE = 512 * 2**20
 
@@ -158,14 +158,15 @@ def test_expand_at_the_cap_edge_ends_within_bounds(support_file, row):
         env=dict(os.environ, PYTHONPATH=SRC),
         preexec_fn=lambda: _limit_address_space(EXPAND_ADDRESS_SPACE),
     )
-    timer = threading.Timer(CAP_EDGE_SECONDS, proc.kill)
+    timer = threading.Timer(HANG_FACTOR * CAP_EDGE_CPU_SECONDS, proc.kill)
     timer.start()
     coeffs, carry, stream = 0, b"", hashlib.sha256()
     try:
         while chunk := proc.stdout.read(1 << 20):
             stream.update(chunk)
-            coeffs += (carry + chunk).count(b"coeff")
-            carry = chunk[-4:]  # too short to hold a whole "coeff" twice
+            # a "coeff" across the seam lies in carry + chunk[:4]; neither part holds a whole one
+            coeffs += chunk.count(b"coeff") + (carry + chunk[:4]).count(b"coeff")
+            carry = chunk[-4:]
         err = proc.stderr.read()
         code, cpu = _reap(proc)
     finally:
@@ -1114,8 +1115,7 @@ def test_expand_terms_match_the_row_expansion_encoder(N, n):
         for char in ("0", "2", "3"):
             code, out, err = _main_in_process(["expand", "--char", char], json.dumps(support))
             assert code == 0 and err == ""
-            inst = vandermonde.VandermondeInstance(Support.from_json(support), CoefficientRing(int(char)))
-            exp = vandermonde.row_expansion(inst)
+            exp = vandermonde.row_expansion(Support.from_json(support), CoefficientRing(int(char)))
             minors = ", ".join(json.dumps(minor.to_terms_json()) for minor in exp.minors)
             expected = (
                 f', "determinant": {json.dumps(exp.determinant.to_terms_json())}, '

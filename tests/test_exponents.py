@@ -106,11 +106,10 @@ def test_from_json_builds_the_record_a_direct_call_builds():
 def test_normalize_and_min():
     s = Support(2, ((2, 3), (4, 3), (2, 7)))
     assert componentwise_min(s) == (2, 3)
-    norm, shift = normalize(s)
-    assert shift == (2, 3)
+    norm = normalize(s)
     assert norm.vectors == ((0, 0), (2, 0), (0, 4))
-    renorm, reshift = normalize(norm)
-    assert renorm is norm and reshift == (0, 0)
+    assert componentwise_min(norm) == (0, 0)
+    assert normalize(norm) is norm
 
 
 def test_d_gamma_examples():
@@ -205,7 +204,7 @@ def test_span_reduction_collinear_support():
     coords = sorted(v[0] for v in reduced.vectors)
     assert coords == [0, 2, 6]
     # the one span coordinate is the normalized support's first, in the support's order
-    assert reduced.vectors == tuple((v[0],) for v in normalize(s)[0].vectors)
+    assert reduced.vectors == tuple((v[0],) for v in normalize(s).vectors)
 
 
 def _pair_gcds(support):
@@ -239,7 +238,7 @@ def test_span_reduction_translates_a_full_dimensional_support():
     # coordinates keep their size, even near 10**18
     big = 10**18
     for s in (Support(2, ((3, 1), (5, 2), (4, 7))), Support(2, ((big, 1), (1, big), (big - 7, big - 3)))):
-        assert reduce_to_span_coordinates(s) == normalize(s)[0]
+        assert reduce_to_span_coordinates(s) == normalize(s)
 
 
 def test_span_reduction_rejects_outside_points():
@@ -276,7 +275,7 @@ def _lower_dimensional_supports(draw):
 def test_span_coordinates_are_columns_of_the_normalized_support(s):
     reduced = reduce_to_span_coordinates(s)
     assert reduced.n == affine_dimension(s) == affine_dimension(reduced)
-    norm, _ = normalize(s)
+    norm = normalize(s)
     columns = list(zip(*norm.vectors))
     kept = list(zip(*reduced.vectors))
     # the kept columns appear in order, so no coordinate exceeds the input's

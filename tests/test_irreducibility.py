@@ -24,7 +24,6 @@ from gvand.irreducibility import (
 from gvand.poly import SparsePoly
 from gvand.rings import GF
 from gvand.tropical import decide_tropical_irreducibility
-from gvand.vandermonde import VandermondeInstance
 
 
 def test_decide_validates_the_characteristic():
@@ -213,7 +212,7 @@ def wide_unit_scale_supports(draw):
     n = draw(st.integers(2, 3))
     N = draw(st.integers(3, 7))
     vectors = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=N, max_size=N, unique=True))
-    support, _ = normalize(Support(n, tuple(vectors)))
+    support = normalize(Support(n, tuple(vectors)))
     assume(affine_dimension(support) >= 2 and d_gamma(support) == 1)
     return support
 
@@ -226,8 +225,8 @@ def test_power_determinant_is_a_frobenius_power_of_the_reduced_one(reduced, p, r
     support = Support(reduced.n, tuple(tuple(q * x for x in v) for v in reduced.vectors))
     cert = decide(support, p)
     assert cert.verdict == VERDICT_POWER and cert.power_r == r
-    det = vandermonde.vandermonde_determinant(VandermondeInstance(support, GF(p)))
-    reduced_det = vandermonde.vandermonde_determinant(VandermondeInstance(cert.reduced_support, GF(p)))
+    det = vandermonde.vandermonde_determinant(support, GF(p))
+    reduced_det = vandermonde.vandermonde_determinant(cert.reduced_support, GF(p))
     assert det.frobenius_root(r) == reduced_det
 
 

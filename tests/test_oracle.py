@@ -27,14 +27,14 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
-from gvand.poly import SparsePoly
+from gvand.poly import SparsePoly, grid_ring
 from gvand.rings import GF, ZZ
-from gvand.vandermonde import VandermondeInstance, build_matrix, vandermonde_determinant
+from gvand.vandermonde import build_matrix, vandermonde_determinant
 
 
 def _inst(vectors, n, char=0):
-    ring = GF(char) if char else ZZ
-    return VandermondeInstance(Support(n, tuple(vectors)), ring)
+    """(support, coefficient ring), to call the layers with *."""
+    return Support(n, tuple(vectors)), GF(char) if char else ZZ
 
 
 #### permutation-sum determinant ####
@@ -43,22 +43,21 @@ def _inst(vectors, n, char=0):
 def test_leibniz_agrees_with_memoized_route():
     for char in (0, 2, 5):
         inst = _inst([(2, 0), (0, 2), (2, 2)], 2, char)
-        matrix = build_matrix(inst)
-        assert leibniz_determinant(matrix) == vandermonde_determinant(inst)
+        matrix = build_matrix(*inst)
+        assert leibniz_determinant(matrix) == vandermonde_determinant(*inst)
 
 
 def test_leibniz_two_by_two_sign():
-    inst = _inst([(0,), (1,)], 1)
-    matrix = build_matrix(inst)
+    matrix = build_matrix(*_inst([(0,), (1,)], 1))
     det = leibniz_determinant(matrix)
-    ring = inst.poly_ring()
+    ring = grid_ring(ZZ, 2, 1)
     assert det == ring.monomial((0, 1)) - ring.monomial((1, 0))
 
 
 def test_leibniz_size_cap():
     inst = _inst([(k,) for k in range(9)], 1)
     with pytest.raises(SizeCapError):
-        leibniz_determinant(build_matrix(inst))
+        leibniz_determinant(build_matrix(*inst))
 
 
 #### classical alternant divisibility ####
@@ -96,7 +95,7 @@ def test_classical_requires_one_coordinate():
 
 def _reassembles(inst, report):
     """The closed-form quotient size against an exact division of the expansion."""
-    det = vandermonde_determinant(inst)
+    det = vandermonde_determinant(*inst)
     q = det.exact_divide(report.binomial)
     assert q is not None
     assert q.n_terms == report.quotient_terms
@@ -107,7 +106,7 @@ def _reassembles(inst, report):
 @pytest.mark.parametrize("char", [2, 3, 5])
 def test_line_case_splits_staircase(char):
     inst = _inst([(0,), (1,), (2,)], 1, char)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report)
     assert report.w == (1,)
     assert report.line_positions == (0, 1, 2)
@@ -117,7 +116,7 @@ def test_line_case_splits_staircase(char):
 
 def test_line_case_diagonal_support():
     inst = _inst([(0, 0), (1, 1), (2, 2)], 2, 5)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report) and report.w == (1, 1)
     assert _reassembles(inst, report)
 
@@ -126,7 +125,7 @@ def test_line_case_shifted_base():
     # base point (1, 2) is not a multiple of the direction (1, 1), and
     # the content x^(1, 2) does not stop the binomial from dividing
     inst = _inst([(1, 2), (2, 3), (3, 4)], 2, 3)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report)
     assert _reassembles(inst, report)
 
@@ -134,14 +133,14 @@ def test_line_case_shifted_base():
 def test_line_case_base_on_direction():
     # base point (1, 1) is a multiple of the direction (1, 1)
     inst = _inst([(1, 1), (2, 2), (4, 4)], 2, 5)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report) and report.line_positions == (0, 1, 3)
     assert _reassembles(inst, report)
 
 
 def test_line_case_sparse_line():
     inst = _inst([(0,), (2,), (5,)], 1, 5)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert report.line_positions == (0, 2, 5)
     assert line_splits(report) and _reassembles(inst, report)
 
@@ -151,33 +150,33 @@ def test_line_case_unlucky_small_field():
     # vanishes on the whole torus and no evaluation point there exhibits
     # the split; the binomial division needs no point
     inst = _inst([(0,), (2,), (5,)], 1, 3)
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report) and _reassembles(inst, report)
 
 
 def test_line_case_input_validation():
     with pytest.raises(DegenerateSupportError):
-        line_case_factor(_inst([(0, 0), (1, 0), (0, 1)], 2, 3))
+        line_case_factor(*_inst([(0, 0), (1, 0), (0, 1)], 2, 3))
     # past the expansion cap: 8! * sum_{l<m} (m - l) = 40320 * 165 quotient terms, none built
-    report = line_case_factor(_inst([(k,) for k in range(10)], 1, 3))
+    report = line_case_factor(*_inst([(k,) for k in range(10)], 1, 3))
     assert line_splits(report) and report.quotient_terms == 6652800
     # no prime, characteristic or line-degree restriction
     for inst in (_inst([(0,), (1,), (2,)], 1, 0), _inst([(0,), (1,), (2,)], 1, 7), _inst([(0,), (25,), (50,)], 1, 3)):
-        assert line_splits(line_case_factor(inst))
+        assert line_splits(line_case_factor(*inst))
 
 
 def test_line_case_two_point_lines():
     # N = 2 with positions 0 and 1: the determinant is the binomial itself
-    report = line_case_factor(_inst([(0,), (1,)], 1, 0))
+    report = line_case_factor(*_inst([(0,), (1,)], 1, 0))
     assert report.quotient_degree == 0 and not line_splits(report)
     # positions 0 and 3: X_2_1^3 - X_1_1^3 is a genuine split
-    assert line_splits(line_case_factor(_inst([(0,), (3,)], 1, 0)))
+    assert line_splits(line_case_factor(*_inst([(0,), (3,)], 1, 0)))
 
 
 def test_line_case_deterministic():
     inst = _inst([(0,), (1,), (3,)], 1, 5)
-    a = line_case_factor(inst).to_json()
-    b = line_case_factor(inst).to_json()
+    a = line_case_factor(*inst).to_json()
+    b = line_case_factor(*inst).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -199,13 +198,14 @@ def collinear_instances(draw):
 @given(collinear_instances())
 @settings(max_examples=80, deadline=None)
 def test_line_case_splits_every_collinear_support(inst):
-    report = line_case_factor(inst)
+    report = line_case_factor(*inst)
     assert line_splits(report)
     assert _reassembles(inst, report)
-    stdin = io.StringIO(json.dumps(inst.support.to_json()))
+    support, coeff_ring = inst
+    stdin = io.StringIO(json.dumps(support.to_json()))
     out = io.StringIO()
     with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out):
-        code = cli.main(["oracle", "--check", "line", "--char", str(inst.coeff_ring.characteristic)])
+        code = cli.main(["oracle", "--check", "line", "--char", str(coeff_ring.characteristic)])
     assert code == 0
     assert json.loads(out.getvalue())["report"]["ok"] is True
 
@@ -287,7 +287,7 @@ def test_line_oracle_expands_nothing(monkeypatch):
     # N = 6, n = 3 on a line with direction (2, -1, 1), signed so that it climbs the first
     # coordinate: 4! * 69 quotient terms of degree 128 - 4
     support = Support(3, tuple((1 + 2 * k, 11 - k, 1 + k) for k in (0, 1, 3, 4, 7, 10)))
-    report = line_case_factor(VandermondeInstance(support, GF(5)))
+    report = line_case_factor(support, GF(5))
     assert line_splits(report) and report.w == (2, -1, 1)
     assert (report.quotient_terms, report.quotient_degree) == (24 * 69, 124)
     out = io.StringIO()

@@ -69,6 +69,17 @@ def test_ring_constructors():
         PolyRing(ZZ, ("x", "x"))
 
 
+def test_ring_is_a_validated_record():
+    with pytest.raises(ValueError, match="distinct"):
+        RXY._replace(variables=("x", "x"))
+    assert RXY._replace(coeff_ring=GF(2)) == RXY_F2
+    twin = PolyRing(ZZ, ["x", "y"])
+    assert twin == RXY and hash(twin) == hash(RXY)
+    assert twin != RXY_F2
+    with pytest.raises(RingMismatchError, match="unknown variable 'z'"):
+        RXY.variable("z")
+
+
 def test_grid_ring_and_vars():
     ring = grid_ring(ZZ, 3, 2)
     assert ring.variables == ("X_1_1", "X_1_2", "X_2_1", "X_2_2", "X_3_1", "X_3_2")
