@@ -140,10 +140,12 @@ def _emit(args, payload):
 class _TermText:
     """Term lists of the determinant and its minors as output text.
 
-    A term is a head, then one fragment per nonzero exponent; ``joiner``
-    goes between terms.  ``table[r][c]`` holds row r's fragments when it
-    takes column c, each led by ``sep``, which the first fragment of a
-    term drops.  A term with no variables has ``blank`` after its head;
+    A term is a head, then one fragment per nonzero exponent, the
+    variable's ``name`` and the exponent; ``joiner`` goes between terms.
+    ``table[r][c]`` holds row r's fragments when it takes column c, each
+    led by ``sep``, which the first fragment of a term drops.  Each row's
+    names and each column's exponents are formatted once, and a cell
+    joins them.  A term with no variables has ``blank`` after its head;
     only a determinant on no column or on the zero vector's alone has one.
     ``pieces`` holds the texts of the bottom four rows with the heads and
     joiners between them, for both signs, built once with the table,
@@ -152,24 +154,25 @@ class _TermText:
     yields the blocks as they come.
     """
 
-    def __init__(self, gammas, ring: CoefficientRing, head, fragment, sep, joiner, blank):
+    def __init__(self, gammas, ring: CoefficientRing, head, name, sep, joiner, blank):
         self.gammas, self.drop, self.joiner = gammas, len(sep), joiner
         one, minus = head.format(ring.normalize(1)), head.format(ring.normalize(-1))
         self.constant = one + blank  # the one term with no variables
-        self.table = [
-            ["".join(sep + fragment.format(grid_var(r, j), e) for j, e in enumerate(g, 1) if e) for g in gammas]
-            for r in range(1, len(gammas) + 1)
-        ]
+        exponents = [[(j, str(e)) for j, e in enumerate(g) if e] for g in gammas]
+        self.table = []
+        for r in range(1, len(gammas) + 1):
+            names = [sep + name.format(grid_var(r, j)) for j in range(1, len(gammas[0]) + 1)]
+            self.table.append(["".join([names[j] + e for j, e in column]) for column in exponents])
         self.pieces = text_tails(self.table, gammas, one, minus, joiner)
 
     @classmethod
     def json(cls, gammas, ring):
-        return cls(gammas, ring, '{{"coeff": "{}", "monomial": {{', '"{}": {}', ", ", "}}, ", "")
+        return cls(gammas, ring, '{{"coeff": "{}", "monomial": {{', '"{}": ', ", ", "}}, ", "")
 
     @classmethod
     def text(cls, gammas, ring, indent):
         pad = "  " * indent
-        return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: {{}}", "", "", " {}")
+        return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: ", "", "", " {}")
 
     def chunks(self, cols):
         """The terms on columns ``cols`` and the last len(cols) rows as text,

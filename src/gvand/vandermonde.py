@@ -14,17 +14,18 @@ table of what each row contributes in each column, in blocks of 4! = 24:
 the terms of a block share the rows above the last four, their prefix,
 and the block is that prefix joined once between pieces built once per
 table, the last four rows' texts on each set of four columns with the
-terms' heads and joiners folded in.  No row and no head is looked up
-per term, and no term is a string of its own.  The determinant alone is
-one enumeration over all N columns; the first-row expansion enumerates
-each minor once and builds the determinant from the minors' keys.
-build_matrix serves the permutation-sum oracle, which takes its own
-route.
+terms' heads and joiners folded in.  The pieces are built one row at a
+time, each set's tails from those of its subsets.  The blocks come from
+one permutation walk over the rows above the last four, with one sign
+per block.  No row and no head is looked up per term, and no term is a
+string of its own.  The determinant alone is one enumeration over all N
+columns; the first-row expansion enumerates each minor once and builds
+the determinant from the minors' keys.  build_matrix serves the
+permutation-sum oracle, which takes its own route.
 """
 
 from collections import namedtuple
 from itertools import chain, combinations, permutations
-from math import factorial
 from operator import add, getitem
 
 from gvand.errors import SizeCapError
@@ -60,18 +61,23 @@ def build_matrix(support: Support, coeff_ring: CoefficientRing = ZZ):
     ]
 
 
-def _lex_signs(m: int, one=1, minus=-1) -> tuple:
+def _lex_signs(m: int, one=1, minus=-1, k: int = 1) -> tuple:
     """The signs of S_m in lex order, and their negations, as ``one`` and
     ``minus``: coefficients, or the text that opens a term of each sign.
+    With ``k``, only every k!-th: the signs at the starts of the blocks of
+    k! permutations that share their first m - k entries.
 
     A permutation that starts with j has j inversions from its head and
     a tail ranked like a permutation of S_(m-1), so the sequence is the
-    concatenation over j of (-1)^j times the sequence of S_(m-1).
+    concatenation over j of (-1)^j times the sequence of S_(m-1).  A
+    block starts where its last k entries ascend, with no inversion among
+    them, so the block starts of S_k are its identity alone, and the
+    recursion starts there.
     """
     pos, neg = [one], [minus]
-    for k in range(2, m + 1):
-        tail = k % 2
-        pos, neg = (pos + neg) * (k // 2) + pos * tail, (neg + pos) * (k // 2) + neg * tail
+    for level in range(k + 1, m + 1):
+        tail = level % 2
+        pos, neg = (pos + neg) * (level // 2) + pos * tail, (neg + pos) * (level // 2) + neg * tail
     return pos, neg
 
 
@@ -95,22 +101,21 @@ def _column_order(gammas: tuple, cols, signs: tuple) -> tuple:
     return (order, neg, pos) if inversions % 2 else (order, pos, neg)
 
 
-def _first_row(gammas: tuple, cols, one, minus):
-    """The determinant on columns ``cols``, expanded along its first row.
+def _first_row(gammas: tuple, one, minus):
+    """The determinant, expanded along its first row, for row_expansion.
 
     Yields (c, order, coeffs, determinant coeffs) for each column c the
     first row takes, by descending gamma: order and coeffs are the minor
     on the other columns', from _column_order, and the determinant's
-    terms with the first row in column c carry coeffs times (-1)^i, c
-    being the i-th of ``cols``.  Visiting c by descending gamma keeps the
-    determinant's terms in the lex order of its own permutations.
+    terms with the first row in column c carry coeffs times (-1)^c.
+    Visiting c by descending gamma keeps the determinant's terms in the
+    lex order of its own permutations.
     """
-    cols = sorted(cols)
-    signs = _lex_signs(len(cols) - 1, one, minus)
-    for c in _descending(gammas, cols):
-        i = cols.index(c)
-        order, pos, neg = _column_order(gammas, cols[:i] + cols[i + 1 :], signs)
-        yield c, order, pos, neg if i % 2 else pos
+    N = len(gammas)
+    signs = _lex_signs(N - 1, one, minus)
+    for c in _descending(gammas, range(N)):
+        order, pos, neg = _column_order(gammas, [d for d in range(N) if d != c], signs)
+        yield c, order, pos, neg if c % 2 else pos
 
 
 def _keys(gammas: tuple, order) -> map:
@@ -126,13 +131,25 @@ def _keys(gammas: tuple, order) -> map:
 def _tail_rows(table) -> int:
     """k, the bottom rows of ``table`` that text_terms joins once per set of k columns.
 
-    Four: with three the blocks are too many and each costs Python work,
-    and with five the table holds up to five times the strings.  Hot, in
-    process on a 2-core host, the benchmark's median N = 7, n = 2
-    operation takes 1.6 ms with three, 1.0 ms with four and 1.3 ms with
-    five.  The tail stays below a minor's first row, so k is at most N - 2.
+    Four.  With three the blocks are six times as many, and each costs
+    Python work: hot, in process on a 2-core host, the benchmark's
+    N = 6, n = 1 operations, among which its median falls, set up and
+    join their document in 0.47-0.67 ms with four and 0.56-0.83 ms with
+    three (JSON, three runs each).  N = 6 admits no more than four.  At
+    N = 7 and 8 five is as fast or faster, but its pieces hold five times
+    the strings: 42 MB in place of 7 MB for the N = 9 text document with
+    exponents near 2^64.  The tail stays below a minor's first row, so k
+    is at most N - 2.
     """
     return max(0, min(len(table) - 2, 4))
+
+
+def _grow_tails(row, below: dict, sets):
+    """Each set of columns with its tails, the texts of ``row`` and the
+    rows under it on the set's permutations in lex order: ``row[c]``
+    ahead of ``below``'s tails on the set without c, for each c in turn."""
+    for cols in sets:
+        yield cols, [row[c] + tail for i, c in enumerate(cols) for tail in below[cols[:i] + cols[i + 1 :]]]
 
 
 def text_tails(table, gammas: tuple, one: str, minus: str, joiner: str) -> dict:
@@ -147,15 +164,18 @@ def text_tails(table, gammas: tuple, one: str, minus: str, joiner: str) -> dict:
     the ``joiner`` between terms, the block is the shared text joined
     between the pieces [J + h_0, t_0 + J + h_1, ..., t_(k!-1)].  The first
     list serves a block whose signs start with +1, the second one with -1.
+    The tails are built one row at a time, from the bottom: those of the
+    last j rows on every j-set from those of the last j - 1 rows.  Only
+    the sets of k - 1 columns are held, and each k-set keeps its pieces
+    alone, not its tails.
     """
     k = _tail_rows(table)
-    last = table[len(table) - k :]
+    order = _descending(gammas, range(len(gammas)))
     opens = [[joiner + h for h in heads] for heads in _lex_signs(k, one, minus)]
-    blocks = {}
-    for cols in combinations(_descending(gammas, range(len(gammas))), k):
-        tails = ["".join(map(getitem, last, p)) for p in permutations(cols)]
-        blocks[frozenset(cols)] = [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens]
-    return blocks
+    level = {(): [""]}.items()
+    for j in range(1, k + 1):
+        level = _grow_tails(table[len(table) - j], dict(level), combinations(order, j))
+    return {frozenset(cols): [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens] for cols, tails in level}
 
 
 def text_terms(table, gammas: tuple, cols, pieces: dict, drop: int):
@@ -165,23 +185,24 @@ def text_terms(table, gammas: tuple, cols, pieces: dict, drop: int):
 
     ``table[r][c]`` is the text row r contributes in column c, led by a
     separator of ``drop`` characters, which a term's first text drops, and
-    ``pieces`` is text_tails of the same table.  The blocks come by the
-    column the first row takes, from _first_row, so the terms come in the
-    lex order of the permutations.  The rows between the first and the
-    last k are a prefix, joined once per block; the block is that prefix
-    joined between the pieces on the columns it leaves.
+    ``pieces`` is text_tails of the same table.  The blocks come in the
+    lex order of the permutations of ``cols`` by descending gamma, which
+    is the terms' order: each is one arrangement of the m - k rows above
+    the last k, their prefix, joined once and then joined between the
+    pieces on the columns it leaves.  The blocks' signs are the lex signs
+    of S_m at every k!-th permutation, from _lex_signs, times the order's
+    sign.
     """
     k = _tail_rows(table)
-    block = factorial(k)
-    first, mid = table[-len(cols)], table[len(table) - len(cols) + 1 : len(table) - k]
-    for c, order, _, signs in _first_row(gammas, cols, 0, 1):  # a sign picks its list of pieces
-        columns, lead = frozenset(order), first[c]
-        for at, p in enumerate(permutations(order, len(mid))):
-            prefix = lead + "".join(map(getitem, mid, p))
-            between = pieces[columns.difference(p)][signs[at * block]]
-            if not prefix:  # the zero vector's column with no row between: each tail opens its term
-                between = [between[0], *(t[drop:] for t in between[1:])]
-            yield prefix[drop:].join(between)
+    m = len(cols)
+    order, signs, _ = _column_order(gammas, cols, _lex_signs(m, 0, 1, k))  # a sign picks its list of pieces
+    columns, rows = frozenset(order), table[len(table) - m : len(table) - k]
+    for p, sign in zip(permutations(order, m - k), signs):
+        prefix = "".join(map(getitem, rows, p))
+        between = pieces[columns.difference(p)][sign]
+        if not prefix:  # the zero vector's column alone above the tail: each tail opens its term
+            between = [between[0], *(t[drop:] for t in between[1:])]
+        yield prefix[drop:].join(between)
 
 
 class RowExpansion(namedtuple("RowExpansion", "signs minors determinant")):
@@ -215,7 +236,7 @@ def row_expansion(support: Support, coeff_ring: CoefficientRing = ZZ) -> RowExpa
     # minor l covers rows 2..N; row 1's exponents are zero
     row1 = (0,) * support.n
     minors, det = [None] * N, {}
-    for l, order, pos, det_coeffs in _first_row(gammas, range(N), coeff_ring.normalize(1), coeff_ring.normalize(-1)):
+    for l, order, pos, det_coeffs in _first_row(gammas, coeff_ring.normalize(1), coeff_ring.normalize(-1)):
         keys = list(_keys(gammas, order))
         minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
         det.update(zip(map(gammas[l].__add__, keys), det_coeffs))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -101,6 +102,20 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
         code, out, err = _run(capsys, ["expand", "--input", support_file(SQUARE), "--char", char])
         assert code == 0 and err == ""
         assert len(json.loads(out)["determinant"]) == 6
+
+
+def test_expand_walks_the_permutations_once(support_file, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("expand must not expand each minor along the first row")
+
+    monkeypatch.setattr(vandermonde, "_first_row", unreachable)
+    for N in (1, 2, 3, 5, 7):
+        path = support_file({"n": 2, "exponents": [[i, 3 * i % 5] for i in range(N)]})
+        for char in ("0", "2", "3"):
+            for fmt in ("json", "text"):
+                code, out, err = _run(capsys, ["expand", "--input", path, "--char", char, "--format", fmt])
+                assert code == 0 and err == ""
+                assert out.count("coeff") == 2 * math.factorial(N)  # N! in the determinant, (N - 1)! per minor
 
 
 @pytest.mark.parametrize("command, exponents", [("expand", [[k] for k in range(10)])])

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -124,9 +125,14 @@ def test_lex_signs_are_inversion_signs(m):
         inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
         return -1 if inversions % 2 else 1
 
+    signs = [sign(perm) for perm in permutations(range(m))]
     pos, neg = vandermonde._lex_signs(m)
-    assert pos == [sign(perm) for perm in permutations(range(m))]
+    assert pos == signs
     assert neg == [-s for s in pos]
+    for k in range(min(m, 4) + 1):  # the block starts: every k!-th permutation
+        pos, neg = vandermonde._lex_signs(m, k=k)
+        assert pos == signs[:: factorial(k)]
+        assert neg == [-s for s in pos]
 
 
 def test_determinant_builds_no_minors(monkeypatch):
