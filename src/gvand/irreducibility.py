@@ -276,7 +276,8 @@ def _check_collinear(support, add):
 
 def _check_irreducible(cert, tcert, add):
     span_ok, content_ok = (c.holds for c in tcert.conditions[:2])
-    # the tropical route raises unless its multiplicity gcd equals d_gamma
+    # the tropical route reads the content off the vectors, not componentwise_min,
+    # and raises unless its witness's multiplicity gcd equals d_gamma
     g, d, p = tcert.multiplicity_gcd, cert.d_gamma, cert.characteristic
     holds = span_ok and content_ok and g == d and (p == 0 or g % p != 0)
     if d == 1:

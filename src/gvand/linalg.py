@@ -94,10 +94,11 @@ def solve_affine(points, values):
     aug = [[*pt, 1, val] for pt, val in zip(points, values)]
     prev = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
+        if not aug[col][col]:
+            piv = next((i for i in range(col + 1, n) if aug[i][col]), None)
+            if piv is None:
+                return None
+            aug[col], aug[piv] = aug[piv], aug[col]
         top = aug[col]
         p = top[col]
         for i in range(col + 1, n):

@@ -11,14 +11,15 @@ subdivision triangles.  Tropical irreducibility holds exactly when the
 span, content, and scale (d = 1) conditions all pass; the witness
 exhibits multiplicity gcd d in the reducible scaled case.
 
-Every rational quantity is exact.  The subdivision search runs on
-integers: the lifting is scaled to integers by the lcm of its
-denominators, each candidate plane is solved fraction-free as integer
-numerators over one denominator, and every above/on-plane test is an
-integer comparison.  The tests re-check the witnesses the same way;
-the decision keeps only cells that pass that re-check by construction.  Fractions are built only for the lifting values
-and the witness planes of the cells kept.  Given the same support and
-seed the whole construction is deterministic.
+Every rational quantity is exact, and the decision runs on integers.
+The lifting values are integers over LIFT_DENOMINATOR**2, each
+candidate plane is solved fraction-free as integer numerators over one
+denominator, and every above/on-plane test is an integer comparison.
+The decision keeps the cells as vertex tuples with their integer
+planes; the tests re-check those witnesses, which pass by construction.
+Fractions are built only when a certificate is written: its lifting
+and subdivision are made from the integers when they are read.  Given
+the same support and seed the whole construction is deterministic.
 """
 
 import math
@@ -34,13 +35,7 @@ from gvand.errors import (
     NotSimplicialError,
     PerturbationExhaustedError,
 )
-from gvand.exponents import (
-    Support,
-    affine_dimension,
-    componentwise_min,
-    d_gamma,
-    reduce_to_span_coordinates,
-)
+from gvand.exponents import Support, d_gamma, reduce_to_span_coordinates
 from gvand.linalg import solve_affine
 from gvand.reporting import ConditionCheck, frac_str
 
@@ -130,13 +125,28 @@ class TropicalCombinatorics(namedtuple("TropicalCombinatorics", "facets ridges a
 class TropicalCertificate(
     namedtuple(
         "TropicalCertificate",
-        "verdict conditions seed multiplicity_gcd ridge_connected lifting subdivision combinatorics",
+        "verdict conditions seed multiplicity_gcd ridge_connected combinatorics attempts lift hull",
     )
 ):
-    """``multiplicity_gcd``, ``ridge_connected`` and the witness fields are
-    None when no witness was built (N = 1)."""
+    """The witness is held as integers: ``lift`` gives each support vector's
+    lifting value times LIFT_DENOMINATOR**2, and ``hull`` the cells as
+    (vertices, (nums, den)) pairs, the plane nums . (point, 1) / den in the
+    same units.  ``lifting`` and ``subdivision`` are built from them when
+    read.  ``multiplicity_gcd``, ``ridge_connected`` and the witness fields
+    are None when no witness was built (N = 1)."""
 
     __slots__ = ()
+
+    @property
+    def lifting(self):
+        if self.lift is None:
+            return None
+        values = tuple(Fraction(v, LIFT_DENOMINATOR**2) for v in self.lift)
+        return Lifting(values=values, seed=self.seed, attempts=self.attempts)
+
+    @property
+    def subdivision(self):
+        return None if self.hull is None else _subdivision(self.hull, LIFT_DENOMINATOR**2)
 
     def to_json(self) -> dict:
         return {
@@ -145,8 +155,8 @@ class TropicalCertificate(
             "conditions": [c.to_json() for c in self.conditions],
             "multiplicity_gcd": self.multiplicity_gcd,
             "ridge_connected": self.ridge_connected,
-            "lifting": None if self.lifting is None else self.lifting.to_json(),
-            "subdivision": None if self.subdivision is None else self.subdivision.to_json(),
+            "lifting": None if self.lift is None else self.lifting.to_json(),
+            "subdivision": None if self.hull is None else self.subdivision.to_json(),
             "combinatorics": None if self.combinatorics is None else self.combinatorics.to_json(),
         }
 
@@ -154,42 +164,84 @@ class TropicalCertificate(
 #### lifting and subdivision ####
 
 
-def _paraboloid_values(support: Support, eps) -> tuple:
-    """sum_j (v_j + e_j)^2 - last_j^2 per vector v, with e_j = eps[v][j] / LIFT_DENOMINATOR.
+def _lower_hull(points, lifted) -> tuple:
+    """The cells of the lower hull of the integer lifting, sorted.
 
-    Each value is one integer over LIFT_DENOMINATOR**2.
+    Brute-force witness search: every (m+1)-subset of points that spans
+    an affine plane lying weakly below all lifted points contributes the
+    cell given by the plane's equality set.  A plane solved as
+    (nums, den) lies weakly below point t iff
+    nums . point + nums[m] <= den * lifted[t].  Returns
+    (vertices, (nums, den)) pairs, one per cell with the first plane
+    found for it.  Raises DegenerateSupportError when no subset spans a
+    plane, which happens exactly when the points are affinely dependent.
     """
-    den = LIFT_DENOMINATOR
-    base = sum((x * den) ** 2 for x in support.vectors[-1])
-    return tuple(
-        Fraction(sum((x * den + e) ** 2 for x, e in zip(v, row)) - base, den * den)
-        for v, row in zip(support.vectors, eps)
-    )
+    m = len(points[0])
+    found = {}
+    for subset in combinations(range(len(points)), m + 1):
+        plane = solve_affine([points[i] for i in subset], [lifted[i] for i in subset])
+        if plane is None:
+            continue
+        nums, den = plane
+        normal, offset = nums[:m], nums[m]
+        cell = []
+        for t, pt in enumerate(points):
+            if t in subset:  # the plane is solved exactly through these
+                cell.append(t)
+                continue
+            val = sum(map(operator.mul, normal, pt)) + offset
+            bound = den * lifted[t]
+            if val > bound:
+                break
+            if val == bound:
+                cell.append(t)
+        else:
+            found.setdefault(tuple(cell), plane)
+    if not found:
+        raise DegenerateSupportError(
+            "lifting needs a span-reduced support (affine dimension = ambient dimension)"
+        )
+    return tuple(sorted(found.items()))
 
 
-def _covers_all_points(sub: RegularSubdivision, n_points: int) -> bool:
-    seen = set()
-    for cell in sub.cells:
-        seen.update(cell.vertices)
-    return len(seen) == n_points
+def _is_simplicial(hull) -> bool:
+    # a simplex in m coordinates has m + 1 vertices, its plane m + 1 numerators
+    return all(len(verts) == len(nums) for verts, (nums, _) in hull)
+
+
+def _subdivision(hull, scale) -> RegularSubdivision:
+    """The subdivision of a hull searched on a lifting scaled to integers by ``scale``."""
+    m = len(hull[0][1][0]) - 1  # a plane in m coordinates has m + 1 numerators
+    cells = []
+    for verts, (nums, den) in hull:
+        den *= scale
+        cells.append(Cell(verts, tuple(Fraction(a, den) for a in nums[:m]), Fraction(nums[m], den)))
+    return RegularSubdivision(ambient_dim=m, cells=tuple(cells), simplicial=_is_simplicial(hull))
 
 
 def _witness(support: Support, seed: int):
-    """Perturbed-paraboloid lifting with a simplicial all-vertex subdivision.
+    """(attempts, lift, hull) of a perturbed paraboloid with a simplicial all-vertex subdivision.
 
-    The unperturbed paraboloid keeps every point on the lower hull, so
-    a draw that is non-simplicial or drops a point (possible only in
-    near-degenerate configurations) is rejected and redrawn.  Full
-    vertex coverage is what makes the facet-multiplicity gcd equal the
-    support's scale gcd.
+    lift[t] = sum_j (x_j * D + e_j)^2 - sum_j (last_j * D)^2 for vector
+    t = x, with D = LIFT_DENOMINATOR, e_j = rng.randint(1,
+    EPS_MAX_NUMERATOR) drawn vector by vector, and last the support's
+    last vector: the paraboloid lifting times D^2.  It keeps every point
+    on the lower hull, so a draw that is non-simplicial or drops a point
+    (possible only in near-degenerate configurations) is rejected and
+    redrawn.  Full vertex coverage is what makes the facet-multiplicity
+    gcd equal the support's scale gcd.
     """
+    den = LIFT_DENOMINATOR
+    points = support.vectors
+    base = sum((x * den) ** 2 for x in points[-1])
     rng = random.Random(seed)
     for attempt in range(1, MAX_RETRIES + 1):
-        eps = [[rng.randint(1, EPS_MAX_NUMERATOR) for _ in range(support.n)] for _ in range(support.N)]
-        lifting = Lifting(values=_paraboloid_values(support, eps), seed=seed, attempts=attempt)
-        sub = regular_subdivision(support, lifting)
-        if sub.simplicial and _covers_all_points(sub, support.N):
-            return lifting, sub
+        lift = tuple(
+            [sum((x * den + rng.randint(1, EPS_MAX_NUMERATOR)) ** 2 for x in v) - base for v in points]
+        )
+        hull = _lower_hull(points, lift)
+        if _is_simplicial(hull) and len({t for verts, _ in hull for t in verts}) == support.N:
+            return attempt, lift, hull
     raise PerturbationExhaustedError(
         f"no simplicial all-vertex subdivision within {MAX_RETRIES} perturbation attempts"
     )
@@ -202,62 +254,18 @@ def _integer_lift(values):
 
 
 def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivision:
-    """Lower-hull subdivision of the support induced by the lifting.
+    """Lower-hull subdivision of the span-reduced support induced by the lifting.
 
-    Brute-force witness search: every (m+1)-subset of support points
-    that spans an affine plane lying weakly below all lifted points
-    contributes the cell given by the plane's equality set.  The search
-    runs on the integer lifting ints = values * scale: a plane solved as
-    (nums, den) lies weakly below point t iff
-    nums . point + nums[m] <= den * ints[t].
+    The search runs on the integer lifting values * scale, with scale
+    the lcm of their denominators; each cell's witness plane is that
+    scale's integer plane over it.
     """
-    if affine_dimension(support) != support.n:
-        raise DegenerateSupportError(
-            "lifting needs a span-reduced support (affine dimension = ambient dimension)"
-        )
-    m = support.n
-    points = support.vectors
-    values = lifting.values
-    assert len(values) == len(points), "one lifting value per support vector"
-    scale, lifted = _integer_lift(values)
-    found = {}
-    for subset in combinations(range(len(points)), m + 1):
-        plane = solve_affine([points[i] for i in subset], [lifted[i] for i in subset])
-        if plane is None:
-            continue
-        nums, den = plane
-        normal, offset = nums[:m], nums[m]
-        below = True
-        cell_verts = []
-        for t, pt in enumerate(points):
-            val = sum(map(operator.mul, normal, pt)) + offset
-            bound = den * lifted[t]
-            if val > bound:
-                below = False
-                break
-            if val == bound:
-                cell_verts.append(t)
-        if not below:
-            continue
-        key = tuple(cell_verts)
-        if key not in found:
-            den *= scale
-            found[key] = Cell(
-                vertices=key,
-                normal=tuple(Fraction(a, den) for a in normal),
-                offset=Fraction(offset, den),
-            )
-    cells = tuple(found[k] for k in sorted(found))
-    simplicial = bool(cells) and all(len(c.vertices) == m + 1 for c in cells)
-    return RegularSubdivision(ambient_dim=m, cells=cells, simplicial=simplicial)
+    assert len(lifting.values) == support.N, "one lifting value per support vector"
+    scale, lifted = _integer_lift(lifting.values)
+    return _subdivision(_lower_hull(support.vectors, lifted), scale)
 
 
 #### dual combinatorics ####
-
-
-def _edge_multiplicity(support: Support, u: int, v: int) -> int:
-    diff = [a - b for a, b in zip(support.vectors[u], support.vectors[v])]
-    return math.gcd(*diff) if len(diff) > 1 else abs(diff[0])
 
 
 def combinatorics(sub: RegularSubdivision, support: Support) -> TropicalCombinatorics:
@@ -268,56 +276,48 @@ def combinatorics(sub: RegularSubdivision, support: Support) -> TropicalCombinat
     """
     if not sub.simplicial:
         raise NotSimplicialError("dual combinatorics needs a simplicial subdivision")
-    edge_set = set()
-    tri_set = set()
-    for cell in sub.cells:
-        for pair in combinations(cell.vertices, 2):
-            edge_set.add(pair)
-        for tri in combinations(cell.vertices, 3):
-            tri_set.add(tri)
-    facets = tuple(
-        Facet(vertices=pair, multiplicity=_edge_multiplicity(support, *pair))
-        for pair in sorted(edge_set)
-    )
-    facet_index = {f.vertices: i for i, f in enumerate(facets)}
+    return _dual(tuple(c.vertices for c in sub.cells), support)
+
+
+def _dual(cells, support: Support) -> TropicalCombinatorics:
+    """The dual combinatorics of a simplicial subdivision given by its cells' sorted vertex tuples."""
+    vectors = support.vectors
+    edges = sorted({pair for verts in cells for pair in combinations(verts, 2)})
+    index = {pair: i for i, pair in enumerate(edges)}
     ridges = []
     adjacency = set()
-    for tri in sorted(tri_set):
-        idx = tuple(facet_index[pair] for pair in combinations(tri, 2))
-        ridges.append(Ridge(vertices=tri, facets=idx))
-        for a, b in combinations(sorted(idx), 2):
-            adjacency.add((a, b))
+    for tri in sorted({tri for verts in cells for tri in combinations(verts, 3)}):
+        a, b, c = tri
+        # edges sort lexicographically and a < b < c, so ab < ac < bc
+        ab, ac, bc = index[a, b], index[a, c], index[b, c]
+        ridges.append(Ridge(tri, (ab, ac, bc)))
+        adjacency.update(((ab, ac), (ab, bc), (ac, bc)))
+    facets = tuple(Facet((u, v), math.gcd(*map(operator.sub, vectors[u], vectors[v]))) for u, v in edges)
     return TropicalCombinatorics(
         facets=facets, ridges=tuple(ridges), adjacency=tuple(sorted(adjacency))
     )
 
 
 def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
-    g = 0
-    for f in tc.facets:
-        g = math.gcd(g, f.multiplicity)
+    g = math.gcd(*(f.multiplicity for f in tc.facets))
     assert g > 0, "a nonempty subdivision has at least one facet"
     return g
 
 
 def is_ridge_connected(tc: TropicalCombinatorics) -> bool:
     """Whether the facet graph (adjacency through shared ridges) is connected."""
-    n = len(tc.facets)
-    if n <= 1:
-        return True
-    neighbors = {i: set() for i in range(n)}
+    neighbors = [[] for _ in tc.facets]
     for a, b in tc.adjacency:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    seen = {0}
-    stack = [0]
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    stack = [0] if neighbors else []
+    seen = set(stack)
     while stack:
-        cur = stack.pop()
-        for nxt in neighbors[cur]:
+        for nxt in neighbors[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return len(seen) == n
+    return len(seen) == len(neighbors)
 
 
 #### decision ####
@@ -332,22 +332,25 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
     support with N >= 2 so that the reducible scaled case still
     exhibits its facet-multiplicity gcd.  The subdivision is searched
     in the span coordinates, and its edges, the same vertex pairs, take
-    their lattice lengths from the support.
+    their lattice lengths from the support.  The content is read off the
+    vectors and the scale off the witness, so neither shares a helper
+    with irreducibility.decide; the witness's gcd must equal d_gamma.
     """
-    gamma_bar = componentwise_min(support)
+    gamma_bar = tuple(map(min, zip(*support.vectors)))
     dim = 0
-    d = lifting = sub = tc = mult_gcd = connected = None
+    tc = mult_gcd = connected = attempts = lift = hull = None
     if support.N >= 2:
-        # the span coordinates' dimension is the affine rank, computed once.  Every
-        # cell regular_subdivision keeps has its plane on the integer lifting, its
-        # equality set as its vertices and, as a simplex, the vertices solve_affine
+        # the span coordinates have full affine rank, so every attempt's hull is
+        # nonempty.  Every cell _lower_hull keeps has its plane on the integer lifting,
+        # its equality set as its vertices and, as a simplex, the vertices solve_affine
         # found independent, so the tests' re-check of the witness could not fail here
         reduced = reduce_to_span_coordinates(support)
-        dim, d = reduced.n, d_gamma(support)
-        lifting, sub = _witness(reduced, seed)
-        tc = combinatorics(sub, support)
+        dim = reduced.n
+        attempts, lift, hull = _witness(reduced, seed)
+        tc = _dual([verts for verts, _ in hull], support)
         mult_gcd = multiplicity_gcd(tc)
         connected = is_ridge_connected(tc)
+        d = d_gamma(support)
         if mult_gcd != d:
             raise InvariantViolationError(
                 f"facet-multiplicity gcd {mult_gcd} differs from scale gcd {d}"
@@ -355,7 +358,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
 
     span_ok = dim >= 2
     content_ok = not any(gamma_bar)
-    scale_ok = d == 1
+    scale_ok = mult_gcd == 1
     conditions = (
         ConditionCheck("span", span_ok, f"affine dimension {dim} (needs >= 2)"),
         ConditionCheck(
@@ -368,7 +371,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
         ConditionCheck(
             "scale",
             scale_ok,
-            f"scale gcd d = {d}" if d is not None else "scale gcd undefined for N = 1",
+            f"scale gcd d = {mult_gcd}" if mult_gcd is not None else "scale gcd undefined for N = 1",
         ),
     )
 
@@ -385,7 +388,8 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
         seed=seed,
         multiplicity_gcd=mult_gcd,
         ridge_connected=connected,
-        lifting=lifting,
-        subdivision=sub,
         combinatorics=tc,
+        attempts=attempts,
+        lift=lift,
+        hull=hull,
     )

@@ -15,7 +15,14 @@ settings.load_profile("deterministic")
 from gvand.exponents import Support, affine_dimension, normalize
 from gvand.linalg import integer_rank
 from gvand.poly import grid_var
-from gvand.tropical import Lifting, RegularSubdivision, TropicalCombinatorics, _integer_lift, _witness
+from gvand.tropical import (
+    LIFT_DENOMINATOR,
+    Lifting,
+    RegularSubdivision,
+    TropicalCombinatorics,
+    _integer_lift,
+    _witness,
+)
 from gvand.vandermonde import vandermonde_determinant
 
 
@@ -101,8 +108,13 @@ def classical_reassembles(support: Support, quotient) -> bool:
 
 
 def delaunay_lifting(support: Support, seed: int = 0) -> Lifting:
-    """A perturbed-paraboloid lifting whose subdivision is simplicial."""
-    return _witness(support, seed)[0]
+    """A perturbed-paraboloid lifting whose subdivision is simplicial.
+
+    The witness search keeps the lifting as integers over LIFT_DENOMINATOR**2.
+    """
+    attempts, lift, _ = _witness(support, seed)
+    values = tuple(Fraction(v, LIFT_DENOMINATOR**2) for v in lift)
+    return Lifting(values=values, seed=seed, attempts=attempts)
 
 
 def verify_subdivision(support: Support, lifting: Lifting, sub: RegularSubdivision) -> dict:

@@ -484,6 +484,52 @@ def test_verify_decides_once(support_file, capsys, monkeypatch):
     assert calls == [3]
 
 
+@pytest.mark.parametrize(
+    "support, char",
+    [
+        (TRIANGLE, 0),
+        (SQUARE, 2),
+        ({"n": 2, "exponents": [[0, 0], [2, 0], [0, 2], [2, 2]]}, 3),
+        (LINE, 0),
+        ({"n": 2, "exponents": [[1, 2]]}, 0),
+    ],
+)
+def test_verify_builds_no_fraction(support_file, capsys, monkeypatch, support, char):
+    # the tropical witness is built as integers; only the tropical command's
+    # output turns its lifting and planes into Fractions
+    argv = ["verify", "--input", support_file(support), "--char", str(char)]
+    expected = _run(capsys, argv)
+
+    def no_fraction(*args):
+        raise AssertionError("verify must build no Fraction")
+
+    monkeypatch.setattr(tropical, "Fraction", no_fraction)
+    assert _run(capsys, argv) == expected
+    assert expected[0] == 0
+
+
+def test_verify_catches_a_content_helper_shared_with_decide(support_file, capsys, monkeypatch):
+    # componentwise_min keeping only coordinate 1's minimum, at every gvand site
+    # that holds it: decide then misses the content (0, 1) and reconstructs the
+    # support anyway, so only a tropical content read by another route disagrees
+    original = exponents.componentwise_min
+
+    def first_coordinate_only(support):
+        return (original(support)[0],) + (0,) * (support.n - 1)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gvand") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, first_coordinate_only)
+    support = {"n": 2, "exponents": [[0, 1], [1, 1], [0, 2]]}
+    code, out, _ = _run(capsys, ["verify", "--input", support_file(support), "--char", "0"])
+    payload = json.loads(out)
+    assert payload["certificate"]["verdict"] == "irreducible"
+    assert code == 1
+    assert payload["verification"]["ok"] is False
+
+
 def test_verify_runs_no_polygon_search(support_file, capsys, monkeypatch):
     def unreachable(support):
         raise AssertionError("verify must not run the polygon search")

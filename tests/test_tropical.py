@@ -296,6 +296,19 @@ def test_a_sum_coordinate_keeps_the_verdict_and_multiplicity_gcd(case, seed):
     assert [c.holds for c in lifted.conditions] == [c.holds for c in cert.conditions]
 
 
+def test_the_certificate_builds_the_witness_of_the_fraction_routes(agreement_corpus):
+    # the decision keeps its witness as integers; the lifting and subdivision it
+    # writes must be the ones the Fraction-valued routes build from the same seed
+    for support in agreement_corpus:
+        cert = decide_tropical_irreducibility(support, seed=0)
+        reduced = reduce_to_span_coordinates(support)
+        lifting = delaunay_lifting(reduced, seed=0)
+        sub = regular_subdivision(reduced, lifting)
+        assert cert.lifting == lifting, support
+        assert cert.subdivision == sub, support
+        assert cert.combinatorics == combinatorics(sub, support), support
+
+
 def test_every_recorded_witness_passes_the_re_check():
     # the decision keeps only cells that pass verify_subdivision by construction and
     # does not run it; the witnesses whose bytes tests/data/tropical_digests.json pins
