@@ -38,6 +38,7 @@ from gvand.tropical import (
 )
 from gvand.vandermonde import (
     build_matrix,
+    expand_chunks,
     row_expansion,
     vandermonde_determinant,
 )

@@ -12,13 +12,9 @@ argparse, which prints the help or the usage error or parses it; an
 argv read either way gives the same arguments.  Payloads are plain JSON
 data, and text output renders the same data and nothing more.  For a
 fixed input and seed every command prints byte-identical output across
-runs.  expand writes
-its document, in either format, one block of 24 terms at a time, as
-gvand.vandermonde.text_terms joins it: the terms of a block share every
-row above the last four, and the block is their text joined once between
-pieces built once per document.  So it holds no more than the pieces and
-one block, at most 23 MB at N = 9.  A reader that closes stdout early ends
-the command with exit 0 and nothing on stderr.
+runs.  expand writes its document as gvand.vandermonde.expand_chunks
+yields it, one block of at most 24 terms at a time.  A reader that
+closes stdout early ends the command with exit 0 and nothing on stderr.
 
 Exit codes: 0 success, 1 falsified invariant or certificate mismatch
 (also inconclusive randomized checks), 2 malformed input or cap
@@ -53,16 +49,10 @@ from gvand.oracle import (
     line_case_factor,
     polygon_indecomposability,
 )
-from gvand.poly import grid_ring, grid_var
+from gvand.reporting import render_text
 from gvand.rings import CoefficientRing
 from gvand.tropical import TROPICAL_IRREDUCIBLE, decide_tropical_irreducibility
-from gvand.vandermonde import (
-    build_matrix,
-    require_expandable,
-    text_tails,
-    text_terms,
-    vandermonde_determinant,
-)
+from gvand.vandermonde import build_matrix, expand_chunks, require_expandable, vandermonde_determinant
 
 MAX_SEED = 2**64 - 1
 MAX_N = 12
@@ -96,34 +86,6 @@ def _load_support(args) -> Support:
     return support
 
 
-def _render_text(data, indent: int = 0):
-    pad = "  " * indent
-    if isinstance(data, dict):
-        entries = [(f"{pad}{key}:", val) for key, val in data.items()]
-    elif isinstance(data, list):
-        entries = [(f"{pad}-", val) for val in data]
-    else:
-        return [f"{pad}{_scalar(data)}"]
-    lines = []
-    for label, val in entries:
-        if isinstance(val, (dict, list)) and val:
-            lines.append(label)
-            lines.extend(_render_text(val, indent + 1))
-        else:
-            lines.append(f"{label} {_scalar(val)}")
-    return lines
-
-
-def _scalar(val) -> str:
-    if val is None:
-        return "null"
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, (dict, list)):
-        return "{}" if isinstance(val, dict) else "[]"
-    return str(val)
-
-
 def _emit(args, payload):
     """Print a payload of plain JSON data.
 
@@ -132,96 +94,9 @@ def _emit(args, payload):
     before the next is built.
     """
     if isinstance(payload, dict):
-        text = "\n".join(_render_text(payload)) if args.fmt == "text" else json.dumps(payload)
+        text = "\n".join(render_text(payload)) if args.fmt == "text" else json.dumps(payload)
         payload = (text + "\n",)
     sys.stdout.writelines(payload)
-
-
-class _TermText:
-    """Term lists of the determinant and its minors as output text.
-
-    A term is a head, then one fragment per nonzero exponent, the
-    variable's ``name`` and the exponent; ``joiner`` goes between terms.
-    ``table[r][c]`` holds row r's fragments when it takes column c, each
-    led by ``sep``, which the first fragment of a term drops.  Each row's
-    names and each column's exponents are formatted once, and a cell
-    joins them.  A term with no variables has ``blank`` after its head;
-    only a determinant on no column or on the zero vector's alone has one.
-    ``pieces`` holds the texts of the bottom four rows with the heads and
-    joiners between them, for both signs, built once with the table,
-    before the first term: vandermonde.text_tails.  text_terms joins each
-    block of 24 terms from a prefix and one list of them, and chunks
-    yields the blocks as they come.
-    """
-
-    def __init__(self, gammas, ring: CoefficientRing, head, name, sep, joiner, blank):
-        self.gammas, self.drop, self.joiner = gammas, len(sep), joiner
-        one, minus = head.format(ring.normalize(1)), head.format(ring.normalize(-1))
-        self.constant = one + blank  # the one term with no variables
-        exponents = [[(j, str(e)) for j, e in enumerate(g) if e] for g in gammas]
-        self.table = []
-        for r in range(1, len(gammas) + 1):
-            names = [sep + name.format(grid_var(r, j)) for j in range(1, len(gammas[0]) + 1)]
-            self.table.append(["".join([names[j] + e for j, e in column]) for column in exponents])
-        self.pieces = text_tails(self.table, gammas, one, minus, joiner)
-
-    @classmethod
-    def json(cls, gammas, ring):
-        return cls(gammas, ring, '{{"coeff": "{}", "monomial": {{', '"{}": ', ", ", "}}, ", "")
-
-    @classmethod
-    def text(cls, gammas, ring, indent):
-        pad = "  " * indent
-        return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: ", "", "", " {}")
-
-    def chunks(self, cols):
-        """The terms on columns ``cols`` and the last len(cols) rows as text,
-        one chunk per block of text_terms, with ``joiner`` between: every
-        block opens with it but the first."""
-        if not any(map(any, map(self.gammas.__getitem__, cols))):  # no columns, or the zero vector's alone
-            yield self.constant
-            return
-        blocks = text_terms(self.table, self.gammas, cols, self.pieces, self.drop)
-        yield next(blocks)[len(self.joiner) :]
-        yield from blocks
-
-
-def _expand_document(args, support: Support, ring: CoefficientRing):
-    """expand's output in chunks: the determinant, then each first-row
-    minor, one block of 24 terms at a time.  No term map, no run of terms
-    and no whole document is ever built."""
-    gammas, N = support.vectors, support.N
-    head = {
-        "command": "expand",
-        "seed": args.seed,
-        "characteristic": args.characteristic,
-        "support": support.to_json(),
-        "variables": list(grid_ring(ring, N, support.n).variables),
-    }
-    signs = [l % 2 for l in range(N)]
-    if args.fmt == "text":
-        terms = _TermText.text(gammas, ring, 1)
-        yield "\n".join(_render_text(head)) + "\ndeterminant:"
-        after_det = "\n" + "\n".join(_render_text({"signs": signs})) + "\nminors:"
-        minor_open, minor_close, minor_sep, end = "\n  -", "", "", "\n"
-    else:
-        terms = _TermText.json(gammas, ring)
-        yield json.dumps(head)[:-1] + ', "determinant": ['
-        after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
-        minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
-    yield from terms.chunks(range(N))
-    if args.fmt == "text":
-        # the minors sit one level deeper.  Their table is built only once the
-        # determinant's is freed, so one set of pieces is held at a time, and
-        # between chunks, where its strings leave no gaps among freed blocks
-        del terms
-        terms = _TermText.text(gammas, ring, 2)
-    yield after_det
-    for l in range(N):
-        yield (minor_sep if l else "") + minor_open
-        yield from terms.chunks([c for c in range(N) if c != l])
-        yield minor_close
-    yield end
 
 
 def _cmd_decide(args) -> int:
@@ -243,7 +118,8 @@ def _cmd_decide(args) -> int:
 def _cmd_expand(args) -> int:
     support = _load_support(args)
     require_expandable(support.N)
-    _emit(args, _expand_document(args, support, CoefficientRing(args.characteristic)))
+    head = {"command": "expand", "seed": args.seed, "characteristic": args.characteristic}
+    _emit(args, expand_chunks(support, CoefficientRing(args.characteristic), args.fmt, head))
     return 0
 
 

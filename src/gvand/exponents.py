@@ -12,6 +12,7 @@ it, and the benchmark's layer table names it.
 
 import math
 from collections import namedtuple
+from itertools import chain
 
 from gvand.errors import DegenerateSupportError, InputError
 from gvand.linalg import identity, integer_rank, pivot_columns
@@ -79,12 +80,7 @@ class Support(namedtuple("Support", "n vectors")):
 
 
 def componentwise_min(support: Support) -> tuple:
-    mins = list(support.vectors[0])
-    for v in support.vectors[1:]:
-        for k, x in enumerate(v):
-            if x < mins[k]:
-                mins[k] = x
-    return tuple(mins)
+    return tuple(map(min, zip(*support.vectors)))
 
 
 def normalize(support: Support) -> Support:
@@ -93,7 +89,8 @@ def normalize(support: Support) -> Support:
     if not any(mins):
         return support
     shifted = tuple(tuple(x - m for x, m in zip(v, mins)) for v in support.vectors)
-    return Support(support.n, shifted)
+    # a translate of a valid support is valid: built without __new__'s checks, as from_json builds
+    return tuple.__new__(Support, (support.n, shifted))
 
 
 def d_gamma(support: Support) -> int:
@@ -105,11 +102,7 @@ def d_gamma(support: Support) -> int:
     """
     if support.N < 2:
         raise DegenerateSupportError("d_gamma needs at least two exponent vectors")
-    norm = normalize(support)
-    g = 0
-    for v in norm.vectors:
-        for x in v:
-            g = math.gcd(g, x)
+    g = math.gcd(*chain.from_iterable(normalize(support).vectors))
     assert g > 0, "distinct vectors leave a nonzero normalized coordinate"
     return g
 

@@ -136,10 +136,6 @@ class SparsePoly:
         terms = self._terms
         return [(e, terms[e]) for e in self._ordered_exponents()]
 
-    def term_map(self) -> dict:
-        """Copy of the raw exponent -> coefficient dict."""
-        return dict(self._terms)
-
     def total_degree(self) -> int:
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")

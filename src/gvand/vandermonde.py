@@ -9,28 +9,36 @@ prod_i X_i^(gamma_sigma(i)) with coefficient sign(sigma), and nothing
 cancels.  Terms come straight from itertools.permutations of the
 columns taken by descending gamma, and the signs come as one list in
 lex order.  As an exponent key a term is the concatenation of the gammas
-a permutation takes.  As text, expand's output, the terms come from a
-table of what each row contributes in each column, in blocks of 4! = 24:
-the terms of a block share the rows above the last four, their prefix,
-and the block is that prefix joined once between pieces built once per
-table, the last four rows' texts on each set of four columns with the
-terms' heads and joiners folded in.  The pieces are built one row at a
-time, each set's tails from those of its subsets.  The blocks come from
-one permutation walk over the rows above the last four, with one sign
-per block.  No row and no head is looked up per term, and no term is a
-string of its own.  The determinant alone is one enumeration over all N
-columns; the first-row expansion enumerates each minor once and builds
-the determinant from the minors' keys.  build_matrix serves the
+a permutation takes.
+
+expand_chunks is expand's document, the determinant and its first-row
+minors in JSON or text, yielded one block of 4! = 24 terms at a time.
+The terms come from a table of what each row contributes in each
+column.  The terms of a block share the rows above the last four, their
+prefix, and the block is that prefix joined once between pieces built
+once per table: the last four rows' texts on each set of four columns,
+with the terms' heads and joiners folded in.  The pieces are built one
+row at a time, each set's tails from those of its subsets, and the
+blocks come from one permutation walk over the rows above the last
+four, with one sign per block.  No row and no head is looked up per
+term, and no term is a string of its own.  So the writer holds no more
+than the pieces and one block, at most 23 MB at N = 9.
+
+The determinant alone is one enumeration over all N columns; the
+first-row expansion enumerates each minor once and builds the
+determinant from the minors' keys.  build_matrix serves the
 permutation-sum oracle, which takes its own route.
 """
 
+import json
 from collections import namedtuple
 from itertools import chain, combinations, permutations
 from operator import add, getitem
 
 from gvand.errors import SizeCapError
 from gvand.exponents import Support
-from gvand.poly import SparsePoly, grid_ring
+from gvand.poly import SparsePoly, grid_ring, grid_var
+from gvand.reporting import render_text
 from gvand.rings import ZZ, CoefficientRing
 
 # expand streams its output one block of 24 terms at a time: at N = 9 and n = 8 it
@@ -128,81 +136,150 @@ def _keys(gammas: tuple, order) -> map:
     return map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order])))
 
 
-def _tail_rows(table) -> int:
-    """k, the bottom rows of ``table`` that text_terms joins once per set of k columns.
+def _tail_rows(N: int) -> int:
+    """k, the bottom rows whose texts _TermText joins once per set of k columns.
 
     Four.  With three the blocks are six times as many, and each costs
     Python work: hot, in process on a 2-core host, the benchmark's
     N = 6, n = 1 operations, among which its median falls, set up and
     join their document in 0.47-0.67 ms with four and 0.56-0.83 ms with
     three (JSON, three runs each).  N = 6 admits no more than four.  At
-    N = 7 and 8 five is as fast or faster, but its pieces hold five times
-    the strings: 42 MB in place of 7 MB for the N = 9 text document with
+    N = 7 five trades joins for set-up and loses: over the benchmark's 18
+    N = 7 operations (JSON, medians, six alternating runs) set-up goes
+    from 0.36-0.38 to 0.72-0.77 ms and the joins from 0.58-0.63 to
+    0.29-0.31 ms, the two together from 0.94-1.00 to 0.99-1.06 ms; end to
+    end, five at N = 7 and 8 raised expand's op_p90_ms from 1.37-1.45 to
+    1.50 ms and its peak RSS from 79.4 to 82.7 MB.  At N = 9 five's pieces
+    would hold 42 MB in place of 7 MB for the text document with
     exponents near 2^64.  The tail stays below a minor's first row, so k
     is at most N - 2.
     """
-    return max(0, min(len(table) - 2, 4))
+    return max(0, min(N - 2, 4))
 
 
-def _grow_tails(row, below: dict, sets):
-    """Each set of columns with its tails, the texts of ``row`` and the
-    rows under it on the set's permutations in lex order: ``row[c]``
-    ahead of ``below``'s tails on the set without c, for each c in turn."""
-    for cols in sets:
-        yield cols, [row[c] + tail for i, c in enumerate(cols) for tail in below[cols[:i] + cols[i + 1 :]]]
+class _TermText:
+    """Term lists of the determinant and its minors as output text.
 
+    A term is a head, then one fragment per nonzero exponent, the
+    variable's ``name`` and the exponent; ``joiner`` goes between terms.
+    ``table[r][c]`` holds row r's fragments when it takes column c, each
+    led by ``sep``, which the first fragment of a term drops.  Each row's
+    names and each column's exponents are formatted once, and a cell
+    joins them.  A term with no variables has ``blank`` after its head;
+    only a determinant on no column or on the zero vector's alone has one.
 
-def text_tails(table, gammas: tuple, one: str, minus: str, joiner: str) -> dict:
-    """The pieces text_terms joins its blocks of k! terms from, for
-    k = _tail_rows(table): for each of the C(N, k) sets of k columns, two
-    lists of k! + 1 strings.
-
-    A block's terms share their rows above the last k and take the lex
-    signs of S_k times one sign.  With ``one`` and ``minus`` opening a
-    term of each sign, h_i the i-th term's, t_i the text of the last k
-    rows on the i-th permutation of the set by descending gamma, and J
-    the ``joiner`` between terms, the block is the shared text joined
-    between the pieces [J + h_0, t_0 + J + h_1, ..., t_(k!-1)].  The first
-    list serves a block whose signs start with +1, the second one with -1.
-    The tails are built one row at a time, from the bottom: those of the
-    last j rows on every j-set from those of the last j - 1 rows.  Only
-    the sets of k - 1 columns are held, and each k-set keeps its pieces
-    alone, not its tails.
+    ``pieces`` holds, for each of the C(N, k) sets of k = _tail_rows(N)
+    columns, two lists of k! + 1 strings.  A block's terms share their
+    rows above the last k and take the lex signs of S_k times one sign.
+    With h_i the head of the i-th term, t_i the text of the last k rows
+    on the i-th permutation of the set by descending gamma, and J the
+    joiner, the block is the shared text joined between the pieces
+    [J + h_0, t_0 + J + h_1, ..., t_(k!-1)]; the first list serves a
+    block whose signs start with +1, the second one with -1.  The tails
+    are built one row at a time, from the bottom: those of the last j
+    rows on every j-set from those of the last j - 1 rows.  Only the sets
+    of k - 1 columns are held, and each k-set keeps its pieces alone, not
+    its tails.
     """
-    k = _tail_rows(table)
-    order = _descending(gammas, range(len(gammas)))
-    opens = [[joiner + h for h in heads] for heads in _lex_signs(k, one, minus)]
-    level = {(): [""]}.items()
-    for j in range(1, k + 1):
-        level = _grow_tails(table[len(table) - j], dict(level), combinations(order, j))
-    return {frozenset(cols): [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens] for cols, tails in level}
+
+    def __init__(self, gammas, ring: CoefficientRing, head, name, sep, joiner, blank):
+        N = len(gammas)
+        self.gammas, self.drop, self.cut, self.k = gammas, len(sep), len(joiner), _tail_rows(N)
+        one, minus = head.format(ring.normalize(1)), head.format(ring.normalize(-1))
+        self.constant = one + blank  # the one term with no variables
+        exponents = [[(j, str(e)) for j, e in enumerate(g) if e] for g in gammas]
+        self.table = []
+        for r in range(1, N + 1):
+            names = [sep + name.format(grid_var(r, j)) for j in range(1, len(gammas[0]) + 1)]
+            self.table.append(["".join([names[j] + e for j, e in column]) for column in exponents])
+        order = _descending(gammas, range(N))
+        opens = [[joiner + h for h in heads] for heads in _lex_signs(self.k, one, minus)]
+        level = {(): [""]}.items()
+        for j in range(1, self.k + 1):
+            level = self._grow_tails(self.table[N - j], dict(level), combinations(order, j))
+        self.pieces = {frozenset(cols): [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens] for cols, tails in level}
+
+    @staticmethod
+    def _grow_tails(row, below: dict, sets):
+        """Each set of columns with its tails, the texts of ``row`` and the
+        rows under it on the set's permutations in lex order: ``row[c]``
+        ahead of ``below``'s tails on the set without c, for each c in turn."""
+        for cols in sets:
+            yield cols, [row[c] + tail for i, c in enumerate(cols) for tail in below[cols[:i] + cols[i + 1 :]]]
+
+    @classmethod
+    def json(cls, gammas, ring):
+        return cls(gammas, ring, '{{"coeff": "{}", "monomial": {{', '"{}": ', ", ", "}}, ", "")
+
+    @classmethod
+    def text(cls, gammas, ring, indent):
+        pad = "  " * indent
+        return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: ", "", "", " {}")
+
+    def chunks(self, cols):
+        """The determinant on columns ``cols``, all N or all but one, and the
+        last m = len(cols) rows, as text: one chunk per block of k! terms,
+        with the joiner between blocks.
+
+        The blocks come in the lex order of the permutations of ``cols`` by
+        descending gamma, which is the terms' order: each is one arrangement
+        of the m - k rows above the last k, their prefix, joined once and
+        then joined between the pieces on the columns it leaves.  The
+        blocks' signs are the lex signs of S_m at every k!-th permutation,
+        from _lex_signs, times the order's sign.
+        """
+        if not any(map(any, map(self.gammas.__getitem__, cols))):  # no columns, or the zero vector's alone
+            yield self.constant
+            return
+        table, pieces, drop, k, m = self.table, self.pieces, self.drop, self.k, len(cols)
+        order, signs, _ = _column_order(self.gammas, cols, _lex_signs(m, 0, 1, k))  # a sign picks its list of pieces
+        columns, rows = frozenset(order), table[len(table) - m : len(table) - k]
+        cut = self.cut  # the first block opens with no joiner
+        for p, sign in zip(permutations(order, m - k), signs):
+            prefix = "".join(map(getitem, rows, p))
+            between = pieces[columns.difference(p)][sign]
+            if not prefix:  # the zero vector's column alone above the tail: each tail opens its term
+                between = [between[0], *(t[drop:] for t in between[1:])]
+            yield prefix[drop:].join(between)[cut:]
+            cut = 0
 
 
-def text_terms(table, gammas: tuple, cols, pieces: dict, drop: int):
-    """The determinant on columns ``cols``, all N or all but one, and the
-    last m = len(cols) rows, as text: one string per block of k! terms,
-    each opening with the joiner.
+def expand_chunks(support: Support, coeff_ring: CoefficientRing, fmt: str, head: dict):
+    """expand's document in ``fmt``, "json" or "text", as chunks of output text.
 
-    ``table[r][c]`` is the text row r contributes in column c, led by a
-    separator of ``drop`` characters, which a term's first text drops, and
-    ``pieces`` is text_tails of the same table.  The blocks come in the
-    lex order of the permutations of ``cols`` by descending gamma, which
-    is the terms' order: each is one arrangement of the m - k rows above
-    the last k, their prefix, joined once and then joined between the
-    pieces on the columns it leaves.  The blocks' signs are the lex signs
-    of S_m at every k!-th permutation, from _lex_signs, times the order's
-    sign.
+    The document is ``head``'s fields, then support, variables, the
+    determinant, the cofactor signs and the first-row minors.  It comes
+    one block of at most 24 terms at a time, and no term map, run of
+    terms or whole document is ever built, so memory stays bounded at
+    any N; the cap on N is the caller's, from require_expandable.
     """
-    k = _tail_rows(table)
-    m = len(cols)
-    order, signs, _ = _column_order(gammas, cols, _lex_signs(m, 0, 1, k))  # a sign picks its list of pieces
-    columns, rows = frozenset(order), table[len(table) - m : len(table) - k]
-    for p, sign in zip(permutations(order, m - k), signs):
-        prefix = "".join(map(getitem, rows, p))
-        between = pieces[columns.difference(p)][sign]
-        if not prefix:  # the zero vector's column alone above the tail: each tail opens its term
-            between = [between[0], *(t[drop:] for t in between[1:])]
-        yield prefix[drop:].join(between)
+    gammas, N = support.vectors, support.N
+    variables = list(grid_ring(coeff_ring, N, support.n).variables)
+    head = {**head, "support": support.to_json(), "variables": variables}
+    signs = [l % 2 for l in range(N)]
+    if fmt == "text":
+        terms = _TermText.text(gammas, coeff_ring, 1)
+        yield "\n".join(render_text(head)) + "\ndeterminant:"
+        after_det = "\n" + "\n".join(render_text({"signs": signs})) + "\nminors:"
+        minor_open, minor_close, minor_sep, end = "\n  -", "", "", "\n"
+    else:
+        terms = _TermText.json(gammas, coeff_ring)
+        yield json.dumps(head)[:-1] + ', "determinant": ['
+        after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
+        minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
+    yield from terms.chunks(range(N))
+    if fmt == "text":
+        # the minors sit one level deeper.  Their table is built only once the
+        # determinant's is freed, so one set of pieces is held at a time, and
+        # between chunks, where its strings leave no gaps among freed blocks
+        del terms
+        terms = _TermText.text(gammas, coeff_ring, 2)
+    yield after_det
+    for l in range(N):
+        yield (minor_sep if l else "") + minor_open
+        yield from terms.chunks([c for c in range(N) if c != l])
+        yield minor_close
+    yield end
 
 
 class RowExpansion(namedtuple("RowExpansion", "signs minors determinant")):

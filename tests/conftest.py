@@ -90,7 +90,7 @@ def fraction_solve_affine(points, values):
 def row_support(p, n: int, row: int = 1) -> set:
     """Exponent vectors of one row's n variables across the terms of p."""
     base = (row - 1) * n
-    return {exp[base : base + n] for exp in p.term_map()}
+    return {exp[base : base + n] for exp in dict(p.terms())}
 
 
 def classical_reassembles(support: Support, quotient) -> bool:

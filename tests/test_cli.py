@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gvand
-from gvand import cli, exponents, irreducibility, kernels, oracle, tropical, vandermonde
+from gvand import cli, exponents, irreducibility, kernels, oracle, reporting, tropical, vandermonde
 from gvand.cli import main
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support
@@ -1094,7 +1095,7 @@ def _first_difference(a, b, block=1 << 12):
 def _assert_text_renders_json(argv, json_out, stdin=""):
     code, text_out, _ = _main_in_process(argv + ["--format", "text"], stdin)
     assert code == 0
-    expected = "\n".join(cli._render_text(json.loads(json_out))) + "\n"
+    expected = "\n".join(reporting.render_text(json.loads(json_out))) + "\n"
     # compared through names: pytest would diff megabyte strings on a failure
     same = text_out == expected
     if not same:
@@ -1185,6 +1186,47 @@ def test_expand_terms_match_the_row_expansion_encoder(N, n):
             same = out[out.index(', "determinant": ') :] == expected  # no diff of megabytes on failure
             assert same, (support, char)
             _assert_text_renders_json(["expand", "--char", char], out, json.dumps(support))
+
+
+def _first_digest_support(path):
+    """The char and support of the first row of an expand digest table."""
+    char, support = next(iter(json.loads(path.read_text()))).split("|", 1)
+    return json.loads(support), char
+
+
+@pytest.mark.parametrize(
+    "support, char",
+    [
+        ({"n": 2, "exponents": [[3, 1]]}, "0"),  # N = 1
+        ({"n": 1, "exponents": [[0]]}, "3"),  # the zero vector alone
+        ({"n": 2, "exponents": [[1, 2], [0, 0]]}, "2"),
+        ({"n": 1, "exponents": [[2], [5]]}, "0"),
+        _first_digest_support(Path(__file__).resolve().parents[1] / "perfbench" / "expand_digests.json"),
+        _first_digest_support(Path(__file__).parent / "data" / "expand_text_digests.json"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_expand_chunks_is_the_cli_document(support, char, fmt):
+    code, out, err = _main_in_process(["expand", "--char", char, "--seed", "5", "--format", fmt], json.dumps(support))
+    assert code == 0 and err == ""
+    head = {"command": "expand", "seed": 5, "characteristic": int(char)}
+    chunks = vandermonde.expand_chunks(Support.from_json(support), CoefficientRing(int(char)), fmt, head)
+    assert "".join(chunks) == out
+
+
+def test_cli_knows_no_term_format():
+    # the term encoder lives in gvand.vandermonde alone: the CLI imports its entry
+    # point and the cap from there, the two names the leibniz oracle compares, and
+    # no grid variable name
+    tree = ast.parse(Path(cli.__file__).read_text())
+    from_vandermonde, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            if node.module == "gvand.vandermonde":
+                from_vandermonde.update(alias.name for alias in node.names)
+    assert from_vandermonde == {"build_matrix", "expand_chunks", "require_expandable", "vandermonde_determinant"}
+    assert "grid_var" not in names and "grid_ring" not in names
 
 
 #### text format ####

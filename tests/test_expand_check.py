@@ -1,4 +1,5 @@
-"""expand's document checked by arithmetic that shares no code with gvand.
+"""expand's document, from the library's expand_chunks, checked by arithmetic
+that shares no code with gvand.
 
 Each term list of the JSON document is evaluated at a seeded random
 point mod the prime P = 2^61 - 1 and compared with the determinant of
@@ -15,7 +16,9 @@ import random
 
 import pytest
 
-from gvand.cli import main
+from gvand.exponents import Support
+from gvand.rings import CoefficientRing
+from gvand.vandermonde import expand_chunks
 
 P = 2**61 - 1
 
@@ -33,11 +36,8 @@ def _supports():
     yield pytest.param({"n": 3, "exponents": [[2**64 - 1 - (3 * i + j) for j in range(3)] for i in range(5)]}, id="N5-2e64")
 
 
-def _expand(capsys, tmp_path, support, char):
-    path = tmp_path / "support.json"
-    path.write_text(json.dumps(support))
-    assert main(["expand", "--input", str(path), "--char", str(char)]) == 0
-    return json.loads(capsys.readouterr().out)
+def _expand(support, char):
+    return json.loads("".join(expand_chunks(Support(support["n"], support["exponents"]), CoefficientRing(char), "json", {})))
 
 
 def _det_mod(rows):
@@ -68,9 +68,9 @@ def _evaluate(terms, point):
 
 
 @pytest.mark.parametrize("support", _supports())
-def test_expand_agrees_with_elimination_mod_a_prime(support, capsys, tmp_path):
+def test_expand_agrees_with_elimination_mod_a_prime(support):
     N, n, vecs = len(support["exponents"]), support["n"], support["exponents"]
-    doc = _expand(capsys, tmp_path, support, 0)
+    doc = _expand(support, 0)
     draw = random.Random(f"{N}/{n}")
     x = [[draw.randrange(1, P) for _ in range(n)] for _ in range(N)]
     point = {f"X_{i + 1}_{j + 1}": x[i][j] for i in range(N) for j in range(n)}
@@ -87,7 +87,7 @@ def test_expand_agrees_with_elimination_mod_a_prime(support, capsys, tmp_path):
         rows = [[v for c, v in enumerate(row) if c != l] for row in matrix[1:]]
         assert _evaluate(minor, point) == _det_mod(rows)
     for p in (2, 3):
-        reduced = _expand(capsys, tmp_path, support, p)
+        reduced = _expand(support, p)
         for ours, theirs in zip([reduced["determinant"], *reduced["minors"]], [doc["determinant"], *doc["minors"]]):
             assert [t["monomial"] for t in ours] == [t["monomial"] for t in theirs]
             assert [int(t["coeff"]) for t in ours] == [int(t["coeff"]) % p for t in theirs]
