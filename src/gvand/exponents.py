@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from itertools import chain
 
-from gvand.errors import DegenerateSupportError, InputError
+from gvand.errors import DegenerateSupportError, InputError, InvariantViolationError
 from gvand.linalg import identity, integer_rank, pivot_columns
 
 
@@ -222,11 +222,16 @@ def reduce_to_span_coordinates(support: Support) -> Support:
     injective on the support, keeps the vectors' order, and has no
     coordinate larger than the input's.  Lattice lengths in these
     coordinates can differ from the support's; read those from the
-    support itself.
+    support itself.  Two vectors that merge mean a wrong pivot set and
+    raise InvariantViolationError.
     """
     if support.N < 2:
         raise DegenerateSupportError("span reduction needs at least two vectors")
     norm = normalize(support)
     base = norm.vectors[0]
     cols = pivot_columns([[x - b for x, b in zip(v, base)] for v in norm.vectors[1:]])
-    return Support(len(cols), tuple(tuple(v[j] for j in cols) for v in norm.vectors))
+    vectors = tuple(tuple(v[j] for j in cols) for v in norm.vectors)
+    if len(set(vectors)) != len(vectors):
+        raise InvariantViolationError(f"span coordinates {list(cols)} merge two exponent vectors")
+    # columns of a normalized support: m entries each, all ints >= 0, as __new__ would check
+    return tuple.__new__(Support, (len(cols), vectors))

@@ -132,13 +132,17 @@ def decide(support: Support, characteristic: int) -> IrreducibilityCertificate:
     )
 
 
-def _reconstruct_support(cert: IrreducibilityCertificate) -> Support:
+def _reconstructs(cert: IrreducibilityCertificate, support: Support) -> bool:
+    """Whether gamma_bar + p^r * v, over the vectors v of the certificate's
+    reduced support, gives the support's vectors, in order."""
+    if not len(cert.gamma_bar) == cert.reduced_support.n == support.n:
+        return False
     mult = cert.characteristic**cert.power_r if cert.power_r else 1
     vectors = tuple(
         tuple(mult * x + g for x, g in zip(v, cert.gamma_bar))
         for v in cert.reduced_support.vectors
     )
-    return Support(len(cert.gamma_bar), vectors)
+    return vectors == support.vectors
 
 
 def verify_certificate(support: Support, cert: IrreducibilityCertificate, tropical) -> dict:
@@ -149,7 +153,8 @@ def verify_certificate(support: Support, cert: IrreducibilityCertificate, tropic
     report of named checks when everything passes; raises
     CertificateMismatchError (report attached) when any check fails.
     Each check tests only what can fail and builds no polynomial: the
-    support check reconstructs the support from the certificate, and
+    support check reconstructs the support's vectors from the certificate
+    and compares them with the support's, and
     only when it holds does the verdict's branch run, reading the
     certificate, the support or the tropical decision.
     """
@@ -159,7 +164,7 @@ def verify_certificate(support: Support, cert: IrreducibilityCertificate, tropic
         checks.append(ConditionCheck(name, bool(ok), detail))
 
     verdict = cert.verdict
-    if _reconstruct_support(cert) != support:
+    if not _reconstructs(cert, support):
         add("support", False, "certificate does not reconstruct this support")
     else:
         add("support", True, "gamma_bar + p^r-scaled reduced support reconstructs the instance")
@@ -225,11 +230,12 @@ def _check_power(cert, add):
     )
 
 
-def collinear_witness(support: Support):
+def collinear_witness(support: Support, reduced: Support):
     """The line that splits a collinear determinant, and the quotient's size.
 
-    The support must have affine dimension 1.  Its one span coordinate,
-    coordinate j of the normalized support, orders it along the line: w
+    The support must have affine dimension 1, and ``reduced`` is its
+    reduce_to_span_coordinates.  Its one span coordinate, coordinate j
+    of the normalized support, orders it along the line: w
     is the primitive vector from its lowest end gamma_lo to its highest,
     so w_j > 0, each position k_l is that coordinate over w_j, and the
     lattice condition gamma_l = gamma_lo + k_l * w is checked for every
@@ -242,7 +248,7 @@ def collinear_witness(support: Support):
     the last two None when the lattice condition fails; f itself is
     built only by oracle.line_case_factor.
     """
-    coords = tuple(v[0] for v in reduce_to_span_coordinates(support).vectors)
+    coords = tuple(v[0] for v in reduced.vectors)
     lo, hi = coords.index(0), coords.index(max(coords))
     base = support.vectors[lo]
     step = tuple(a - b for a, b in zip(support.vectors[hi], base))
@@ -261,12 +267,13 @@ def collinear_witness(support: Support):
 
 
 def _check_collinear(support, add):
-    dim, gamma_min = affine_dimension(support), componentwise_min(support)
-    if dim != 1 or any(gamma_min):
-        detail = f"affine dimension {dim}, componentwise minimum {gamma_min} (needs 1 and zero)"
+    # one span reduction gives the affine dimension and the witness's coordinate
+    reduced, gamma_min = reduce_to_span_coordinates(support), componentwise_min(support)
+    if reduced.n != 1 or any(gamma_min):
+        detail = f"affine dimension {reduced.n}, componentwise minimum {gamma_min} (needs 1 and zero)"
         add("line_split", False, detail)
         return
-    w, positions, terms, degree = collinear_witness(support)
+    w, positions, terms, degree = collinear_witness(support, reduced)
     binomial = f"binomial X_1^w - X_2^w with w = {list(w)}"
     if terms is None:
         add("line_split", False, f"{binomial}: the support is not gamma_lo + k * w at positions {list(positions)}")

@@ -11,6 +11,7 @@ identity serves only exponents.smith_normal_form, which has no runtime
 caller either.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -82,42 +83,45 @@ def solve_affine(points, values):
 
     Solves a . x + b = value for every (point, value) pair, where the
     points are m-tuples of ints, the values are ints, and there are
-    exactly m + 1 pairs.  Bareiss elimination on the rows
-    [point | 1 | value] and fraction-free back substitution give
-    (nums, den) with den > 0, a_j = nums[j] / den and b = nums[m] / den.
-    Returns None when the points are affinely dependent (the system is
-    singular).
+    exactly m + 1 pairs.  The normal a solves the m difference rows
+    [p_i - p_0 | v_i - v_0] by Bareiss elimination and fraction-free
+    back substitution, and b = v_0 - a . p_0 follows.  Returns (nums,
+    den) with den > 0, a_j = nums[j] / den and b = nums[m] / den, or
+    None when the points are affinely dependent (the difference rows
+    are singular).
     """
-    m = len(points[0])
+    p0, v0 = points[0], values[0]
+    m = len(p0)
     assert len(points) == m + 1
-    n = m + 1
-    aug = [[*pt, 1, val] for pt, val in zip(points, values)]
+    aug = [[*map(operator.sub, pt, p0), val - v0] for pt, val in zip(points[1:], values[1:])]
     prev = 1
-    for col in range(n):
+    for col in range(m):
         if not aug[col][col]:
-            piv = next((i for i in range(col + 1, n) if aug[i][col]), None)
+            piv = next((i for i in range(col + 1, m) if aug[i][col]), None)
             if piv is None:
                 return None
             aug[col], aug[piv] = aug[piv], aug[col]
         top = aug[col]
         p = top[col]
-        for i in range(col + 1, n):
+        for i in range(col + 1, m):
             row = aug[i]
             c = row[col]
-            for j in range(col + 1, n + 1):
+            for j in range(col + 1, m + 1):
                 # Bareiss step: the division by the previous pivot is exact
                 row[j] = (p * row[j] - c * top[j]) // prev
             row[col] = 0
         prev = p
-    # prev = det of the row-permuted system; by Cramer's rule every
-    # prev * x_i is an integer, so each back-substitution division is exact
-    nums = [0] * n
-    for i in range(n - 1, -1, -1):
+    # prev = det of the row-permuted difference rows; by Cramer's rule every
+    # prev * a_j is an integer, so each back-substitution division is exact
+    nums = [0] * m
+    for i in range(m - 1, -1, -1):
         row = aug[i]
-        acc = prev * row[n]
-        for j in range(i + 1, n):
+        acc = prev * row[m]
+        for j in range(i + 1, m):
             acc -= row[j] * nums[j]
         nums[i] = acc // row[i]
     if prev < 0:
-        return [-x for x in nums], -prev
+        nums = [-x for x in nums]
+        prev = -prev
+    nums.append(prev * v0 - sum(map(operator.mul, nums, p0)))
     return nums, prev

@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import combinations, permutations
 
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
-from gvand.exponents import Support, affine_dimension
+from gvand.exponents import Support, affine_dimension, reduce_to_span_coordinates
 from gvand.irreducibility import collinear_witness
 from gvand.poly import SparsePoly, grid_ring, grid_var
 from gvand.rings import ZZ, CoefficientRing
@@ -166,7 +166,7 @@ def line_case_factor(support: Support, coeff_ring: CoefficientRing = ZZ) -> Line
     """
     if affine_dimension(support) != 1:
         raise DegenerateSupportError("line-case factoring needs a support on an affine line")
-    w, positions, terms, degree = collinear_witness(support)
+    w, positions, terms, degree = collinear_witness(support, reduce_to_span_coordinates(support))
     w_plus, w_minus = tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w)
     rest, ring = (0,) * (support.n * (support.N - 2)), grid_ring(coeff_ring, support.N, support.n)
     f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)

@@ -13,13 +13,17 @@ exhibits multiplicity gcd d in the reducible scaled case.
 
 Every rational quantity is exact, and the decision runs on integers.
 The lifting values are integers over LIFT_DENOMINATOR**2, each
-candidate plane is solved fraction-free as integer numerators over one
-denominator, and every above/on-plane test is an integer comparison.
-The decision keeps the cells as vertex tuples with their integer
-planes; the tests re-check those witnesses, which pass by construction.
-Fractions are built only when a certificate is written: its lifting
-and subdivision are made from the integers when they are read.  Given
-the same support and seed the whole construction is deterministic.
+candidate plane is solved fraction-free, in its m unknowns, as integer
+numerators over one denominator, and every above/on-plane test is an
+integer comparison on the points outside the candidate's subset.  The
+decision keeps the cells as vertex tuples with their integer planes;
+the tests re-check those witnesses, which pass by construction.  It
+reads the multiplicity gcd off the cells' edges and the ridge
+connectivity off a union-find over their triangles.  The lifting, the
+subdivision (with Fractions) and the dual combinatorics (the Facet and
+Ridge records) are built only when a certificate is written, from the
+integers when they are read.  Given the same support and seed the whole
+construction is deterministic.
 """
 
 import math
@@ -125,15 +129,16 @@ class TropicalCombinatorics(namedtuple("TropicalCombinatorics", "facets ridges a
 class TropicalCertificate(
     namedtuple(
         "TropicalCertificate",
-        "verdict conditions seed multiplicity_gcd ridge_connected combinatorics attempts lift hull",
+        "verdict conditions seed multiplicity_gcd ridge_connected support attempts lift hull",
     )
 ):
     """The witness is held as integers: ``lift`` gives each support vector's
     lifting value times LIFT_DENOMINATOR**2, and ``hull`` the cells as
     (vertices, (nums, den)) pairs, the plane nums . (point, 1) / den in the
-    same units.  ``lifting`` and ``subdivision`` are built from them when
-    read.  ``multiplicity_gcd``, ``ridge_connected`` and the witness fields
-    are None when no witness was built (N = 1)."""
+    same units.  ``lifting``, ``subdivision`` and ``combinatorics`` (whose
+    lattice lengths come from ``support``) are built from them when read.
+    ``multiplicity_gcd``, ``ridge_connected`` and the witness fields are
+    None when no witness was built (N = 1)."""
 
     __slots__ = ()
 
@@ -148,6 +153,10 @@ class TropicalCertificate(
     def subdivision(self):
         return None if self.hull is None else _subdivision(self.hull, LIFT_DENOMINATOR**2)
 
+    @property
+    def combinatorics(self):
+        return None if self.hull is None else _dual([verts for verts, _ in self.hull], self.support)
+
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -157,7 +166,7 @@ class TropicalCertificate(
             "ridge_connected": self.ridge_connected,
             "lifting": None if self.lift is None else self.lifting.to_json(),
             "subdivision": None if self.hull is None else self.subdivision.to_json(),
-            "combinatorics": None if self.combinatorics is None else self.combinatorics.to_json(),
+            "combinatorics": None if self.hull is None else self.combinatorics.to_json(),
         }
 
 
@@ -171,32 +180,35 @@ def _lower_hull(points, lifted) -> tuple:
     an affine plane lying weakly below all lifted points contributes the
     cell given by the plane's equality set.  A plane solved as
     (nums, den) lies weakly below point t iff
-    nums . point + nums[m] <= den * lifted[t].  Returns
+    nums . point + nums[m] <= den * lifted[t]; it passes exactly through
+    the subset's own points, so only the others are tested.  Returns
     (vertices, (nums, den)) pairs, one per cell with the first plane
     found for it.  Raises DegenerateSupportError when no subset spans a
     plane, which happens exactly when the points are affinely dependent.
     """
     m = len(points[0])
+    everyone = range(len(points))
+    # complementing reverses lex order: the k-th (m+1)-subset's complement is
+    # the k-th (N-m-1)-subset from the end (when N <= m there is no subset)
+    outsides = list(combinations(everyone, max(len(points) - m - 1, 0)))
+    outsides.reverse()
     found = {}
-    for subset in combinations(range(len(points)), m + 1):
+    for subset, outside in zip(combinations(everyone, m + 1), outsides):
         plane = solve_affine([points[i] for i in subset], [lifted[i] for i in subset])
         if plane is None:
             continue
         nums, den = plane
         normal, offset = nums[:m], nums[m]
-        cell = []
-        for t, pt in enumerate(points):
-            if t in subset:  # the plane is solved exactly through these
-                cell.append(t)
-                continue
-            val = sum(map(operator.mul, normal, pt)) + offset
+        on = []
+        for t in outside:
+            val = sum(map(operator.mul, normal, points[t])) + offset
             bound = den * lifted[t]
             if val > bound:
                 break
             if val == bound:
-                cell.append(t)
+                on.append(t)
         else:
-            found.setdefault(tuple(cell), plane)
+            found.setdefault(tuple(sorted(subset + tuple(on))) if on else subset, plane)
     if not found:
         raise DegenerateSupportError(
             "lifting needs a span-reduced support (affine dimension = ambient dimension)"
@@ -231,14 +243,12 @@ def _witness(support: Support, seed: int):
     redrawn.  Full vertex coverage is what makes the facet-multiplicity
     gcd equal the support's scale gcd.
     """
-    den = LIFT_DENOMINATOR
     points = support.vectors
-    base = sum((x * den) ** 2 for x in points[-1])
-    rng = random.Random(seed)
+    scaled = [[x * LIFT_DENOMINATOR for x in v] for v in points]
+    base = sum(x * x for x in scaled[-1])
+    randint = random.Random(seed).randint
     for attempt in range(1, MAX_RETRIES + 1):
-        lift = tuple(
-            [sum((x * den + rng.randint(1, EPS_MAX_NUMERATOR)) ** 2 for x in v) - base for v in points]
-        )
+        lift = tuple([sum((x + randint(1, EPS_MAX_NUMERATOR)) ** 2 for x in v) - base for v in scaled])
         hull = _lower_hull(points, lift)
         if _is_simplicial(hull) and len({t for verts, _ in hull for t in verts}) == support.N:
             return attempt, lift, hull
@@ -298,26 +308,38 @@ def _dual(cells, support: Support) -> TropicalCombinatorics:
     )
 
 
-def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
-    g = math.gcd(*(f.multiplicity for f in tc.facets))
-    assert g > 0, "a nonempty subdivision has at least one facet"
-    return g
+def _dual_summary(cells, vectors):
+    """(multiplicity gcd, ridge connected) of the dual of a simplicial subdivision.
 
+    The same two values _dual's facets and adjacency give, read off the
+    cells' vertex tuples: the gcd runs over the coordinates of every
+    edge vector of ``vectors``, and a union-find joins the three edges of
+    every triangle; the facet graph is connected when one class is left.
+    """
+    parent = {}
+    g = 0
+    for verts in cells:
+        for edge in combinations(verts, 2):
+            if edge not in parent:
+                parent[edge] = edge
+                u, v = edge
+                g = math.gcd(g, *map(operator.sub, vectors[u], vectors[v]))
 
-def is_ridge_connected(tc: TropicalCombinatorics) -> bool:
-    """Whether the facet graph (adjacency through shared ridges) is connected."""
-    neighbors = [[] for _ in tc.facets]
-    for a, b in tc.adjacency:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    stack = [0] if neighbors else []
-    seen = set(stack)
-    while stack:
-        for nxt in neighbors[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(neighbors)
+    def root(edge):
+        while parent[edge] != edge:
+            edge = parent[edge]
+        return edge
+
+    classes = len(parent)
+    for verts in cells:
+        for a, b, c in combinations(verts, 3):
+            ab = root((a, b))
+            for other in ((a, c), (b, c)):
+                r = root(other)
+                if r != ab:
+                    parent[r] = ab
+                    classes -= 1
+    return g, classes == 1
 
 
 #### decision ####
@@ -338,7 +360,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
     """
     gamma_bar = tuple(map(min, zip(*support.vectors)))
     dim = 0
-    tc = mult_gcd = connected = attempts = lift = hull = None
+    mult_gcd = connected = attempts = lift = hull = None
     if support.N >= 2:
         # the span coordinates have full affine rank, so every attempt's hull is
         # nonempty.  Every cell _lower_hull keeps has its plane on the integer lifting,
@@ -347,9 +369,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
         reduced = reduce_to_span_coordinates(support)
         dim = reduced.n
         attempts, lift, hull = _witness(reduced, seed)
-        tc = _dual([verts for verts, _ in hull], support)
-        mult_gcd = multiplicity_gcd(tc)
-        connected = is_ridge_connected(tc)
+        mult_gcd, connected = _dual_summary([verts for verts, _ in hull], support.vectors)
         d = d_gamma(support)
         if mult_gcd != d:
             raise InvariantViolationError(
@@ -388,7 +408,7 @@ def decide_tropical_irreducibility(support: Support, seed: int = 0) -> TropicalC
         seed=seed,
         multiplicity_gcd=mult_gcd,
         ridge_connected=connected,
-        combinatorics=tc,
+        support=support,
         attempts=attempts,
         lift=lift,
         hull=hull,

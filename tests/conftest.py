@@ -180,6 +180,30 @@ def balancing_check(tc: TropicalCombinatorics, support: Support) -> dict:
     return {"ok": not failures, "n_ridges": len(tc.ridges), "failures": failures}
 
 
+def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
+    """Reference for the decision's multiplicity gcd: the gcd of the facet multiplicities."""
+    g = math.gcd(*(f.multiplicity for f in tc.facets))
+    assert g > 0, "a nonempty subdivision has at least one facet"
+    return g
+
+
+def is_ridge_connected(tc: TropicalCombinatorics) -> bool:
+    """Reference for the decision's ridge connectivity: a search of the facet graph
+    (adjacency through shared ridges)."""
+    neighbors = [[] for _ in tc.facets]
+    for a, b in tc.adjacency:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    stack = [0] if neighbors else []
+    seen = set(stack)
+    while stack:
+        for nxt in neighbors[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(neighbors)
+
+
 def _facet_of(tc: TropicalCombinatorics, s: int, t: int) -> int:
     key = (s, t) if s < t else (t, s)
     for i, f in enumerate(tc.facets):

@@ -19,6 +19,8 @@ from conftest import (
     balancing_check,
     classical_reassembles,
     delaunay_lifting,
+    is_ridge_connected,
+    multiplicity_gcd,
     random_support,
     row_support,
     verify_subdivision,
@@ -52,8 +54,6 @@ from gvand.tropical import (
     TROPICAL_REDUCIBLE,
     combinatorics,
     decide_tropical_irreducibility,
-    is_ridge_connected,
-    multiplicity_gcd,
     regular_subdivision,
 )
 from gvand.vandermonde import (

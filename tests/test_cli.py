@@ -136,17 +136,18 @@ CAP_EDGE = {"n": 8, "exponents": [[(7 * i + 3 * j) % 9 + 1 for j in range(8)] fo
 CAP_EDGE_2E64 = {"n": 8, "exponents": [[2**64 - 1 - (8 * i + j) for j in range(8)] for i in range(9)]}
 # sha256 of each whole stream, recorded while expand still joined (N - 1)! terms per write
 EXPAND_CAP_EDGE = {
-    "json": (CAP_EDGE, "83eb55d96c7214c8f51379bb11df20fbc277a0581aec27315a8d72a6858ba5cc"),
-    "text": (CAP_EDGE, "63a83bca6d5d434fee3bd0e838270fcf0ef2d9099adf409d77320a57fb07e642"),
-    "json-2e64": (CAP_EDGE_2E64, "fd01a437ac146b92d76816f25d8ee08e42cfd2fc99f63c1dce2518306b4c210b"),
-    "text-2e64": (CAP_EDGE_2E64, "eda1146d1df29095c352a1439644565f624ba000fd146fd995da888cf32efb67"),
+    "expand-N9-n8-json": (CAP_EDGE, "83eb55d96c7214c8f51379bb11df20fbc277a0581aec27315a8d72a6858ba5cc"),
+    "expand-N9-n8-text": (CAP_EDGE, "63a83bca6d5d434fee3bd0e838270fcf0ef2d9099adf409d77320a57fb07e642"),
+    "expand-N9-n8-json-2e64": (CAP_EDGE_2E64, "fd01a437ac146b92d76816f25d8ee08e42cfd2fc99f63c1dce2518306b4c210b"),
+    "expand-N9-n8-text-2e64": (CAP_EDGE_2E64, "eda1146d1df29095c352a1439644565f624ba000fd146fd995da888cf32efb67"),
 }
 # Writing one block of 24 terms at a time, expand peaks at 20-23 MB on each row and takes at
-# most 0.5 s on a 2-core host, interpreter start-up included; read, counted and hashed here,
-# the slowest row (text-2e64) takes 4.3-4.7 s under pytest.  Joining 8! terms per write, it
-# peaked at 89-213 MB.  The child itself uses 0.17-0.38 s of CPU.  Its budget, about five
-# times that, is on its own CPU time, so the reader's share does not count against expand.
-# As on the bounded rows below, the wall timer ends a hang at HANG_FACTOR times the budget.
+# most 0.5 s on a 2-core host, interpreter start-up included; read, counted and hashed by the
+# contract rows below, the slowest row (text-2e64) takes 4.3-4.7 s under pytest.  Joining 8!
+# terms per write, it peaked at 89-213 MB.  The child itself uses 0.17-0.38 s of CPU.  Its
+# budget, about five times that, is on its own CPU time, so the reader's share does not count
+# against expand.  As on the other bounded rows, the wall timer ends a hang at HANG_FACTOR
+# times the budget.
 EXPAND_ADDRESS_SPACE = 64 * 2**20
 CAP_EDGE_CPU_SECONDS = 2
 # the address space of the bounded rows below
@@ -162,37 +163,6 @@ def _reap(proc):
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_utime + usage.ru_stime
-
-
-@pytest.mark.parametrize("row", list(EXPAND_CAP_EDGE))
-def test_expand_at_the_cap_edge_ends_within_bounds(support_file, row):
-    support, digest = EXPAND_CAP_EDGE[row]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gvand.cli", "expand", "--input", support_file(support), "--format", row[:4]],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        preexec_fn=lambda: _limit_address_space(EXPAND_ADDRESS_SPACE),
-    )
-    timer = threading.Timer(HANG_FACTOR * CAP_EDGE_CPU_SECONDS, proc.kill)
-    timer.start()
-    coeffs, carry, stream = 0, b"", hashlib.sha256()
-    try:
-        while chunk := proc.stdout.read(1 << 20):
-            stream.update(chunk)
-            # a "coeff" across the seam lies in carry + chunk[:4]; neither part holds a whole one
-            coeffs += chunk.count(b"coeff") + (carry + chunk[:4]).count(b"coeff")
-            carry = chunk[-4:]
-        err = proc.stderr.read()
-        code, cpu = _reap(proc)
-    finally:
-        timer.cancel()
-        proc.stdout.close()
-        proc.stderr.close()
-    assert code == 0 and err == b""
-    assert cpu <= CAP_EDGE_CPU_SECONDS, f"expand used {cpu:.2f} s of CPU"
-    assert coeffs == 2 * 362880
-    assert stream.hexdigest() == digest
 
 
 # the largest shape oracle --check jacobian admits: N = 12, n = MAX_VARS = 8, exponents near 10**18
@@ -349,9 +319,11 @@ def test_verify_at_the_cap_edge_ends_within_bounds(support_file, support):
     assert json.loads(done.stdout)["ok"] is True
 
 
-# The contract table's other rows: the largest admitted input of each kind for decide and the
-# oracle checks that the rows above leave out.  Each must end with exit 0, 1 or 2 and at most
-# one line on stderr, within a budget set like the bounded rows'.  The slowest of three runs
+# The contract table's other rows: the largest admitted input of each kind for decide, expand
+# and the oracle checks that the rows above leave out.  Each must end with exit 0, 1 or 2 and
+# at most one line on stderr, within a budget set like the bounded rows'; each expand row must
+# also exit 0 with nothing on stderr and stream its recorded digest, under its own CPU budget
+# and address space (see EXPAND_CAP_EDGE).  The slowest of three runs
 # on a 2-core host, interpreter start-up included: decide 0.04 s of CPU on the near-2^64
 # supports; Leibniz 1.26 s (181 MB) at N = LEIBNIZ_MAX_N = 8 with n = 8 and 20-digit
 # exponents; classical 0.21 s at CLASSICAL_MAX_WORK (N = 6, bound 896) and 0.44 s at
@@ -364,12 +336,49 @@ CONTRACT_ROWS = {
     "classical-work-cap-N6": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [4], [6], [8]]}, 3),
     "classical-N7": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [3], [4], [6], [8]]}, 5),
     "polygon-perimeter128": (["oracle", "--check", "polygon"], {"n": 2, "exponents": _POLYGON_12}, 2),
+    **{row: (["expand", "--format", row.split("-")[3]], data, CAP_EDGE_CPU_SECONDS) for row, (data, _) in EXPAND_CAP_EDGE.items()},
 }
+
+
+def _run_streamed(argv, support_path, cpu_seconds):
+    """Run the CLI in a child under EXPAND_ADDRESS_SPACE, reading its stdout as it comes;
+    returns (exit code, stderr, sha256 of stdout, count of "coeff" in stdout), and fails if
+    the child uses more than ``cpu_seconds`` of CPU."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gvand.cli", *argv, "--input", support_path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=lambda: _limit_address_space(EXPAND_ADDRESS_SPACE),
+    )
+    timer = threading.Timer(HANG_FACTOR * cpu_seconds, proc.kill)
+    timer.start()
+    coeffs, carry, stream = 0, b"", hashlib.sha256()
+    try:
+        while chunk := proc.stdout.read(1 << 20):
+            stream.update(chunk)
+            # a "coeff" across the seam lies in carry + chunk[:4]; neither part holds a whole one
+            coeffs += chunk.count(b"coeff") + (carry + chunk[:4]).count(b"coeff")
+            carry = chunk[-4:]
+        err = proc.stderr.read()
+        code, cpu = _reap(proc)
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert cpu <= cpu_seconds, f"{argv}: {cpu:.2f} s of CPU against a budget of {cpu_seconds} s"
+    return code, err, stream.hexdigest(), coeffs
 
 
 @pytest.mark.parametrize("row", list(CONTRACT_ROWS))
 def test_contract_rows_end_cleanly_within_bounds(support_file, row):
     argv, data, cpu_seconds = CONTRACT_ROWS[row]
+    if row in EXPAND_CAP_EDGE:  # gigabytes of output: counted and hashed as they come, not kept
+        code, err, digest, coeffs = _run_streamed(argv, support_file(data), cpu_seconds)
+        assert code == 0 and err == b""
+        assert coeffs == 2 * 362880
+        assert digest == EXPAND_CAP_EDGE[row][1]
+        return
     done = _run_bounded(argv, support_file(data), cpu_seconds)
     assert done.returncode in (0, 1, 2)
     assert done.stderr.count("\n") <= 1
@@ -485,16 +494,17 @@ def test_verify_decides_once(support_file, capsys, monkeypatch):
     assert calls == [3]
 
 
-@pytest.mark.parametrize(
-    "support, char",
-    [
-        (TRIANGLE, 0),
-        (SQUARE, 2),
-        ({"n": 2, "exponents": [[0, 0], [2, 0], [0, 2], [2, 2]]}, 3),
-        (LINE, 0),
-        ({"n": 2, "exponents": [[1, 2]]}, 0),
-    ],
-)
+# one support of each verdict class, for the guards on what verify builds
+VERIFY_GUARD_ROWS = [
+    (TRIANGLE, 0),
+    (SQUARE, 2),
+    ({"n": 2, "exponents": [[0, 0], [2, 0], [0, 2], [2, 2]]}, 3),
+    (LINE, 0),
+    ({"n": 2, "exponents": [[1, 2]]}, 0),
+]
+
+
+@pytest.mark.parametrize("support, char", VERIFY_GUARD_ROWS)
 def test_verify_builds_no_fraction(support_file, capsys, monkeypatch, support, char):
     # the tropical witness is built as integers; only the tropical command's
     # output turns its lifting and planes into Fractions
@@ -507,6 +517,35 @@ def test_verify_builds_no_fraction(support_file, capsys, monkeypatch, support, c
     monkeypatch.setattr(tropical, "Fraction", no_fraction)
     assert _run(capsys, argv) == expected
     assert expected[0] == 0
+
+
+@pytest.mark.parametrize("support, char", VERIFY_GUARD_ROWS)
+def test_verify_builds_no_dual_records(support_file, capsys, monkeypatch, support, char):
+    # the decision reads the multiplicity gcd and the ridge connectivity off its cells;
+    # only the tropical command's output builds the facet and ridge records
+    path = support_file(support)
+    argv = ["verify", "--input", path, "--char", str(char)]
+    expected = _run(capsys, argv)
+
+    def no_record(*args):
+        raise AssertionError("verify must build no Facet, Ridge or TropicalCombinatorics")
+
+    for name in ("Facet", "Ridge", "TropicalCombinatorics"):
+        monkeypatch.setattr(tropical, name, no_record)
+    assert _run(capsys, argv) == expected
+    assert expected[0] == 0
+    if len(support["exponents"]) >= 2:  # the patch is live: a written witness needs the records
+        with pytest.raises(AssertionError):
+            main(["tropical", "--input", path])
+
+
+@pytest.mark.parametrize("command", ["tropical", "verify"])
+def test_merged_span_coordinates_exit_1(support_file, capsys, monkeypatch, command):
+    # a wrong pivot set that merges two vectors is a falsified invariant, not a traceback
+    monkeypatch.setattr(exponents, "pivot_columns", lambda rows: (0,))
+    code, out, err = _run(capsys, [command, "--input", support_file(TRIANGLE)])
+    assert (code, out) == (1, "")
+    assert err == "falsified: span coordinates [0] merge two exponent vectors\n"
 
 
 def test_verify_catches_a_content_helper_shared_with_decide(support_file, capsys, monkeypatch):
@@ -869,6 +908,31 @@ def test_invalid_json_is_input_error(support_file, capsys, tmp_path):
     # an integer past Python's digit limit for int conversion fails in the parser too
     path.write_text('{"n": 1, "exponents": [[' + "1" * 5000 + "]]}")
     code, out, err = _run(capsys, ["decide", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: input: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # strict UTF-8 on the file route
+        (b'{"n": 1, "exponents": [[0], [1], [2]]}\xff', "error: input: invalid UTF-8: "),
+        # a byte-order mark stays invalid JSON: the bytes never reach json.loads, which would take it
+        (b'\xef\xbb\xbf{"n": 1, "exponents": [[0], [1], [2]]}', "error: input: invalid JSON: "),
+        (b"[" * 200_000, "error: input: invalid JSON: "),
+    ],
+    ids=["invalid-utf8", "utf8-bom", "nested-200000"],
+)
+def test_undecodable_input_file_is_input_error(capsys, tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, ["decide", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_deeply_nested_stdin_is_input_error():
+    code, out, err = _main_in_process(["decide"], stdin="[" * 200_000)
     assert code == 2 and out == ""
     assert err.startswith("error: input: invalid JSON: ") and err.count("\n") == 1
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gvand.errors import DegenerateSupportError, InputError
+from gvand import exponents
+from gvand.errors import DegenerateSupportError, InputError, InvariantViolationError
 from gvand.exponents import (
     Support,
     affine_dimension,
@@ -284,3 +285,10 @@ def test_span_coordinates_are_columns_of_the_normalized_support(s):
         at = columns.index(col, at) + 1
     assert max(map(max, reduced.vectors)) <= max(map(max, s.vectors))
     assert len(set(reduced.vectors)) == s.N
+
+
+def test_span_coordinates_that_merge_vectors_are_an_invariant_violation(monkeypatch):
+    # a wrong pivot set, here the first column alone, folds (0, 1) onto (0, 0)
+    monkeypatch.setattr(exponents, "pivot_columns", lambda rows: (0,))
+    with pytest.raises(InvariantViolationError, match=r"span coordinates \[0\] merge two exponent vectors"):
+        reduce_to_span_coordinates(Support(2, ((0, 0), (0, 1), (1, 0))))

@@ -350,3 +350,19 @@ def test_verify_refuses_every_swapped_verdict(vectors):
             else:
                 passed.append((char, genuine.verdict, verdict))
     assert passed == []
+
+
+@pytest.mark.parametrize(
+    "gamma_bar",
+    [(-1, 0), (0, 0, 5)],
+    ids=["negative", "longer-than-n"],
+)
+def test_a_certificate_content_that_reconstructs_no_support_fails_the_support_check(gamma_bar):
+    # neither content gives a valid support, and neither leaks the record's own ValueError
+    support = Support(2, ((0, 0), (1, 0), (0, 1)))
+    cert = decide(support, 0)._replace(gamma_bar=gamma_bar)
+    with pytest.raises(CertificateMismatchError) as info:
+        verify_certificate(support, cert, decide_tropical_irreducibility(support, 0))
+    assert info.value.report["checks"] == [
+        {"name": "support", "holds": False, "detail": "certificate does not reconstruct this support"}
+    ]

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import balancing_check, delaunay_lifting, fraction_solve_affine, verify_subdivision, zero_min_wide_corpus
+from conftest import (
+    balancing_check,
+    delaunay_lifting,
+    fraction_solve_affine,
+    is_ridge_connected,
+    multiplicity_gcd,
+    verify_subdivision,
+    zero_min_wide_corpus,
+)
 from gvand.errors import DegenerateSupportError, NotSimplicialError
 from gvand.exponents import Support, affine_dimension, d_gamma, reduce_to_span_coordinates
 from gvand.tropical import (
@@ -17,10 +25,10 @@ from gvand.tropical import (
     Cell,
     Lifting,
     RegularSubdivision,
+    _dual,
+    _dual_summary,
     combinatorics,
     decide_tropical_irreducibility,
-    is_ridge_connected,
-    multiplicity_gcd,
     regular_subdivision,
 )
 
@@ -325,3 +333,49 @@ def test_every_recorded_witness_passes_the_re_check():
             continue
         reduced = reduce_to_span_coordinates(support)
         assert verify_subdivision(reduced, cert.lifting, cert.subdivision) == {"ok": True, "failures": []}, key
+
+
+@st.composite
+def _witness_supports(draw):
+    n = draw(st.integers(1, 3))
+    coords = st.one_of(st.integers(0, 4 if n > 1 else 12), st.integers(0, 2**64 - 1))
+    vecs = draw(st.lists(st.tuples(*[coords] * n), min_size=2, max_size=7, unique=True))
+    if draw(st.booleans()):  # a common factor, so multiplicity gcds above 1 come up
+        k = draw(st.integers(2, 3))
+        vecs = [tuple(k * x for x in v) for v in vecs]
+    return Support(n, tuple(vecs))
+
+
+@given(_witness_supports(), st.sampled_from((0, 5)))
+@example(Support(2, ((0, 0), (1, 1), (2, 2))), 0)  # a line: two facets and no ridge
+@example(Support(2, ((0, 0), (2, 0), (0, 2))), 0)  # scaled: gcd 2
+def test_the_decision_reads_the_dual_data_of_its_combinatorics(support, seed):
+    # the decision takes both values straight from its cells; the reference reads them
+    # off the facet and ridge records the certificate writes
+    cert = decide_tropical_irreducibility(support, seed=seed)
+    tc = combinatorics(cert.subdivision, support)
+    assert cert.combinatorics == tc
+    assert cert.multiplicity_gcd == multiplicity_gcd(tc)
+    assert cert.ridge_connected == is_ridge_connected(tc)
+
+
+@st.composite
+def _cell_lists(draw):
+    """A support and a list of cells on it, each a sorted vertex tuple of one size, as a
+    simplicial subdivision gives them; unlike a subdivision's, the cells may touch at a
+    single vertex, so the facet graph is often disconnected."""
+    n = draw(st.integers(1, 3))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=3, max_size=7, unique=True))
+    size = draw(st.integers(2, min(4, len(vecs))))
+    shapes = list(combinations(range(len(vecs)), size))
+    cells = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=5, unique=True))
+    return Support(n, tuple(vecs)), sorted(cells)
+
+
+@given(_cell_lists())
+@example((UNIT_SQUARE, [(0, 1, 2), (1, 2, 3)]))  # two triangles on a shared edge
+@example((Support(2, ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2))), [(0, 1, 2), (2, 3, 4)]))  # a shared vertex only
+def test_the_dual_summary_matches_the_facet_graph(case):
+    support, cells = case
+    tc = _dual(cells, support)
+    assert _dual_summary(cells, support.vectors) == (multiplicity_gcd(tc), is_ridge_connected(tc))
