@@ -62,21 +62,19 @@ ORACLE_CHECKS = ("leibniz", "classical", "line", "jacobian", "polygon")
 
 
 def _load_support(args) -> Support:
+    if args.input_path and args.input_path != "-":
+        try:
+            with open(args.input_path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise InputError(f"input: cannot read {args.input_path}: {exc.strerror}")
+    else:
+        raw = sys.stdin.buffer.read()  # bytes, not text decoded by the locale's rules
     try:
-        if args.input_path and args.input_path != "-":
-            try:
-                with open(args.input_path, "rb") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                raise InputError(f"input: cannot read {args.input_path}: {exc.strerror}")
-            # decoded here, strictly: json.loads on bytes would also take UTF-16 or a BOM
-            text = raw.decode("utf-8")
-        else:
-            text = sys.stdin.read()
+        # decoded here, strictly, on both routes: json.loads on bytes would also take UTF-16 or a BOM
+        data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InputError(f"input: invalid UTF-8: {exc}")
-    try:
-        data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
         raise InputError(f"input: invalid JSON: {exc}")

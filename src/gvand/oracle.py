@@ -164,9 +164,9 @@ def line_case_factor(support: Support, coeff_ring: CoefficientRing = ZZ) -> Line
     divides the determinant in every characteristic and whatever the
     monomial content.  Nothing is expanded, so every admitted N runs.
     """
-    if affine_dimension(support) != 1:
+    if support.N < 2 or (reduced := reduce_to_span_coordinates(support)).n != 1:
         raise DegenerateSupportError("line-case factoring needs a support on an affine line")
-    w, positions, terms, degree = collinear_witness(support, reduce_to_span_coordinates(support))
+    w, positions, terms, degree = collinear_witness(support, reduced)
     w_plus, w_minus = tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w)
     rest, ring = (0,) * (support.n * (support.N - 2)), grid_ring(coeff_ring, support.N, support.n)
     f = ring.monomial(w_plus + w_minus + rest) - ring.monomial(w_minus + w_plus + rest)

@@ -13,16 +13,15 @@ a permutation takes.
 
 expand_chunks is expand's document, the determinant and its first-row
 minors in JSON or text, yielded one block of 4! = 24 terms at a time.
-The terms come from a table of what each row contributes in each
-column.  The terms of a block share the rows above the last four, their
-prefix, and the block is that prefix joined once between pieces built
-once per table: the last four rows' texts on each set of four columns,
-with the terms' heads and joiners folded in.  The pieces are built one
-row at a time, each set's tails from those of its subsets, and the
-blocks come from one permutation walk over the rows above the last
-four, with one sign per block.  No row and no head is looked up per
-term, and no term is a string of its own.  So the writer holds no more
-than the pieces and one block, at most 23 MB at N = 9.
+A block's terms share the rows above the last four, and the block is
+their text joined once between pieces built once per table: the last
+four rows' texts on each set of four columns, keyed by the set's column
+bitmask, with heads and joiners folded in, one list per sign, or one for
+both where they print alike (characteristic 2).  One permutation walk
+over the prefixes and their bits finds each block's pieces; the signs
+are walked once per document.  No term is a string of its own, so the
+writer holds no more than the pieces and one block, at most 23 MB at
+N = 9.
 
 The determinant alone is one enumeration over all N columns; the
 first-row expansion enumerates each minor once and builds the
@@ -139,20 +138,15 @@ def _keys(gammas: tuple, order) -> map:
 def _tail_rows(N: int) -> int:
     """k, the bottom rows whose texts _TermText joins once per set of k columns.
 
-    Four.  With three the blocks are six times as many, and each costs
-    Python work: hot, in process on a 2-core host, the benchmark's
-    N = 6, n = 1 operations, among which its median falls, set up and
-    join their document in 0.47-0.67 ms with four and 0.56-0.83 ms with
-    three (JSON, three runs each).  N = 6 admits no more than four.  At
-    N = 7 five trades joins for set-up and loses: over the benchmark's 18
-    N = 7 operations (JSON, medians, six alternating runs) set-up goes
-    from 0.36-0.38 to 0.72-0.77 ms and the joins from 0.58-0.63 to
-    0.29-0.31 ms, the two together from 0.94-1.00 to 0.99-1.06 ms; end to
-    end, five at N = 7 and 8 raised expand's op_p90_ms from 1.37-1.45 to
-    1.50 ms and its peak RSS from 79.4 to 82.7 MB.  At N = 9 five's pieces
-    would hold 42 MB in place of 7 MB for the text document with
-    exponents near 2^64.  The tail stays below a minor's first row, so k
-    is at most N - 2.
+    Four.  Hot, in process on a 2-core host (JSON, medians of seven
+    runs, two runs), a document of the benchmark's N = 6, n = 1
+    operations, which hold its median, takes 309-317 us with four (176
+    us of set-up) and 392-414 us with three; N = 6 admits no more.  Over
+    its 18 N = 7 operations four take 0.88-1.01 ms, five 1.10-1.12 ms
+    (set-up 0.35 -> 0.77 ms, joins 0.66 -> 0.35 ms) and three 1.84-1.90
+    ms.  At N = 9 five's pieces would hold 42 MB, not 7 MB, for the text
+    document with exponents near 2^64.  The tail stays below a minor's
+    first row, so k is at most N - 2.
     """
     return max(0, min(N - 2, 4))
 
@@ -168,18 +162,16 @@ class _TermText:
     joins them.  A term with no variables has ``blank`` after its head;
     only a determinant on no column or on the zero vector's alone has one.
 
-    ``pieces`` holds, for each of the C(N, k) sets of k = _tail_rows(N)
-    columns, two lists of k! + 1 strings.  A block's terms share their
-    rows above the last k and take the lex signs of S_k times one sign.
-    With h_i the head of the i-th term, t_i the text of the last k rows
-    on the i-th permutation of the set by descending gamma, and J the
-    joiner, the block is the shared text joined between the pieces
-    [J + h_0, t_0 + J + h_1, ..., t_(k!-1)]; the first list serves a
-    block whose signs start with +1, the second one with -1.  The tails
-    are built one row at a time, from the bottom: those of the last j
-    rows on every j-set from those of the last j - 1 rows.  Only the sets
-    of k - 1 columns are held, and each k-set keeps its pieces alone, not
-    its tails.
+    ``pieces`` maps the bitmask of each set of k = _tail_rows(N) columns
+    (bit c for column c) to lists of k! + 1 strings.  A block's terms
+    share their rows above the last k and take the lex signs of S_k times
+    one sign.  With h_i the i-th term's head, t_i the last k rows' text
+    on the i-th permutation of the set by ``order`` (descending gamma)
+    and J the joiner, the block is the shared text joined between
+    [J + h_0, t_0 + J + h_1, ..., t_(k!-1)], the list at 0 if its signs
+    start with +1, at ``negative`` if with -1; ``negative`` is 0 where -1
+    prints as 1.  Tails are built from the bottom row up, a j-set's from
+    those on its mask less each bit; a k-set keeps only its pieces.
     """
 
     def __init__(self, gammas, ring: CoefficientRing, head, name, sep, joiner, blank):
@@ -192,20 +184,21 @@ class _TermText:
         for r in range(1, N + 1):
             names = [sep + name.format(grid_var(r, j)) for j in range(1, len(gammas[0]) + 1)]
             self.table.append(["".join([names[j] + e for j, e in column]) for column in exponents])
-        order = _descending(gammas, range(N))
-        opens = [[joiner + h for h in heads] for heads in _lex_signs(self.k, one, minus)]
-        level = {(): [""]}.items()
+        self.order = order = _descending(gammas, range(N))
+        self.negative = int(one != minus)
+        opens = [[joiner + h for h in heads] for heads in _lex_signs(self.k, one, minus)[: 1 + self.negative]]
+        level = {0: [""]}.items()
         for j in range(1, self.k + 1):
-            level = self._grow_tails(self.table[N - j], dict(level), combinations(order, j))
-        self.pieces = {frozenset(cols): [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens] for cols, tails in level}
+            level = self._grow_tails(self.table[N - j], dict(level), order, j)
+        self.pieces = {mask: [[o[0], *map(add, tails, o[1:]), tails[-1]] for o in opens] for mask, tails in level}
 
     @staticmethod
-    def _grow_tails(row, below: dict, sets):
-        """Each set of columns with its tails, the texts of ``row`` and the
-        rows under it on the set's permutations in lex order: ``row[c]``
-        ahead of ``below``'s tails on the set without c, for each c in turn."""
-        for cols in sets:
-            yield cols, [row[c] + tail for i, c in enumerate(cols) for tail in below[cols[:i] + cols[i + 1 :]]]
+    def _grow_tails(row, below: dict, order, j):
+        """Each j-set's mask with its tails, the texts of ``row`` and the rows under it on the
+        set's permutations in lex order: ``row[c]`` ahead of ``below``'s on the mask less c's bit."""
+        for cols, bits in zip(combinations(order, j), combinations([1 << c for c in order], j)):
+            mask = sum(bits)
+            yield mask, [row[c] + tail for c, bit in zip(cols, bits) for tail in below[mask - bit]]
 
     @classmethod
     def json(cls, gammas, ring):
@@ -216,32 +209,38 @@ class _TermText:
         pad = "  " * indent
         return cls(gammas, ring, f"\n{pad}-\n{pad}  coeff: {{}}\n{pad}  monomial:", f"\n{pad}    {{}}: ", "", "", " {}")
 
-    def chunks(self, cols):
-        """The determinant on columns ``cols``, all N or all but one, and the
-        last m = len(cols) rows, as text: one chunk per block of k! terms,
-        with the joiner between blocks.
+    def chunks(self, order, signs):
+        """The determinant on columns ``order``, all N or all but one by
+        descending gamma, and the last m = len(order) rows, as text: one
+        chunk per block of k! terms, with the joiner between blocks.
 
-        The blocks come in the lex order of the permutations of ``cols`` by
-        descending gamma, which is the terms' order: each is one arrangement
-        of the m - k rows above the last k, their prefix, joined once and
-        then joined between the pieces on the columns it leaves.  The
-        blocks' signs are the lex signs of S_m at every k!-th permutation,
-        from _lex_signs, times the order's sign.
+        The blocks come in the lex order of the permutations of ``order``,
+        the terms' order: each is one arrangement of the m - k rows above
+        the last k, their prefix, joined once and then between the pieces
+        on the mask it leaves, the list that ``signs[i]`` picks for block i.
         """
-        if not any(map(any, map(self.gammas.__getitem__, cols))):  # no columns, or the zero vector's alone
+        if not any(map(any, map(self.gammas.__getitem__, order))):  # no columns, or the zero vector's alone
             yield self.constant
             return
-        table, pieces, drop, k, m = self.table, self.pieces, self.drop, self.k, len(cols)
-        order, signs, _ = _column_order(self.gammas, cols, _lex_signs(m, 0, 1, k))  # a sign picks its list of pieces
-        columns, rows = frozenset(order), table[len(table) - m : len(table) - k]
+        table, pieces, drop, k, m = self.table, self.pieces, self.drop, self.k, len(order)
+        bits = [1 << c for c in order]
+        full, rows = sum(bits), table[len(table) - m : len(table) - k]
         cut = self.cut  # the first block opens with no joiner
-        for p, sign in zip(permutations(order, m - k), signs):
+        for p, b, sign in zip(permutations(order, m - k), permutations(bits, m - k), signs):
             prefix = "".join(map(getitem, rows, p))
-            between = pieces[columns.difference(p)][sign]
+            between = pieces[full - sum(b)][sign]
             if not prefix:  # the zero vector's column alone above the tail: each tail opens its term
                 between = [between[0], *(t[drop:] for t in between[1:])]
             yield prefix[drop:].join(between)[cut:]
             cut = 0
+
+
+def _minors(order: list, parity: int):
+    """Minor l's order, ``order`` less l, and its parity, flipped by i + l for l at place i:
+    with b of the i columns before l below it, l is in (i - b) + (l - b) inversions."""
+    for l in range(len(order)):
+        i = order.index(l)
+        yield order[:i] + order[i + 1 :], (parity + i + l) % 2
 
 
 def expand_chunks(support: Support, coeff_ring: CoefficientRing, fmt: str, head: dict):
@@ -267,7 +266,10 @@ def expand_chunks(support: Support, coeff_ring: CoefficientRing, fmt: str, head:
         yield json.dumps(head)[:-1] + ', "determinant": ['
         after_det = f'}}}}], "signs": {json.dumps(signs)}, "minors": ['
         minor_open, minor_close, minor_sep, end = "[", "}}]", ", ", "]}\n"
-    yield from terms.chunks(range(N))
+    order, k, negative = terms.order, terms.k, terms.negative
+    parity = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]) % 2
+    det_signs, minor_signs = _lex_signs(N, 0, negative, k), _lex_signs(N - 1, 0, negative, k)
+    yield from terms.chunks(order, det_signs[parity])
     if fmt == "text":
         # the minors sit one level deeper.  Their table is built only once the
         # determinant's is freed, so one set of pieces is held at a time, and
@@ -275,9 +277,9 @@ def expand_chunks(support: Support, coeff_ring: CoefficientRing, fmt: str, head:
         del terms
         terms = _TermText.text(gammas, coeff_ring, 2)
     yield after_det
-    for l in range(N):
+    for l, (cols, p) in enumerate(_minors(order, parity)):
         yield (minor_sep if l else "") + minor_open
-        yield from terms.chunks([c for c in range(N) if c != l])
+        yield from terms.chunks(cols, minor_signs[p])
         yield minor_close
     yield end
 

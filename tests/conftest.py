@@ -1,3 +1,4 @@
+import io
 import math
 import operator
 import random
@@ -24,6 +25,13 @@ from gvand.tropical import (
     _witness,
 )
 from gvand.vandermonde import vandermonde_determinant
+
+
+def stdin_of(text: str):
+    """A stand-in for sys.stdin holding ``text``.  The CLI reads stdin's
+    bytes from ``.buffer``, so this is a text stream over a byte buffer,
+    as the real stdin is; an io.StringIO has no buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def mat_mul(a, b):

@@ -27,6 +27,7 @@ import json
 import sys
 from pathlib import Path
 
+from conftest import stdin_of
 from gvand import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,7 +41,7 @@ def _sha256(text: str) -> str:
 def _run_digest(monkeypatch, argv, support, digest=_sha256):
     """Run cli.main on argv with the support on stdin; returns
     (exit code, stderr, digest of stdout)."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(support)))
+    monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(support)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stdin_of
 import gvand
 from gvand import cli, exponents, irreducibility, kernels, oracle, reporting, tropical, vandermonde
 from gvand.cli import main
@@ -65,7 +66,7 @@ def test_decide_json(support_file, capsys):
 
 
 def test_decide_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TRIANGLE)))
+    monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(TRIANGLE)))
     code, out, _ = _run(capsys, ["decide"])
     assert code == 0
     assert json.loads(out)["certificate"]["verdict"] == "irreducible"
@@ -84,7 +85,7 @@ def test_expand_square_support(support_file, capsys):
 
 
 def test_expand_single_vector(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1, "exponents": [[3]]}'))
+    monkeypatch.setattr("sys.stdin", stdin_of('{"n": 1, "exponents": [[3]]}'))
     code, out, err = _run(capsys, ["expand"])
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -937,6 +938,22 @@ def test_deeply_nested_stdin_is_input_error():
     assert err.startswith("error: input: invalid JSON: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_undecodable_stdin_is_input_error(locale):
+    # stdin is read as bytes and decoded as strictly as --input: under the C locale a text
+    # stdin would decode with surrogateescape and take the stray byte inside the string
+    raw = b'{"n": 1, "exponents": [[0], [1], [2]], "note": "\xff"}'
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gvand.cli", "decide"],
+        input=raw,
+        capture_output=True,
+        env=dict(env, PYTHONPATH=SRC, LC_ALL=locale, LANG=locale),
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error: input: invalid UTF-8: ") and done.stderr.count(b"\n") == 1
+
+
 def test_schema_errors_name_the_field(support_file, capsys):
     code, _, err = _run(capsys, ["decide", "--input", support_file({"n": 2})])
     assert code == 2
@@ -1013,7 +1030,7 @@ def test_negative_seed_rejected(support_file, capsys):
 def _main_in_process(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with (
-        mock.patch("sys.stdin", io.StringIO(stdin)),
+        mock.patch("sys.stdin", stdin_of(stdin)),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):

@@ -9,6 +9,11 @@ row and column l.  Two different polynomials of degree d agree at a
 random point with probability at most d / P (Schwartz-Zippel).  Over
 GF(2) and GF(3) the document must be the characteristic-0 one with each
 coefficient reduced mod p, term by term.
+
+The same check judges two mutants of the block signs: _lex_signs
+started at the wrong k, and minors that keep the determinant's order
+parity instead of flipping it by the inversions of the column they
+drop.
 """
 
 import json
@@ -16,6 +21,7 @@ import random
 
 import pytest
 
+from gvand import vandermonde
 from gvand.exponents import Support
 from gvand.rings import CoefficientRing
 from gvand.vandermonde import expand_chunks
@@ -34,6 +40,8 @@ def _supports():
                     vecs.append(v)
             yield pytest.param({"n": n, "exponents": vecs}, id=f"N{N}-n{n}")
     yield pytest.param({"n": 3, "exponents": [[2**64 - 1 - (3 * i + j) for j in range(3)] for i in range(5)]}, id="N5-2e64")
+    # a four-row prefix above the four tail rows, so the walk meets all C(8, 4) = 70 masks
+    yield pytest.param({"n": 1, "exponents": [[3], [1], [0], [7], [4], [8], [2], [6]]}, id="N8-n1")
 
 
 def _expand(support, char):
@@ -67,10 +75,9 @@ def _evaluate(terms, point):
     return total % P
 
 
-@pytest.mark.parametrize("support", _supports())
-def test_expand_agrees_with_elimination_mod_a_prime(support):
+def _point_and_matrix(support):
+    """A seeded random point and the numeric matrix there, mod P."""
     N, n, vecs = len(support["exponents"]), support["n"], support["exponents"]
-    doc = _expand(support, 0)
     draw = random.Random(f"{N}/{n}")
     x = [[draw.randrange(1, P) for _ in range(n)] for _ in range(N)]
     point = {f"X_{i + 1}_{j + 1}": x[i][j] for i in range(N) for j in range(n)}
@@ -79,6 +86,14 @@ def test_expand_agrees_with_elimination_mod_a_prime(support):
         for l, gamma in enumerate(vecs):
             for j, e in enumerate(gamma):
                 matrix[i][l] = matrix[i][l] * pow(x[i][j], e, P) % P
+    return point, matrix
+
+
+@pytest.mark.parametrize("support", _supports())
+def test_expand_agrees_with_elimination_mod_a_prime(support):
+    N = len(support["exponents"])
+    doc = _expand(support, 0)
+    point, matrix = _point_and_matrix(support)
     assert doc["variables"] == list(point)
     assert _evaluate(doc["determinant"], point) == _det_mod(matrix)
     assert doc["signs"] == [l % 2 for l in range(N)]
@@ -91,3 +106,37 @@ def test_expand_agrees_with_elimination_mod_a_prime(support):
         for ours, theirs in zip([reduced["determinant"], *reduced["minors"]], [doc["determinant"], *doc["minors"]]):
             assert [t["monomial"] for t in ours] == [t["monomial"] for t in theirs]
             assert [int(t["coeff"]) for t in ours] == [int(t["coeff"]) % p for t in theirs]
+
+
+def _disagrees_with_elimination(support) -> bool:
+    """Whether the determinant or a minor of the characteristic-0 document
+    differs from elimination mod P at the seeded point."""
+    doc = _expand(support, 0)
+    point, matrix = _point_and_matrix(support)
+    if _evaluate(doc["determinant"], point) != _det_mod(matrix):
+        return True
+    return any(
+        _evaluate(minor, point) != _det_mod([[v for c, v in enumerate(row) if c != l] for row in matrix[1:]])
+        for l, minor in enumerate(doc["minors"])
+    )
+
+
+def _lex_signs_from_wrong_k(monkeypatch):
+    # the block signs of S_m taken every (k-1)!-th, not every k!-th; k = 1 and 0 agree,
+    # so only the writer's calls with k > 1 change
+    original = vandermonde._lex_signs
+    monkeypatch.setattr(vandermonde, "_lex_signs", lambda m, one=1, minus=-1, k=1: original(m, one, minus, max(k - 1, 0)))
+
+
+def _minors_without_their_flip(monkeypatch):
+    # each minor keeps the determinant's parity, not flipped by the inversions of l
+    original = vandermonde._minors
+    monkeypatch.setattr(vandermonde, "_minors", lambda order, parity: ((cols, parity) for cols, _ in original(order, parity)))
+
+
+@pytest.mark.parametrize("mutate", [_lex_signs_from_wrong_k, _minors_without_their_flip], ids=["lex-signs-k", "minor-parity"])
+def test_sign_mutants_are_caught_by_elimination(monkeypatch, mutate):
+    supports = [param.values[0] for param in _supports() if len(param.values[0]["exponents"]) < 8]
+    assert not any(map(_disagrees_with_elimination, supports))
+    mutate(monkeypatch)
+    assert any(map(_disagrees_with_elimination, supports))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_reassembles, line_splits
-from gvand import cli, oracle, vandermonde
+from conftest import classical_reassembles, line_splits, stdin_of
+from gvand import cli, exponents, linalg, oracle, vandermonde
 from gvand.errors import AllPointsSingularError, DegenerateSupportError, SizeCapError
 from gvand.exponents import Support, affine_dimension
 from gvand.oracle import (
@@ -173,6 +173,37 @@ def test_line_case_two_point_lines():
     assert line_splits(line_case_factor(*_inst([(0,), (3,)], 1, 0)))
 
 
+@pytest.mark.parametrize(
+    "vectors, n, code, passes",
+    [
+        ([(0, 1), (2, 2), (4, 3), (8, 5)], 2, 0, 1),  # on a line
+        ([(0, 0), (1, 0), (0, 1)], 2, 2, 1),  # affine dimension 2
+        ([(3, 1)], 2, 2, 0),  # N = 1: no span to reduce
+    ],
+    ids=["line", "plane", "N1"],
+)
+def test_oracle_line_reduces_the_span_once(monkeypatch, vectors, n, code, passes):
+    # one span reduction gives line_case_factor both the affine dimension and the
+    # witness's coordinates: one pivot_columns pass per oracle --check line
+    calls, original = [], linalg.pivot_columns
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "pivot_columns", counted)
+    monkeypatch.setattr(exponents, "pivot_columns", counted)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = stdin_of(json.dumps({"n": n, "exponents": vectors}))
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["oracle", "--check", "line"]) == code
+    assert len(calls) == passes
+    if code:
+        assert (out.getvalue(), err.getvalue()) == ("", "error: line-case factoring needs a support on an affine line\n")
+    else:
+        assert json.loads(out.getvalue())["report"]["ok"] is True and err.getvalue() == ""
+
+
 def test_line_case_deterministic():
     inst = _inst([(0,), (1,), (3,)], 1, 5)
     a = line_case_factor(*inst).to_json()
@@ -202,7 +233,7 @@ def test_line_case_splits_every_collinear_support(inst):
     assert line_splits(report)
     assert _reassembles(inst, report)
     support, coeff_ring = inst
-    stdin = io.StringIO(json.dumps(support.to_json()))
+    stdin = stdin_of(json.dumps(support.to_json()))
     out = io.StringIO()
     with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out):
         code = cli.main(["oracle", "--check", "line", "--char", str(coeff_ring.characteristic)])
@@ -291,7 +322,7 @@ def test_line_oracle_expands_nothing(monkeypatch):
     assert line_splits(report) and report.w == (2, -1, 1)
     assert (report.quotient_terms, report.quotient_degree) == (24 * 69, 124)
     out = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(support.to_json()))), contextlib.redirect_stdout(out):
+    with mock.patch("sys.stdin", stdin_of(json.dumps(support.to_json()))), contextlib.redirect_stdout(out):
         assert cli.main(["oracle", "--check", "line", "--char", "5"]) == 0
     assert json.loads(out.getvalue())["report"]["quotient_terms"] == 24 * 69
 
@@ -308,7 +339,7 @@ def test_jacobian_singular_at_every_draw(monkeypatch):
     with pytest.raises(AllPointsSingularError):
         jacobian_independence_evidence(_JACOBIAN_N6, seed=0)
     out, err = io.StringIO(), io.StringIO()
-    stdin = io.StringIO(json.dumps(_JACOBIAN_N6.to_json()))
+    stdin = stdin_of(json.dumps(_JACOBIAN_N6.to_json()))
     with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["oracle", "--check", "jacobian"])
     assert (code, out.getvalue()) == (1, "")
