@@ -28,7 +28,7 @@ from gvand.irreducibility import (
     verify_certificate,
 )
 from gvand.poly import PolyRing, SparsePoly, grid_ring, grid_var
-from gvand.rings import GF, ZZ, CoefficientRing
+from gvand.rings import ZZ, CoefficientRing
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
     TROPICAL_REDUCIBLE,

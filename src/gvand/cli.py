@@ -36,12 +36,7 @@ from gvand.errors import (
     SizeCapError,
 )
 from gvand.exponents import Support
-from gvand.irreducibility import (
-    VERDICT_IRREDUCIBLE,
-    VERDICT_POWER,
-    decide,
-    verify_certificate,
-)
+from gvand.irreducibility import VERDICT_IRREDUCIBLE, decide, verify_certificate
 from gvand.oracle import (
     classical_divisibility_check,
     jacobian_independence_evidence,
@@ -158,11 +153,12 @@ def _cmd_verify(args) -> int:
     try:
         payload["verification"] = verify_certificate(support, cert, tropical_cert)
     except CertificateMismatchError as exc:
-        payload["verification"] = exc.report or {"ok": False, "error": str(exc)}
+        payload["verification"] = exc.report
         failed = True
 
-    # irreducible in char 0 <=> N >= 3, content and span <=> irreducible or power here
-    expected = cert.verdict in (VERDICT_IRREDUCIBLE, VERDICT_POWER) and cert.d_gamma == 1
+    # the tropical route reads irreducible <=> span, content and d = 1; a power verdict
+    # has p | d, so with d = 1 only the irreducible verdict can expect it
+    expected = cert.verdict == VERDICT_IRREDUCIBLE and cert.d_gamma == 1
     agree = (tropical_cert.verdict == TROPICAL_IRREDUCIBLE) == expected
     payload["oracles"] = {
         "tropical_agreement": {

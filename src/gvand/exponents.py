@@ -24,14 +24,16 @@ class Support(namedtuple("Support", "n vectors")):
     __slots__ = ()
 
     def __new__(cls, n: int, vectors):
-        if n < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        vecs = tuple(tuple(int(x) for x in v) for v in vectors)
+        if type(n) is not int or n < 1:  # no float, bool or other int stand-in
+            raise ValueError("ambient dimension must be an integer >= 1")
+        vecs = tuple(map(tuple, vectors))
         if not vecs:
             raise ValueError("a support needs at least one exponent vector")
         for v in vecs:
             if len(v) != n:
                 raise ValueError(f"vector {v} does not have length {n}")
+            if any(type(x) is not int for x in v):
+                raise ValueError(f"vector {v} has a non-integer entry")
             if any(x < 0 for x in v):
                 raise ValueError(f"vector {v} has a negative entry")
         if len(set(vecs)) != len(vecs):

@@ -186,10 +186,6 @@ class JacobianReport(namedtuple("JacobianReport", "trials achieved_rank target_r
 
     __slots__ = ()
 
-    def __new__(cls, trials: int, achieved_rank: int, target_rank: int, sample_points: tuple):
-        assert achieved_rank <= target_rank
-        return super().__new__(cls, trials, achieved_rank, target_rank, sample_points)
-
     @property
     def conclusive(self) -> bool:
         return self.achieved_rank == self.target_rank

@@ -67,9 +67,11 @@ class PolyRing(namedtuple("PolyRing", "coeff_ring variables")):
         return SparsePoly(self, {(0,) * self.nvars: c}, _canonical=True)
 
     def monomial(self, exponents, coeff: int = 1) -> "SparsePoly":
-        exponents = tuple(int(e) for e in exponents)
+        exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise RingMismatchError("exponent vector length does not match ring")
+        if any(type(e) is not int for e in exponents):
+            raise ValueError(f"exponents must be integers, got {exponents}")
         if any(e < 0 for e in exponents):
             raise NegativeExponentError(f"negative exponent in {exponents}")
         coeff = self.coeff_ring.normalize(coeff)
@@ -80,7 +82,7 @@ class PolyRing(namedtuple("PolyRing", "coeff_ring variables")):
     def variable(self, name: str) -> "SparsePoly":
         if name not in self.variables:
             raise RingMismatchError(f"unknown variable {name!r}")
-        return self.monomial([v == name for v in self.variables])
+        return self.monomial([int(v == name) for v in self.variables])
 
 
 def grid_var(i: int, j: int) -> str:
@@ -152,13 +154,11 @@ class SparsePoly:
     #### arithmetic ####
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
         self._check_ring(other)
         char = self.ring.characteristic
         return SparsePoly(self.ring, kernels.add_terms(self._terms, other._terms, char), _canonical=True)
-
-    __radd__ = __add__
 
     def __neg__(self):
         char = self.ring.characteristic
@@ -167,21 +167,16 @@ class SparsePoly:
         return SparsePoly(self.ring, {e: -c for e, c in self._terms.items()}, _canonical=True)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
         self._check_ring(other)
         char = self.ring.characteristic
         return SparsePoly(self.ring, kernels.mul_terms(self._terms, other._terms, char), _canonical=True)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -196,8 +191,6 @@ class SparsePoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
@@ -316,7 +309,7 @@ class SparsePoly:
             total %= char
         return total
 
-    #### serialization and display ####
+    #### serialization ####
 
     def to_terms_json(self) -> list:
         """Terms as JSON data, leading term first.
@@ -330,28 +323,3 @@ class SparsePoly:
             {"coeff": str(terms[exp]), "monomial": dict(compress(zip(names, exp), exp))}
             for exp in self._ordered_exponents()
         ]
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        names = self.ring.variables
-        parts = []
-        for exp, c in self.terms():
-            factors = []
-            for k, e in enumerate(exp):
-                if e == 1:
-                    factors.append(names[k])
-                elif e:
-                    factors.append(f"{names[k]}^{e}")
-            body = "*".join(factors)
-            if not body:
-                chunk = str(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{c}*{body}"
-            parts.append(chunk)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")

@@ -44,6 +44,8 @@ class CoefficientRing(namedtuple("CoefficientRing", "characteristic")):
 
     def __new__(cls, characteristic: int):
         p = characteristic
+        if type(p) is not int:  # no float, bool or other int stand-in
+            raise ValueError(f"characteristic must be an integer, got {p!r}")
         if p > MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {p} exceeds cap {MAX_CHARACTERISTIC}")
         if p and not is_prime(p):
@@ -53,10 +55,6 @@ class CoefficientRing(namedtuple("CoefficientRing", "characteristic")):
     @classmethod
     def _make(cls, fields):  # _replace builds through _make, so it validates too
         return cls(*fields)
-
-    @property
-    def is_field(self) -> bool:
-        return self.characteristic != 0
 
     def normalize(self, c: int) -> int:
         """Canonical representative of c in this ring."""
@@ -84,17 +82,6 @@ class CoefficientRing(namedtuple("CoefficientRing", "characteristic")):
             return None
         return a // b
 
-    def __str__(self) -> str:
-        if self.characteristic:
-            return f"GF({self.characteristic})"
-        return "ZZ"
-
 
 ZZ = CoefficientRing(0)
 
-
-def GF(p: int) -> CoefficientRing:
-    ring = CoefficientRing(p)
-    if not ring.is_field:
-        raise ValueError("GF needs a positive prime")
-    return ring

@@ -48,7 +48,7 @@ from gvand.oracle import (
     polygon_indecomposability,
 )
 from gvand.poly import grid_var
-from gvand.rings import GF, ZZ, CoefficientRing
+from gvand.rings import ZZ, CoefficientRing
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
     TROPICAL_REDUCIBLE,
@@ -95,7 +95,7 @@ def test_criterion_01_square_support_expansion():
 
 def test_criterion_02_char2_squaring():
     with criterion(2, "char-2 squaring", bound=1.0):
-        det = vandermonde_determinant(SQUARE_SUPPORT, GF(2))
+        det = vandermonde_determinant(SQUARE_SUPPORT, CoefficientRing(2))
         root = det.frobenius_root(1)
         for row in (1, 2, 3):
             assert row_support(root, SQUARE_SUPPORT.n, row=row) == set(HALF_SQUARE)
@@ -239,8 +239,8 @@ def test_criterion_09_power_structure():
             report = verify_certificate(support, cert, decide_tropical_irreducibility(support, seed=0))
             assert report["ok"], f"certificate re-check failed on {support.vectors}"
             # the Frobenius identity verify reads off the certificate, checked on the expansions
-            root = vandermonde_determinant(support, GF(p)).frobenius_root(cert.power_r)
-            reduced = vandermonde_determinant(cert.reduced_support, GF(p))
+            root = vandermonde_determinant(support, CoefficientRing(p)).frobenius_root(cert.power_r)
+            reduced = vandermonde_determinant(cert.reduced_support, CoefficientRing(p))
             assert root == reduced, f"p^r-th root is not the reduced determinant on {support.vectors}"
 
 

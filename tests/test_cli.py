@@ -540,6 +540,37 @@ def test_verify_builds_no_dual_records(support_file, capsys, monkeypatch, suppor
             main(["tropical", "--input", path])
 
 
+@pytest.mark.parametrize(
+    "support, char",
+    [
+        ({"n": 2, "exponents": [[1, 2]]}, 0),
+        (LINE, 3),
+        (SQUARE, 2),  # power_of_irreducible
+        ({"n": 2, "exponents": [[0, 0], [1, 0], [0, 1], [2, 1], [1, 3], [3, 2]]}, 0),
+    ],
+    ids=["N1", "line", "power", "N6-irreducible"],
+)
+def test_commands_build_no_polynomial(support_file, capsys, monkeypatch, support, char):
+    # the decision reads three support conditions and expand writes its terms as text:
+    # only the oracles and the tests' references build a SparsePoly
+    path = support_file(support)
+    runs = [
+        [command, "--input", path, "--char", str(char), "--format", fmt]
+        for command in ("decide", "tropical", "verify", "expand")
+        for fmt in ("json", "text")
+    ]
+    expected = [_run(capsys, argv) for argv in runs]
+
+    def no_polynomial(*args, **kwargs):
+        raise AssertionError("this command must build no SparsePoly")
+
+    monkeypatch.setattr(SparsePoly, "__init__", no_polynomial)
+    assert [_run(capsys, argv) for argv in runs] == expected
+    assert [code for code, _, _ in expected] == [0] * len(runs)
+    with pytest.raises(AssertionError):  # the patch is live: the Leibniz oracle builds polynomials
+        main(["oracle", "--check", "leibniz", "--input", path])
+
+
 @pytest.mark.parametrize("command", ["tropical", "verify"])
 def test_merged_span_coordinates_exit_1(support_file, capsys, monkeypatch, command):
     # a wrong pivot set that merges two vectors is a falsified invariant, not a traceback
@@ -569,6 +600,26 @@ def test_verify_catches_a_content_helper_shared_with_decide(support_file, capsys
     assert payload["certificate"]["verdict"] == "irreducible"
     assert code == 1
     assert payload["verification"]["ok"] is False
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_verify_catches_a_scale_helper_shared_with_decide(support_file, capsys, monkeypatch, char):
+    # d_gamma skipping normalization, at every gvand site that holds it: on a support
+    # with content (1, 0) and d = 2 the gcd of the raw coordinates reads 1, and only
+    # the tropical witness's facet-multiplicity gcd, read by another route, disagrees
+    original = exponents.d_gamma
+
+    def unnormalized(support):
+        return math.gcd(*(x for v in support.vectors for x in v))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gvand") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, unnormalized)
+    support = {"n": 2, "exponents": [[1, 0], [3, 0], [1, 2]]}
+    argv = ["verify", "--input", support_file(support), "--char", str(char)]
+    assert _run(capsys, argv) == (1, "", "falsified: facet-multiplicity gcd 2 differs from scale gcd 1\n")
 
 
 def test_verify_runs_no_polygon_search(support_file, capsys, monkeypatch):

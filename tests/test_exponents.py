@@ -39,6 +39,20 @@ def test_support_validation():
         s._replace(vectors=((0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize(
+    "n, vectors, message",
+    [
+        (2, [(1.5, 0), (0, 2.9), (True, 1)], "non-integer entry"),
+        (2, [(0, 0), (1, False)], "non-integer entry"),
+        (2.0, [(0, 0), (1, 2)], "ambient dimension"),
+        (True, [(0,), (1,)], "ambient dimension"),
+    ],
+)
+def test_support_refuses_non_integers(n, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        Support(n, vectors)
+
+
 def test_from_json_happy_path():
     s = Support.from_json({"n": 2, "exponents": [[2, 0], [0, 2], [2, 2]]})
     assert s.n == 2

@@ -22,7 +22,7 @@ from gvand.irreducibility import (
     verify_certificate,
 )
 from gvand.poly import SparsePoly
-from gvand.rings import GF
+from gvand.rings import CoefficientRing
 from gvand.tropical import decide_tropical_irreducibility
 
 
@@ -32,6 +32,9 @@ def test_decide_validates_the_characteristic():
     assert decide(support, 7).characteristic == 7
     for char in (4, -3):
         with pytest.raises(ValueError):
+            decide(support, char)
+    for char in (2.0, False):
+        with pytest.raises(ValueError, match="must be an integer"):
             decide(support, char)
 
 
@@ -225,8 +228,8 @@ def test_power_determinant_is_a_frobenius_power_of_the_reduced_one(reduced, p, r
     support = Support(reduced.n, tuple(tuple(q * x for x in v) for v in reduced.vectors))
     cert = decide(support, p)
     assert cert.verdict == VERDICT_POWER and cert.power_r == r
-    det = vandermonde.vandermonde_determinant(support, GF(p))
-    reduced_det = vandermonde.vandermonde_determinant(cert.reduced_support, GF(p))
+    det = vandermonde.vandermonde_determinant(support, CoefficientRing(p))
+    reduced_det = vandermonde.vandermonde_determinant(cert.reduced_support, CoefficientRing(p))
     assert det.frobenius_root(r) == reduced_det
 
 

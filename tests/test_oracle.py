@@ -28,13 +28,13 @@ from gvand.oracle import (
     polygon_indecomposability,
 )
 from gvand.poly import SparsePoly, grid_ring
-from gvand.rings import GF, ZZ
+from gvand.rings import ZZ, CoefficientRing
 from gvand.vandermonde import build_matrix, vandermonde_determinant
 
 
 def _inst(vectors, n, char=0):
     """(support, coefficient ring), to call the layers with *."""
-    return Support(n, tuple(vectors)), GF(char) if char else ZZ
+    return Support(n, tuple(vectors)), CoefficientRing(char)
 
 
 #### permutation-sum determinant ####
@@ -318,7 +318,7 @@ def test_line_oracle_expands_nothing(monkeypatch):
     # N = 6, n = 3 on a line with direction (2, -1, 1), signed so that it climbs the first
     # coordinate: 4! * 69 quotient terms of degree 128 - 4
     support = Support(3, tuple((1 + 2 * k, 11 - k, 1 + k) for k in (0, 1, 3, 4, 7, 10)))
-    report = line_case_factor(support, GF(5))
+    report = line_case_factor(support, CoefficientRing(5))
     assert line_splits(report) and report.w == (2, -1, 1)
     assert (report.quotient_terms, report.quotient_degree) == (24 * 69, 124)
     out = io.StringIO()

@@ -7,20 +7,24 @@ from hypothesis import strategies as st
 
 from conftest import fraction_solve_affine, integer_det, mat_mul
 from gvand.linalg import fraction_rank, identity, integer_rank, pivot_columns, solve_affine
-from gvand.rings import GF, ZZ, CoefficientRing, is_prime
+from gvand.rings import ZZ, CoefficientRing, is_prime
 
 
 def test_ring_validation():
     assert ZZ.characteristic == 0
-    assert GF(7).characteristic == 7
+    assert CoefficientRing(7).characteristic == 7
     with pytest.raises(ValueError):
         CoefficientRing(6)
     with pytest.raises(ValueError):
         CoefficientRing(-3)
     with pytest.raises(ValueError):
-        GF(0)
-    with pytest.raises(ValueError):
-        GF(7)._replace(characteristic=9)
+        CoefficientRing(7)._replace(characteristic=9)
+
+
+@pytest.mark.parametrize("characteristic", [2.0, 0.0, True, False, "3"])
+def test_ring_refuses_a_non_integer_characteristic(characteristic):
+    with pytest.raises(ValueError, match="must be an integer"):
+        CoefficientRing(characteristic)
 
 
 def test_is_prime_small():
@@ -45,7 +49,7 @@ def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
 
 
 def test_normalize_and_invert():
-    ring = GF(5)
+    ring = CoefficientRing(5)
     assert ring.normalize(-1) == 4
     assert ring.normalize(12) == 2
     assert ring.invert(2) == 3
@@ -59,7 +63,7 @@ def test_normalize_and_invert():
 def test_divide_exact():
     assert ZZ.divide_exact(6, 3) == 2
     assert ZZ.divide_exact(7, 3) is None
-    assert GF(5).divide_exact(3, 2) == 4  # 3 * inv(2) = 3 * 3 = 9 = 4
+    assert CoefficientRing(5).divide_exact(3, 2) == 4  # 3 * inv(2) = 3 * 3 = 9 = 4
     with pytest.raises(ZeroDivisionError):
         ZZ.divide_exact(1, 0)
 

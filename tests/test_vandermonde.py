@@ -11,7 +11,7 @@ from gvand.errors import SizeCapError
 from gvand.exponents import Support, componentwise_min
 from gvand.oracle import leibniz_determinant
 from gvand.poly import grid_ring, grid_var
-from gvand.rings import GF, ZZ
+from gvand.rings import ZZ, CoefficientRing
 from gvand.vandermonde import (
     build_matrix,
     row_expansion,
@@ -28,7 +28,7 @@ def content_monomial(support):
 
 def _inst(vectors, n, char=0):
     """(support, coefficient ring), to call the layers with *."""
-    return Support(n, tuple(vectors)), GF(char) if char else ZZ
+    return Support(n, tuple(vectors)), CoefficientRing(char)
 
 
 def test_build_matrix_entries():
@@ -173,7 +173,7 @@ def test_content_monomial_divides_determinant():
 
 def test_modular_determinant_matches_reduction():
     det0 = vandermonde_determinant(SQUARE, ZZ)
-    det2 = vandermonde_determinant(SQUARE, GF(2))
+    det2 = vandermonde_determinant(SQUARE, CoefficientRing(2))
     reduced = {e: c % 2 for e, c in dict(det0.terms()).items() if c % 2}
     assert dict(det2.terms()) == reduced
 
