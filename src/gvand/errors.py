@@ -33,10 +33,6 @@ class SizeCapError(GvandError):
     """Input exceeds a configured size cap."""
 
 
-class NotSimplicialError(GvandError):
-    """Operation requires a simplicial subdivision."""
-
-
 class PerturbationExhaustedError(GvandError):
     """No perturbation produced a simplicial subdivision within the retry limit."""
 

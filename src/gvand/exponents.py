@@ -1,13 +1,15 @@
 """Exponent supports and their lattice invariants.
 
-A support is an ordered tuple of N distinct vectors in NN^n.  The
-quantities that drive every decision downstream live here: the
-componentwise minimum (monomial content), the normalized support, the
-scale gcd d (gcd of all coordinates after normalization, equivalently
-of all pairwise differences), the affine dimension, and the span
-coordinates: the normalized support on its first coordinates of full
-affine rank.  smith_normal_form has no runtime caller: the tests keep
-it, and the benchmark's layer table names it.
+A support is an ordered tuple of N distinct vectors in NN^n; a direct
+call and from_json check it in one walk, _vectors, which names the
+first fault by its path in the JSON document.  The quantities that
+drive every decision downstream live here: the componentwise minimum
+(monomial content), the normalized support, the scale gcd d (gcd of all
+coordinates after normalization, equivalently of all pairwise
+differences), the affine dimension, and the span coordinates: the
+normalized support on its first coordinates of full affine rank.
+smith_normal_form has no runtime caller: the tests keep it, and the
+benchmark's layer table names it.
 """
 
 import math
@@ -18,27 +20,37 @@ from gvand.errors import DegenerateSupportError, InputError, InvariantViolationE
 from gvand.linalg import identity, integer_rank, pivot_columns
 
 
+def _vectors(n, vectors, seq=(list, tuple)) -> tuple:
+    """``vectors`` as a tuple of tuples, checked as a support in NN^n.
+
+    The first fault in order (n, each vector's length and then entries,
+    distinctness) raises ValueError("path: problem"), the path as in the
+    JSON document.  The list and the vectors must be ``seq`` instances, n
+    and the entries exactly ints: no float, bool or other int stand-in.
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError("n: must be a positive integer")
+    if not isinstance(vectors, seq) or not vectors:
+        raise ValueError("exponents: must be a nonempty list")
+    for i, row in enumerate(vectors):
+        if not isinstance(row, seq) or len(row) != n:
+            raise ValueError(f"exponents[{i}]: must be a list of length {n}")
+        for j, x in enumerate(row):
+            if type(x) is not int or x < 0:
+                raise ValueError(f"exponents[{i}][{j}]: must be a non-negative integer")
+    vecs = tuple(map(tuple, vectors))
+    if len(set(vecs)) != len(vecs):
+        raise ValueError("exponents: vectors must be distinct")
+    return vecs
+
+
 class Support(namedtuple("Support", "n vectors")):
-    """Ordered exponent set: N distinct vectors in NN^n."""
+    """Ordered exponent set: N distinct vectors in NN^n, given as lists or tuples."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, vectors):
-        if type(n) is not int or n < 1:  # no float, bool or other int stand-in
-            raise ValueError("ambient dimension must be an integer >= 1")
-        vecs = tuple(map(tuple, vectors))
-        if not vecs:
-            raise ValueError("a support needs at least one exponent vector")
-        for v in vecs:
-            if len(v) != n:
-                raise ValueError(f"vector {v} does not have length {n}")
-            if any(type(x) is not int for x in v):
-                raise ValueError(f"vector {v} has a non-integer entry")
-            if any(x < 0 for x in v):
-                raise ValueError(f"vector {v} has a negative entry")
-        if len(set(vecs)) != len(vecs):
-            raise ValueError("exponent vectors must be distinct")
-        return super().__new__(cls, n, vecs)
+        return super().__new__(cls, n, _vectors(n, vectors))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through _make, so it validates too
@@ -53,32 +65,18 @@ class Support(namedtuple("Support", "n vectors")):
 
     @classmethod
     def from_json(cls, data) -> "Support":
+        """The support a JSON document holds; a fault raises InputError("support." + path: problem)."""
         if not isinstance(data, dict):
             raise InputError("support: expected an object")
         if "n" not in data:
             raise InputError("support.n: missing")
         if "exponents" not in data:
             raise InputError("support.exponents: missing")
-        n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError("support.n: must be a positive integer")
-        exps = data["exponents"]
-        if not isinstance(exps, list) or not exps:
-            raise InputError("support.exponents: must be a nonempty list")
-        vectors = []
-        for i, row in enumerate(exps):
-            if not isinstance(row, list) or len(row) != n:
-                raise InputError(f"support.exponents[{i}]: must be a list of length {n}")
-            for j, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    raise InputError(
-                        f"support.exponents[{i}][{j}]: must be a non-negative integer"
-                    )
-            vectors.append(tuple(row))
-        if len(set(vectors)) != len(vectors):
-            raise InputError("support.exponents: vectors must be distinct")
-        # checked above, field by field: the record is built without __new__'s checks
-        return super().__new__(cls, n, tuple(vectors))
+        try:
+            vectors = _vectors(data["n"], data["exponents"], list)
+        except ValueError as exc:
+            raise InputError(f"support.{exc}") from None
+        return super().__new__(cls, data["n"], vectors)
 
 
 def componentwise_min(support: Support) -> tuple:

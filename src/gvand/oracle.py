@@ -87,7 +87,7 @@ def leibniz_determinant(matrix) -> SparsePoly:
                 acc[e] = val
             elif e in acc:
                 del acc[e]
-    return SparsePoly(ring, acc)
+    return SparsePoly(ring, acc, _canonical=True)  # reduced nonzero coefficients on tuple keys
 
 
 #### classical alternant divisibility ####

@@ -66,7 +66,8 @@ class PolyRing(namedtuple("PolyRing", "coeff_ring variables")):
             return self.zero()
         return SparsePoly(self, {(0,) * self.nvars: c}, _canonical=True)
 
-    def monomial(self, exponents, coeff: int = 1) -> "SparsePoly":
+    def _key(self, exponents) -> tuple:
+        """``exponents`` as a term key: nvars ints, none negative."""
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise RingMismatchError("exponent vector length does not match ring")
@@ -74,6 +75,10 @@ class PolyRing(namedtuple("PolyRing", "coeff_ring variables")):
             raise ValueError(f"exponents must be integers, got {exponents}")
         if any(e < 0 for e in exponents):
             raise NegativeExponentError(f"negative exponent in {exponents}")
+        return exponents
+
+    def monomial(self, exponents, coeff: int = 1) -> "SparsePoly":
+        exponents = self._key(exponents)
         coeff = self.coeff_ring.normalize(coeff)
         if coeff == 0:
             return self.zero()
@@ -103,9 +108,9 @@ class SparsePoly:
         if not _canonical:
             clean = {}
             for exp, c in terms.items():
-                c = ring.coeff_ring.normalize(c)
+                exp, c = ring._key(exp), ring.coeff_ring.normalize(c)
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[exp] = c
             terms = clean
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)

@@ -57,7 +57,9 @@ class CoefficientRing(namedtuple("CoefficientRing", "characteristic")):
         return cls(*fields)
 
     def normalize(self, c: int) -> int:
-        """Canonical representative of c in this ring."""
+        """Canonical representative of c in this ring; c must be exactly an int."""
+        if type(c) is not int:  # every polynomial coefficient passes here: no float or bool
+            raise ValueError(f"coefficient must be an integer, got {c!r}")
         if self.characteristic:
             return c % self.characteristic
         return c

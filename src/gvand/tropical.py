@@ -36,7 +36,6 @@ from itertools import combinations
 from gvand.errors import (
     DegenerateSupportError,
     InvariantViolationError,
-    NotSimplicialError,
     PerturbationExhaustedError,
 )
 from gvand.exponents import Support, d_gamma, reduce_to_span_coordinates
@@ -135,10 +134,11 @@ class TropicalCertificate(
     """The witness is held as integers: ``lift`` gives each support vector's
     lifting value times LIFT_DENOMINATOR**2, and ``hull`` the cells as
     (vertices, (nums, den)) pairs, the plane nums . (point, 1) / den in the
-    same units.  ``lifting``, ``subdivision`` and ``combinatorics`` (whose
-    lattice lengths come from ``support``) are built from them when read.
-    ``multiplicity_gcd``, ``ridge_connected`` and the witness fields are
-    None when no witness was built (N = 1)."""
+    same units.  ``lifting`` and ``subdivision`` are built from them when
+    read, and the dual combinatorics, whose lattice lengths come from
+    ``support``, when to_json writes it.  ``multiplicity_gcd``,
+    ``ridge_connected`` and the witness fields are None when no witness
+    was built (N = 1)."""
 
     __slots__ = ()
 
@@ -153,10 +153,6 @@ class TropicalCertificate(
     def subdivision(self):
         return None if self.hull is None else _subdivision(self.hull, LIFT_DENOMINATOR**2)
 
-    @property
-    def combinatorics(self):
-        return None if self.hull is None else _dual([verts for verts, _ in self.hull], self.support)
-
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -166,7 +162,7 @@ class TropicalCertificate(
             "ridge_connected": self.ridge_connected,
             "lifting": None if self.lift is None else self.lifting.to_json(),
             "subdivision": None if self.hull is None else self.subdivision.to_json(),
-            "combinatorics": None if self.hull is None else self.combinatorics.to_json(),
+            "combinatorics": None if self.hull is None else _dual([v for v, _ in self.hull], self.support).to_json(),
         }
 
 
@@ -276,17 +272,6 @@ def regular_subdivision(support: Support, lifting: Lifting) -> RegularSubdivisio
 
 
 #### dual combinatorics ####
-
-
-def combinatorics(sub: RegularSubdivision, support: Support) -> TropicalCombinatorics:
-    """Dual facets (edges + lattice lengths), ridges (triangles), adjacency.
-
-    The lattice lengths are gcds of edge vectors of ``support``; the
-    subdivision may index the same vectors in their span coordinates.
-    """
-    if not sub.simplicial:
-        raise NotSimplicialError("dual combinatorics needs a simplicial subdivision")
-    return _dual(tuple(c.vertices for c in sub.cells), support)
 
 
 def _dual(cells, support: Support) -> TropicalCombinatorics:

@@ -23,10 +23,11 @@ are walked once per document.  No term is a string of its own, so the
 writer holds no more than the pieces and one block, at most 23 MB at
 N = 9.
 
-The determinant alone is one enumeration over all N columns; the
-first-row expansion enumerates each minor once and builds the
-determinant from the minors' keys.  build_matrix serves the
-permutation-sum oracle, which takes its own route.
+The term maps the oracles and library callers hold come from one
+enumeration, _term_map: the determinant is one call over all N
+columns, and the first-row expansion takes that determinant and makes
+one more call per minor.  build_matrix serves the permutation-sum
+oracle, which takes its own route.
 """
 
 import json
@@ -93,46 +94,23 @@ def _descending(gammas: tuple, cols) -> list:
     return sorted(cols, key=gammas.__getitem__, reverse=True)
 
 
-def _column_order(gammas: tuple, cols, signs: tuple) -> tuple:
-    """(order, coeffs, negated coeffs) of the permutations of ``cols``.
-
-    ``order`` is ``cols`` by descending gamma, so the terms of its
-    permutations in lex order come in descending order of their keys and
-    the graded-lex sort finds one run; their signs are ``signs``, the
-    lex-order signs of S_len(cols) from _lex_signs, times the order's own
-    sign.
-    """
-    order = _descending(gammas, cols)
-    pos, neg = signs
-    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-    return (order, neg, pos) if inversions % 2 else (order, pos, neg)
-
-
-def _first_row(gammas: tuple, one, minus):
-    """The determinant, expanded along its first row, for row_expansion.
-
-    Yields (c, order, coeffs, determinant coeffs) for each column c the
-    first row takes, by descending gamma: order and coeffs are the minor
-    on the other columns', from _column_order, and the determinant's
-    terms with the first row in column c carry coeffs times (-1)^c.
-    Visiting c by descending gamma keeps the determinant's terms in the
-    lex order of its own permutations.
-    """
-    N = len(gammas)
-    signs = _lex_signs(N - 1, one, minus)
-    for c in _descending(gammas, range(N)):
-        order, pos, neg = _column_order(gammas, [d for d in range(N) if d != c], signs)
-        yield c, order, pos, neg if c % 2 else pos
-
-
-def _keys(gammas: tuple, order) -> map:
-    """The exponent keys of the permutations of ``order``, in lex order.
+def _term_map(gammas: tuple, cols, coeff_ring: CoefficientRing, lead: tuple = ()) -> dict:
+    """The SparsePoly term map of the determinant on columns ``cols`` and
+    the last len(cols) rows, each key led by ``lead``, the zero exponents
+    of the rows above.
 
     A key is the gammas the rows take in row order; every row takes
     gamma_c in column c, so the keys come from permuting the gammas
-    themselves, with no lookup per term.
+    themselves, with no lookup per term.  ``cols`` go by descending
+    gamma, so the keys of their permutations in lex order descend and
+    the graded-lex sort finds one run; the signs are the lex-order signs
+    of S_len(cols) from _lex_signs times the order's own sign.
     """
-    return map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order])))
+    order = _descending(gammas, cols)
+    pos, neg = _lex_signs(len(order), coeff_ring.normalize(1), coeff_ring.normalize(-1))
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    keys = map(tuple, map(chain.from_iterable, permutations([gammas[c] for c in order])))
+    return dict(zip(map(lead.__add__, keys), neg if inversions % 2 else pos))
 
 
 def _tail_rows(N: int) -> int:
@@ -250,9 +228,11 @@ def expand_chunks(support: Support, coeff_ring: CoefficientRing, fmt: str, head:
     determinant, the cofactor signs and the first-row minors.  It comes
     one block of at most 24 terms at a time, and no term map, run of
     terms or whole document is ever built, so memory stays bounded at
-    any N; the cap on N is the caller's, from require_expandable.
+    any N.  N above EXPAND_MAX_N raises SizeCapError before the first
+    chunk.
     """
     gammas, N = support.vectors, support.N
+    require_expandable(N)
     variables = list(grid_ring(coeff_ring, N, support.n).variables)
     head = {**head, "support": support.to_json(), "variables": variables}
     signs = [l % 2 for l in range(N)]
@@ -305,28 +285,22 @@ def require_expandable(N: int):
 def row_expansion(support: Support, coeff_ring: CoefficientRing = ZZ) -> RowExpansion:
     """The determinant and all first-row minors with their cofactor signs.
 
-    Each minor is one permutation enumeration over rows 2..N; the
-    determinant is assembled from the minors' raw keys by one top-row
-    step.  N above EXPAND_MAX_N raises SizeCapError.
+    The determinant is vandermonde_determinant's; minor l is one more
+    enumeration, over the columns other than l in rows 2..N, its keys led
+    by row 1's zero exponents.  N above EXPAND_MAX_N raises SizeCapError.
     """
     N, gammas = support.N, support.vectors
-    require_expandable(N)
-    ring = grid_ring(coeff_ring, N, support.n)
-    # minor l covers rows 2..N; row 1's exponents are zero
-    row1 = (0,) * support.n
-    minors, det = [None] * N, {}
-    for l, order, pos, det_coeffs in _first_row(gammas, coeff_ring.normalize(1), coeff_ring.normalize(-1)):
-        keys = list(_keys(gammas, order))
-        minors[l] = SparsePoly(ring, dict(zip(map(row1.__add__, keys), pos)), _canonical=True)
-        det.update(zip(map(gammas[l].__add__, keys), det_coeffs))
-    signs = tuple(l % 2 for l in range(N))
-    return RowExpansion(signs=signs, minors=tuple(minors), determinant=SparsePoly(ring, det, _canonical=True))
+    determinant = vandermonde_determinant(support, coeff_ring)
+    ring, row1 = determinant.ring, (0,) * support.n
+    minors = tuple(
+        SparsePoly(ring, _term_map(gammas, [c for c in range(N) if c != l], coeff_ring, row1), _canonical=True)
+        for l in range(N)
+    )
+    return RowExpansion(signs=tuple(l % 2 for l in range(N)), minors=minors, determinant=determinant)
 
 
 def vandermonde_determinant(support: Support, coeff_ring: CoefficientRing = ZZ) -> SparsePoly:
     """The determinant alone over ``coeff_ring``, from one enumeration over all N columns; no minors."""
-    N, gammas = support.N, support.vectors
-    require_expandable(N)
-    signs = _lex_signs(N, coeff_ring.normalize(1), coeff_ring.normalize(-1))
-    order, pos, _ = _column_order(gammas, range(N), signs)
-    return SparsePoly(grid_ring(coeff_ring, N, support.n), dict(zip(_keys(gammas, order), pos)), _canonical=True)
+    require_expandable(support.N)
+    terms = _term_map(support.vectors, range(support.N), coeff_ring)
+    return SparsePoly(grid_ring(coeff_ring, support.N, support.n), terms, _canonical=True)

@@ -188,6 +188,12 @@ def balancing_check(tc: TropicalCombinatorics, support: Support) -> dict:
     return {"ok": not failures, "n_ridges": len(tc.ridges), "failures": failures}
 
 
+def simplicial_cells(sub: RegularSubdivision) -> tuple:
+    """The cells' vertex tuples of a simplicial subdivision, as tropical._dual reads them."""
+    assert sub.simplicial, "the dual combinatorics needs a simplicial subdivision"
+    return tuple(c.vertices for c in sub.cells)
+
+
 def multiplicity_gcd(tc: TropicalCombinatorics) -> int:
     """Reference for the decision's multiplicity gcd: the gcd of the facet multiplicities."""
     g = math.gcd(*(f.multiplicity for f in tc.facets))

@@ -23,6 +23,7 @@ from conftest import (
     multiplicity_gcd,
     random_support,
     row_support,
+    simplicial_cells,
     verify_subdivision,
 )
 from gvand.exponents import (
@@ -52,7 +53,7 @@ from gvand.rings import ZZ, CoefficientRing
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
     TROPICAL_REDUCIBLE,
-    combinatorics,
+    _dual,
     decide_tropical_irreducibility,
     regular_subdivision,
 )
@@ -198,7 +199,7 @@ def test_criterion_08_tropical_witness_invariants(agreement_corpus):
                 failures.append((support.vectors, "vertex dropped from subdivision"))
                 continue
             # multiplicities are lattice lengths of the support's own edge vectors
-            tc = combinatorics(sub, support)
+            tc = _dual(simplicial_cells(sub), support)
             balance = balancing_check(tc, support)
             if not balance["ok"]:
                 failures.append((support.vectors, balance["failures"][:2]))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -108,9 +109,9 @@ def test_expand_runs_no_kernel(support_file, capsys, monkeypatch):
 
 def test_expand_walks_the_permutations_once(support_file, capsys, monkeypatch):
     def unreachable(*args):
-        raise AssertionError("expand must not expand each minor along the first row")
+        raise AssertionError("expand must not build the term map of the determinant or of a minor")
 
-    monkeypatch.setattr(vandermonde, "_first_row", unreachable)
+    monkeypatch.setattr(vandermonde, "_term_map", unreachable)
     for N in (1, 2, 3, 5, 7):
         path = support_file({"n": 2, "exponents": [[i, 3 * i % 5] for i in range(N)]})
         for char in ("0", "2", "3"):
@@ -329,7 +330,10 @@ def test_verify_at_the_cap_edge_ends_within_bounds(support_file, support):
 # supports; Leibniz 1.26 s (181 MB) at N = LEIBNIZ_MAX_N = 8 with n = 8 and 20-digit
 # exponents; classical 0.21 s at CLASSICAL_MAX_WORK (N = 6, bound 896) and 0.44 s at
 # N = CLASSICAL_MAX_N = 7 (bound 112, the most N = 7 admits); polygon 0.11 s on a 12-gon of
-# lattice perimeter POLYGON_MAX_PERIMETER = 128.
+# lattice perimeter POLYGON_MAX_PERIMETER = 128.  At N = MAX_N = 12, n = MAX_VARS = 8 near
+# 2^64: tropical 0.19 s and the Jacobian oracle 0.16 s on the rank 8 support, and the line
+# oracle 0.12 s on LINE_N12_2E64, each 17 MB.
+LINE_N12_2E64 = {"n": 8, "exponents": [[2**64 - 1 - k * (j + 1) for j in range(8)] for k in range(12)]}
 _POLYGON_12 = [[11, 0], [22, 0], [44, 11], [54, 21], [64, 41], [64, 52], [53, 63], [42, 63], [20, 52], [10, 42], [0, 22], [0, 11]]
 CONTRACT_ROWS = {
     **{f"decide-N12-n8-{rank}-2e64": (["decide"], data, 1) for rank, data in EXPONENT_CAP_EDGE.items()},
@@ -337,6 +341,9 @@ CONTRACT_ROWS = {
     "classical-work-cap-N6": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [4], [6], [8]]}, 3),
     "classical-N7": (["oracle", "--check", "classical"], {"n": 1, "exponents": [[0], [1], [2], [3], [4], [6], [8]]}, 5),
     "polygon-perimeter128": (["oracle", "--check", "polygon"], {"n": 2, "exponents": _POLYGON_12}, 2),
+    "tropical-N12-n8-rank8-2e64": (["tropical"], EXPONENT_CAP_EDGE["rank8"], 2),
+    "jacobian-N12-n8-rank8-2e64": (["oracle", "--check", "jacobian"], EXPONENT_CAP_EDGE["rank8"], 2),
+    "line-N12-n8-2e64": (["oracle", "--check", "line"], LINE_N12_2E64, 2),
     **{row: (["expand", "--format", row.split("-")[3]], data, CAP_EDGE_CPU_SECONDS) for row, (data, _) in EXPAND_CAP_EDGE.items()},
 }
 
@@ -1346,10 +1353,21 @@ def test_expand_chunks_is_the_cli_document(support, char, fmt):
     assert "".join(chunks) == out
 
 
+def test_compare_cli_finds_no_difference_with_its_own_tree():
+    # tests/compare_cli.py compares every run's bytes with another tree's; a slice of its
+    # cases against this tree itself must show no difference, within a second
+    script = Path(__file__).resolve().parent / "compare_cli.py"
+    argv = [sys.executable, str(script), SRC, "--every", "50"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    summary = re.fullmatch(r"0 of (\d+) runs differ \(\d+ cases on each tree, ([\d.]+) s\)\n", done.stdout)
+    assert summary and int(summary[1]) >= 90 and float(summary[2]) < 1, done.stdout
+
+
 def test_cli_knows_no_term_format():
     # the term encoder lives in gvand.vandermonde alone: the CLI imports its entry
-    # point and the cap from there, the two names the leibniz oracle compares, and
-    # no grid variable name
+    # point from there (expand_chunks runs the cap itself), the two names the leibniz
+    # oracle compares, and no grid variable name
     tree = ast.parse(Path(cli.__file__).read_text())
     from_vandermonde, names = set(), set()
     for node in ast.walk(tree):
@@ -1357,7 +1375,7 @@ def test_cli_knows_no_term_format():
             names.update(alias.name for alias in node.names)
             if node.module == "gvand.vandermonde":
                 from_vandermonde.update(alias.name for alias in node.names)
-    assert from_vandermonde == {"build_matrix", "expand_chunks", "require_expandable", "vandermonde_determinant"}
+    assert from_vandermonde == {"build_matrix", "expand_chunks", "vandermonde_determinant"}
     assert "grid_var" not in names and "grid_ring" not in names
 
 

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gvand import exponents
@@ -42,15 +42,63 @@ def test_support_validation():
 @pytest.mark.parametrize(
     "n, vectors, message",
     [
-        (2, [(1.5, 0), (0, 2.9), (True, 1)], "non-integer entry"),
-        (2, [(0, 0), (1, False)], "non-integer entry"),
-        (2.0, [(0, 0), (1, 2)], "ambient dimension"),
-        (True, [(0,), (1,)], "ambient dimension"),
+        (2, [(1.5, 0), (0, 2.9), (True, 1)], "exponents[0][0]: must be a non-negative integer"),
+        (2, [(0, 0), (1, False)], "exponents[1][1]: must be a non-negative integer"),
+        (2.0, [(0, 0), (1, 2)], "n: must be a positive integer"),
+        (True, [(0,), (1,)], "n: must be a positive integer"),
     ],
+    ids=["float-entry", "bool-entry", "float-n", "bool-n"],
 )
 def test_support_refuses_non_integers(n, vectors, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         Support(n, vectors)
+    assert str(exc.value) == message
+
+
+# JSON values as json.loads gives them, NaN and infinities included, lists and objects nested
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _documents(draw):
+    """(n, exponents): a support's lists of small ints, in which up to two places, n, the
+    list, a vector or an entry, then take any JSON value; repeated vectors come up too."""
+    n = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        value, place = draw(_JSON), draw(st.sampled_from(("n", "list", "vector", "entry")))
+        if place == "n":
+            n = value
+        elif place == "list":
+            exponents = value
+        elif isinstance(exponents, list) and exponents:
+            i = draw(st.integers(0, len(exponents) - 1))
+            if place == "vector":
+                exponents[i] = value
+            elif isinstance(exponents[i], list) and exponents[i]:
+                exponents[i][draw(st.integers(0, len(exponents[i]) - 1))] = value
+    return n, exponents
+
+
+@given(_documents())
+@example((2, [[0, 1], [1, 0]]))
+@example((1, [["x"], 5]))  # two faults: the first one in walk order is named
+@example((1, [[0], [0], [-1]]))  # an entry fault after the repeated vector, named first
+@example((0, "x"))
+def test_from_json_and_a_direct_call_share_one_walk(document):
+    n, exponents = document
+    try:
+        direct = Support(n, exponents)
+    except ValueError as exc:
+        with pytest.raises(InputError) as refused:
+            Support.from_json({"n": n, "exponents": exponents})
+        assert str(refused.value) == f"support.{exc}"
+    else:
+        assert Support.from_json({"n": n, "exponents": exponents}) == direct
 
 
 def test_from_json_happy_path():

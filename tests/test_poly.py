@@ -74,6 +74,29 @@ def test_ring_constructors():
         PolyRing(ZZ, ("x", "x"))
 
 
+@pytest.mark.parametrize("ring", [grid_ring(ZZ, 1, 2), grid_ring(CoefficientRing(3), 1, 2)])
+def test_coefficients_and_term_keys_are_ints(ring):
+    # every coefficient passes CoefficientRing.normalize and every key of a term map the
+    # ring's exponent check, so nothing is kept as given: 1.5 stayed 1.5 (2.5 mod 3 stayed
+    # 2.5), True stayed True, and (1.5, 0) and (1, 0, 7) stayed keys
+    with pytest.raises(ValueError, match="coefficient must be an integer, got 1.5"):
+        ring.monomial((1, 0), 1.5)
+    with pytest.raises(ValueError, match="coefficient must be an integer, got True"):
+        ring.constant(True)
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        SparsePoly(ring, {(1, 0): 2.5})
+    with pytest.raises(ValueError, match="must be integers"):
+        SparsePoly(ring, {(1.5, 0): 1})
+    with pytest.raises(RingMismatchError):
+        SparsePoly(ring, {(1, 0, 7): 1})
+    with pytest.raises(NegativeExponentError):
+        SparsePoly(ring, {(1, -1): 1})
+    # a key is checked even where its coefficient vanishes
+    with pytest.raises(ValueError, match="must be integers"):
+        SparsePoly(ring, {(True, 0): 0})
+    assert dict(SparsePoly(ring, {(1, 0): 4, (0, 2): 0}).terms()) == {(1, 0): ring.coeff_ring.normalize(4)}
+
+
 def test_ring_is_a_validated_record():
     with pytest.raises(ValueError, match="distinct"):
         RXY._replace(variables=("x", "x"))

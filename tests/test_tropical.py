@@ -14,10 +14,11 @@ from conftest import (
     fraction_solve_affine,
     is_ridge_connected,
     multiplicity_gcd,
+    simplicial_cells,
     verify_subdivision,
     zero_min_wide_corpus,
 )
-from gvand.errors import DegenerateSupportError, NotSimplicialError
+from gvand.errors import DegenerateSupportError
 from gvand.exponents import Support, affine_dimension, d_gamma, reduce_to_span_coordinates
 from gvand.tropical import (
     TROPICAL_IRREDUCIBLE,
@@ -27,7 +28,6 @@ from gvand.tropical import (
     RegularSubdivision,
     _dual,
     _dual_summary,
-    combinatorics,
     decide_tropical_irreducibility,
     regular_subdivision,
 )
@@ -46,8 +46,6 @@ def test_flat_square_is_one_merged_cell():
     assert len(sub.cells) == 1
     assert sub.cells[0].vertices == (0, 1, 2, 3)
     assert not sub.simplicial
-    with pytest.raises(NotSimplicialError):
-        combinatorics(sub, UNIT_SQUARE)
 
 
 def test_tilted_square_splits_into_two_triangles():
@@ -170,7 +168,7 @@ def test_witness_covers_all_points_and_verifies():
 def test_unit_triangle_combinatorics():
     lifting = delaunay_lifting(UNIT_TRIANGLE, seed=0)
     sub = regular_subdivision(UNIT_TRIANGLE, lifting)
-    tc = combinatorics(sub, UNIT_TRIANGLE)
+    tc = _dual(simplicial_cells(sub), UNIT_TRIANGLE)
     assert [f.vertices for f in tc.facets] == [(0, 1), (0, 2), (1, 2)]
     assert [f.multiplicity for f in tc.facets] == [1, 1, 1]
     assert len(tc.ridges) == 1
@@ -183,7 +181,7 @@ def test_unit_triangle_combinatorics():
 def test_scaled_triangle_multiplicities():
     lifting = delaunay_lifting(SCALED_TRIANGLE, seed=0)
     sub = regular_subdivision(SCALED_TRIANGLE, lifting)
-    tc = combinatorics(sub, SCALED_TRIANGLE)
+    tc = _dual(simplicial_cells(sub), SCALED_TRIANGLE)
     assert [f.multiplicity for f in tc.facets] == [2, 2, 2]
     assert multiplicity_gcd(tc) == 2
     assert balancing_check(tc, SCALED_TRIANGLE)["ok"]
@@ -193,7 +191,7 @@ def test_ridge_facet_indices_are_consistent():
     support = Support(2, ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2)))
     lifting = delaunay_lifting(support, seed=1)
     sub = regular_subdivision(support, lifting)
-    tc = combinatorics(sub, support)
+    tc = _dual(simplicial_cells(sub), support)
     from itertools import combinations as combos
 
     for ridge in tc.ridges:
@@ -314,7 +312,7 @@ def test_the_certificate_builds_the_witness_of_the_fraction_routes(agreement_cor
         sub = regular_subdivision(reduced, lifting)
         assert cert.lifting == lifting, support
         assert cert.subdivision == sub, support
-        assert cert.combinatorics == combinatorics(sub, support), support
+        assert cert.to_json()["combinatorics"] == _dual(simplicial_cells(sub), support).to_json(), support
 
 
 def test_every_recorded_witness_passes_the_re_check():
@@ -353,8 +351,8 @@ def test_the_decision_reads_the_dual_data_of_its_combinatorics(support, seed):
     # the decision takes both values straight from its cells; the reference reads them
     # off the facet and ridge records the certificate writes
     cert = decide_tropical_irreducibility(support, seed=seed)
-    tc = combinatorics(cert.subdivision, support)
-    assert cert.combinatorics == tc
+    tc = _dual(simplicial_cells(cert.subdivision), support)
+    assert cert.to_json()["combinatorics"] == tc.to_json()
     assert cert.multiplicity_gcd == multiplicity_gcd(tc)
     assert cert.ridge_connected == is_ridge_connected(tc)
 
